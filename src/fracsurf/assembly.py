@@ -12,6 +12,7 @@ elimination so the reduced pencil stays symmetric.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "assemble",
     "build_rhs",
     "deflate_mean",
+    "dot",
     "write_matrix_market",
     "TRI_QUAD_POINTS",
     "TRI_QUAD_WEIGHTS",
@@ -49,6 +51,15 @@ TRI_QUAD_POINTS = np.array(
 TRI_QUAD_WEIGHTS = np.array(
     [9 / 40] + 3 * [(155 - _S15) / 1200] + 3 * [(155 + _S15) / 1200]
 )
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product summed by numpy's own loop rather than by BLAS.
+
+    Its value does not depend on the BLAS thread count, and it wakes no BLAS
+    threads: at the sizes of a solve their hand-off costs more than the sum.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,7 @@ class AssembledOperator:
         return self.mass.shape[0]
 
     def m_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(v @ (self.mass @ v)))
+        return math.sqrt(dot(v, self.mass @ v))
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Pad a free-dof vector with zeros on constrained vertices."""
@@ -302,9 +313,8 @@ def deflate_mean(v: np.ndarray, op: AssembledOperator) -> np.ndarray:
     """Remove the M-weighted mean (the constant-mode component); idempotent."""
     if op.mode != MODE_ZERO_MEAN:
         raise ValueError("deflation only applies in zero-mean mode")
-    ones = np.ones(op.n)
-    m_ones = op.mass @ ones
-    return v - (m_ones @ v) / (m_ones @ ones) * ones
+    m_ones = op.mass @ np.ones(op.n)
+    return v - dot(m_ones, v) / float(m_ones.sum())
 
 
 def write_matrix_market(op: AssembledOperator, directory) -> list[str]:

@@ -281,6 +281,9 @@ def run_solve(config: dict, out_dir: str) -> list[str]:
                 "lambda_max_used": result.lambda_max_used,
                 "a_priori_bound": result.a_priori_bound,
                 "max_cg_residual": result.max_residual,
+                "cg_iters_total": sum(r.iterations for r in result.solve_log),
+                "cg_iters_max": max((r.iterations for r in result.solve_log), default=0),
+                "mg_levels": list(result.mg_levels),
                 "seconds": wall,
             }
         )
@@ -479,7 +482,7 @@ def main(argv=None) -> int:
         manifest_path = _manifest(args.out, subcommand, config, outputs, mesh_stats, t0)
         print(f"wrote {len(outputs)} output file(s) and {os.path.basename(manifest_path)}")
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -275,15 +275,23 @@ def read_gmsh(path) -> SurfaceMesh:
 
     Point and line elements (boundary markers) are skipped; boundary vertices
     are recomputed from edge incidence. Any other element type is an error.
+    Every malformed file raises ValueError, with the line it stopped at.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not a text file") from None
     sections: dict[str, tuple[int, int]] = {}
     i = 0
     while i < len(lines):
         token = lines[i].strip()
         if token.startswith("$") and not token.startswith("$End"):
             name = token[1:]
+            if name in sections:
+                raise ValueError(f"line {i + 1}: second {token} section")
             end = f"$End{name}"
             j = i + 1
             while j < len(lines) and lines[j].strip() != end:
@@ -295,131 +303,164 @@ def read_gmsh(path) -> SurfaceMesh:
         else:
             i += 1
     if "MeshFormat" not in sections:
-        raise ValueError("not a Gmsh file: missing $MeshFormat")
-    fmt_line = sections["MeshFormat"][0]
-    fmt = lines[fmt_line].split()
-    version = fmt[0]
-    if fmt[1] != "0":
+        raise ValueError("line 1: not a Gmsh file: no $MeshFormat section")
+    fmt_line, fmt_end = sections["MeshFormat"]
+    version, file_type, _ = _fields(lines, fmt_line, fmt_end, 3)
+    if file_type != "0":
         raise ValueError(f"line {fmt_line + 1}: binary .msh not supported")
     if version.startswith("2."):
-        verts, tag_map = _read_nodes_v2(lines, sections)
-        tris = _read_elements_v2(lines, sections, tag_map)
+        verts, tag_map = _read_nodes_v2(lines, _section(lines, sections, "Nodes"))
+        el_start, el_end = _section(lines, sections, "Elements")
+        tris = _read_elements_v2(lines, (el_start, el_end), tag_map)
     elif version.startswith("4.1"):
-        verts, tag_map = _read_nodes_v41(lines, sections)
-        tris = _read_elements_v41(lines, sections, tag_map)
+        verts, tag_map = _read_nodes_v41(lines, _section(lines, sections, "Nodes"))
+        el_start, el_end = _section(lines, sections, "Elements")
+        tris = _read_elements_v41(lines, (el_start, el_end), tag_map)
     else:
         raise ValueError(f"line {fmt_line + 1}: unsupported .msh version {version}")
     if len(tris) == 0:
-        raise ValueError("no triangle elements found")
-    mesh_arrays = np.asarray(verts), np.asarray(tris, dtype=np.int64)
-    mode = MODE_DIRICHLET if _boundary_mask(len(verts), mesh_arrays[1]).any() else MODE_ZERO_MEAN
-    return _finalize(mesh_arrays[0], mesh_arrays[1], mode)
+        raise ValueError(f"line {el_start}: no triangle elements in $Elements")
+    verts, tris = np.asarray(verts, dtype=float).reshape(-1, 3), np.asarray(tris, dtype=np.int64)
+    mode = MODE_DIRICHLET if _boundary_mask(len(verts), tris).any() else MODE_ZERO_MEAN
+    try:
+        return _finalize(verts, tris, mode)
+    except ValueError as exc:
+        raise ValueError(f"lines {el_start + 1}-{el_end} ($Elements): {exc}") from None
 
 
-def _read_nodes_v2(lines, sections):
-    if "Nodes" not in sections:
-        raise ValueError("missing $Nodes section")
-    start, end = sections["Nodes"]
-    count = int(lines[start].split()[0])
-    verts = np.empty((count, 3))
-    tag_map = {}
+def _section(lines, sections, name) -> tuple[int, int]:
+    if name not in sections:
+        raise ValueError(f"line {len(lines)}: end of file without a ${name} section")
+    return sections[name]
+
+
+def _fields(lines, ln, end, count, at_least=False) -> list[str]:
+    """The whitespace-separated fields of line ln (0-based) of a section ending at `end`."""
+    if ln >= end:
+        raise ValueError(f"line {ln + 1}: section ends before its declared content")
+    parts = lines[ln].split()
+    if len(parts) < count or (len(parts) > count and not at_least):
+        raise ValueError(f"line {ln + 1}: expected {count} fields, found {len(parts)}")
+    return parts
+
+
+def _ints(parts, ln) -> list[int]:
+    try:
+        return [int(t) for t in parts]
+    except ValueError:
+        raise ValueError(f"line {ln + 1}: expected integers, found {' '.join(parts)!r}") from None
+
+
+def _count(value: int, ln) -> int:
+    if value < 0:
+        raise ValueError(f"line {ln + 1}: negative count {value}")
+    return value
+
+
+def _coords(parts, ln) -> list[float]:
+    try:
+        xyz = [float(t) for t in parts[:3]]
+    except ValueError:
+        raise ValueError(f"line {ln + 1}: expected coordinates, found {' '.join(parts)!r}") from None
+    if not all(math.isfinite(c) for c in xyz):
+        raise ValueError(f"line {ln + 1}: non-finite coordinate")
+    return xyz
+
+
+def _add_tag(tag_map, tag, ln) -> None:
+    if tag in tag_map:
+        raise ValueError(f"line {ln + 1}: node tag {tag} repeated")
+    tag_map[tag] = len(tag_map)
+
+
+def _triangle(tag_map, conn, ln) -> list[int]:
+    try:
+        return [tag_map[t] for t in conn]
+    except KeyError as exc:
+        raise ValueError(f"line {ln + 1}: element references unknown node {exc.args[0]}") from None
+
+
+def _check_end(lines, ln, end) -> None:
+    for k in range(ln, end):
+        if lines[k].strip():
+            raise ValueError(f"line {k + 1}: content after the declared entries")
+
+
+def _read_nodes_v2(lines, span):
+    start, end = span
+    count = _count(_ints(_fields(lines, start, end, 1), start)[0], start)
+    verts, tag_map = [], {}
     for k in range(count):
         ln = start + 1 + k
-        if ln >= end:
-            raise ValueError(f"line {ln + 1}: node list shorter than declared count {count}")
-        parts = lines[ln].split()
-        tag_map[int(parts[0])] = k
-        verts[k] = [float(x) for x in parts[1:4]]
+        parts = _fields(lines, ln, end, 4)
+        _add_tag(tag_map, _ints(parts[:1], ln)[0], ln)
+        verts.append(_coords(parts[1:], ln))
+    _check_end(lines, start + 1 + count, end)
     return verts, tag_map
 
 
-def _read_elements_v2(lines, sections, tag_map):
-    if "Elements" not in sections:
-        raise ValueError("missing $Elements section")
-    start, end = sections["Elements"]
-    count = int(lines[start].split()[0])
+# nodes per element of the types a surface file may hold
+_ELEMENT_NODES = {15: 1, 1: 2, 8: 3, 2: 3}
+
+
+def _read_elements_v2(lines, span, tag_map):
+    start, end = span
+    count = _count(_ints(_fields(lines, start, end, 1), start)[0], start)
     tris = []
     for k in range(count):
         ln = start + 1 + k
-        if ln >= end:
-            raise ValueError(f"line {ln + 1}: element list shorter than declared count {count}")
-        parts = lines[ln].split()
-        etype = int(parts[1])
-        ntags = int(parts[2])
-        conn = parts[3 + ntags :]
-        if etype in (15, 1, 8):  # points and (quadratic) lines: boundary markers
-            continue
-        if etype != 2:
+        head = _ints(_fields(lines, ln, end, 3, at_least=True)[:3], ln)
+        etype, ntags = head[1], _count(head[2], ln)
+        if etype not in _ELEMENT_NODES:
             raise ValueError(f"line {ln + 1}: unsupported element type {etype} (need 3-node triangles)")
-        if len(conn) != 3:
-            raise ValueError(f"line {ln + 1}: triangle with {len(conn)} nodes")
-        try:
-            tris.append([tag_map[int(t)] for t in conn])
-        except KeyError as exc:
-            raise ValueError(f"line {ln + 1}: element references unknown node {exc.args[0]}") from None
+        parts = _ints(_fields(lines, ln, end, 3 + ntags + _ELEMENT_NODES[etype]), ln)
+        if etype == 2:
+            tris.append(_triangle(tag_map, parts[3 + ntags:], ln))
+    _check_end(lines, start + 1 + count, end)
     return tris
 
 
-def _read_nodes_v41(lines, sections):
-    if "Nodes" not in sections:
-        raise ValueError("missing $Nodes section")
-    start, end = sections["Nodes"]
-    header = lines[start].split()
-    n_blocks, n_nodes = int(header[0]), int(header[1])
-    verts = np.empty((n_nodes, 3))
-    tag_map = {}
+def _read_nodes_v41(lines, span):
+    start, end = span
+    n_blocks, n_nodes, _, _ = _ints(_fields(lines, start, end, 4), start)
+    verts, tag_map = [], {}
     ln = start + 1
-    filled = 0
-    for _ in range(n_blocks):
-        if ln >= end:
-            raise ValueError(f"line {ln + 1}: node blocks shorter than declared")
-        blk = lines[ln].split()
-        in_block = int(blk[3])
+    for _ in range(_count(n_blocks, start)):
+        dim, _, parametric, in_block = _ints(_fields(lines, ln, end, 4), ln)
+        n_coords = 3 + (dim if parametric else 0)
         ln += 1
-        tags = []
-        for k in range(in_block):
-            tags.append(int(lines[ln + k].split()[0]))
+        for k in range(_count(in_block, ln - 1)):
+            _add_tag(tag_map, _ints(_fields(lines, ln + k, end, 1), ln + k)[0], ln + k)
         ln += in_block
         for k in range(in_block):
-            parts = lines[ln + k].split()
-            tag_map[tags[k]] = filled
-            verts[filled] = [float(x) for x in parts[:3]]
-            filled += 1
+            verts.append(_coords(_fields(lines, ln + k, end, n_coords), ln + k))
         ln += in_block
-    if filled != n_nodes:
-        raise ValueError(f"declared {n_nodes} nodes, found {filled}")
+    _check_end(lines, ln, end)
+    if len(verts) != n_nodes:
+        raise ValueError(f"line {start + 1}: declared {n_nodes} nodes, found {len(verts)}")
     return verts, tag_map
 
 
-def _read_elements_v41(lines, sections, tag_map):
-    if "Elements" not in sections:
-        raise ValueError("missing $Elements section")
-    start, end = sections["Elements"]
-    n_blocks = int(lines[start].split()[0])
+def _read_elements_v41(lines, span, tag_map):
+    start, end = span
+    n_blocks, n_elements, _, _ = _ints(_fields(lines, start, end, 4), start)
     tris = []
+    found = 0
     ln = start + 1
-    for _ in range(n_blocks):
-        if ln >= end:
-            raise ValueError(f"line {ln + 1}: element blocks shorter than declared")
-        blk = lines[ln].split()
-        dim, etype, in_block = int(blk[0]), int(blk[2]), int(blk[3])
-        ln += 1
-        if dim <= 1:
-            ln += in_block
-            continue
-        if etype != 2:
+    for _ in range(_count(n_blocks, start)):
+        _, _, etype, in_block = _ints(_fields(lines, ln, end, 4), ln)
+        if etype not in _ELEMENT_NODES:
             raise ValueError(f"line {ln + 1}: unsupported element type {etype} (need 3-node triangles)")
-        for k in range(in_block):
-            parts = lines[ln + k].split()
-            if len(parts) != 4:
-                raise ValueError(f"line {ln + k + 1}: triangle with {len(parts) - 1} nodes")
-            try:
-                tris.append([tag_map[int(t)] for t in parts[1:]])
-            except KeyError as exc:
-                raise ValueError(
-                    f"line {ln + k + 1}: element references unknown node {exc.args[0]}"
-                ) from None
+        ln += 1
+        for k in range(_count(in_block, ln - 1)):
+            parts = _ints(_fields(lines, ln + k, end, 1 + _ELEMENT_NODES[etype]), ln + k)
+            if etype == 2:
+                tris.append(_triangle(tag_map, parts[1:], ln + k))
         ln += in_block
+        found += in_block
+    _check_end(lines, ln, end)
+    if found != n_elements:
+        raise ValueError(f"line {start + 1}: declared {n_elements} elements, found {found}")
     return tris
 
 

@@ -2,22 +2,26 @@
 
 The product factorization turns the task into m solves per time step with
 matrices A = (1-s)*lh*M + s*S, s in (0,1), all symmetric positive definite
-even when S has the constant nullspace. Solves use Jacobi-preconditioned
-conjugate gradients; the m solves of a step are independent and combined in
-fixed index order so results are deterministic.
+even when S has the constant nullspace. Solves use conjugate gradients
+preconditioned by one smoothed-aggregation multigrid V-cycle, from a hierarchy
+built once per call and shared by every shift (see `multigrid`); the m solves
+of a step are independent and combined in fixed index order so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import AssembledOperator, deflate_mean
+from .assembly import AssembledOperator, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
+from .multigrid import build_hierarchy
 from .pade import build_pade
 from .scheme import TimeGrid, build_time_grid, scheme_error_bound
 
@@ -41,7 +45,7 @@ class SolverConfig:
     lambda_max_bound: float | str = "auto"
     m: int = 3
     cg_rel_tol: float = 1e-12
-    cg_max_iter: int | None = None  # default 10*sqrt(n), set at solve time
+    cg_max_iter: int | None = None  # default max(200, 10*sqrt(n)), set at solve time
     power_iters: int = 30
     safety: float = 1.1
     check_lambda_hat: bool | str = "auto"  # probe lambda_min when n is small
@@ -60,43 +64,54 @@ class SolverConfig:
         return max(200, int(10 * math.sqrt(n)))
 
 
-def pcg(A, b, rel_tol=1e-12, max_iter=None, x0=None):
-    """Jacobi-preconditioned conjugate gradients for SPD A.
+def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None):
+    """Preconditioned conjugate gradients for SPD A.
 
-    Returns (x, iterations, final relative residual). Raises RuntimeError with
-    the tail of the residual history when the iteration budget is exhausted.
+    `precond` maps a residual to the preconditioned residual and must be
+    symmetric positive definite; without one the preconditioner is Jacobi.
+    Iteration stops once ||r|| / ||b|| <= rel_tol for the residual r (not the
+    preconditioned one), or raises RuntimeError with the last five residuals
+    after `max_iter` iterations (default: `SolverConfig.max_iter`). Updates
+    are in place, and inner products use `dot`, which calls no BLAS.
+    Returns (x, iterations, final relative residual).
     """
-    n = len(b)
     if max_iter is None:
-        max_iter = max(200, int(10 * math.sqrt(n)))
-    norm_b = np.linalg.norm(b)
+        max_iter = SolverConfig().max_iter(len(b))
+    norm_b = math.sqrt(dot(b, b))
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("matrix has non-positive diagonal, not SPD")
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - A @ x if x0 is not None else b.copy()
-    z = r / diag
+    if precond is None:
+        def precond(r):
+            return r / diag
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r)
     p = z.copy()
-    rz = r @ z
-    history = []
+    rz = dot(r, z)
+    step = np.empty_like(b)
+    tail = deque(maxlen=5)
     for it in range(1, max_iter + 1):
         Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rel = np.linalg.norm(r) / norm_b
-        history.append(rel)
+        alpha = rz / dot(p, Ap)
+        np.multiply(p, alpha, out=step)
+        x += step
+        Ap *= alpha
+        r -= Ap
+        rel = math.sqrt(dot(r, r)) / norm_b
+        tail.append(rel)
         if rel <= rel_tol:
             return x, it, rel
-        z = r / diag
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        z = precond(r)
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise RuntimeError(
         f"CG failed to reach {rel_tol:.1e} in {max_iter} iterations; "
-        f"last residuals {['%.2e' % h for h in history[-5:]]}"
+        f"last residuals {['%.2e' % h for h in tail]}"
     )
 
 
@@ -116,15 +131,13 @@ def estimate_lambda_max(op: AssembledOperator, cfg: SolverConfig) -> float:
     """
     n = op.n
     x = _power_start(n)
-    mx = op.mass @ x
-    x /= math.sqrt(x @ mx)
+    x /= op.m_norm(x)
     rayleigh = 0.0
     for _ in range(cfg.power_iters):
         y = op.stiffness @ x
         z, _, _ = pcg(op.mass, y, rel_tol=1e-10, max_iter=cfg.max_iter(n))
-        rayleigh = x @ y
-        mz = op.mass @ z
-        x = z / math.sqrt(z @ mz)
+        rayleigh = dot(x, y)
+        x = z / op.m_norm(z)
     estimate = rayleigh * cfg.safety
     abs_row_sums = np.asarray(np.abs(op.stiffness).sum(axis=1)).ravel()
     gersh = float(np.max(abs_row_sums / op.mass.diagonal()))
@@ -148,7 +161,7 @@ def suggest_lambda_hat(op: AssembledOperator, cfg: SolverConfig, iters: int = 10
         if op.mode == MODE_ZERO_MEAN:
             y = deflate_mean(y, op)
         x = y / op.m_norm(y)
-    lam = x @ (op.stiffness @ x)  # M-normalized Rayleigh quotient, converges from above
+    lam = dot(x, op.stiffness @ x)  # M-normalized Rayleigh quotient, converges from above
     return 0.95 * float(lam)
 
 
@@ -168,6 +181,7 @@ class FracSolveResult:
     solve_log: list[SolveRecord] = field(repr=False)
     a_priori_bound: float = math.nan
     lambda_max_used: float = math.nan
+    mg_levels: tuple[int, ...] = ()  # unknowns per multigrid level, finest first
 
     @property
     def max_residual(self) -> float:
@@ -195,9 +209,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     lh = cfg.lambda_hat
 
     if op.mode == MODE_ZERO_MEAN:
-        ones = np.ones(op.n)
-        drift = abs(ones @ (op.mass @ f_h))
-        scale = op.m_norm(f_h) * math.sqrt(float(ones @ (op.mass @ ones)))
+        m_ones = op.mass @ np.ones(op.n)
+        drift = abs(dot(m_ones, f_h))
+        scale = op.m_norm(f_h) * math.sqrt(float(m_ones.sum()))
         if scale > 0 and drift > 1e-10 * scale:
             raise ValueError(
                 "zero-mean mode requires a deflated right-hand side "
@@ -217,6 +231,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     grid = build_time_grid(lh, lam_max)
     nodes = grid.nodes
     n_iter_cap = cfg.max_iter(op.n)
+    hierarchy = build_hierarchy(op.mass, op.stiffness)
 
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
@@ -230,9 +245,10 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             s = t_l + p.den_roots[i] * tau
             if not 0.0 < s < 1.0:
                 raise AssertionError(f"solve weight s={s} outside (0,1) at step {l}, term {i}")
-            A = (1.0 - s) * lh * op.mass + s * op.stiffness
+            vcycle = hierarchy.vcycle((1.0 - s) * lh, s)
             try:
-                x, iters, rel = pcg(A, rhs, rel_tol=cfg.cg_rel_tol, max_iter=n_iter_cap)
+                x, iters, rel = pcg(vcycle.matrix, rhs, rel_tol=cfg.cg_rel_tol,
+                                    max_iter=n_iter_cap, precond=vcycle)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
             records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
@@ -253,6 +269,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         solve_log=records,
         a_priori_bound=bound,
         lambda_max_used=lam_max,
+        mg_levels=hierarchy.sizes,
     )
 
 

@@ -51,6 +51,25 @@ class TestPcg:
         with pytest.raises(RuntimeError, match="residuals"):
             pcg(A, np.ones(n), rel_tol=1e-14, max_iter=3)
 
+    def test_default_cap_and_residual_tail(self):
+        # the default cap is SolverConfig.max_iter(n); the message keeps the last five residuals
+        n = 1000
+        main = 2.0 * np.ones(n)
+        off = -1.0 * np.ones(n - 1)
+        A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+        cap = SolverConfig().max_iter(n)
+        with pytest.raises(RuntimeError, match=f"in {cap} iterations") as info:
+            pcg(A, np.ones(n), rel_tol=1e-14)
+        assert len(str(info.value).split("last residuals")[1].split(",")) == 5
+
+    def test_preconditioner_argument(self):
+        rng = np.arange(1, 26, dtype=float)
+        A = (sp.diags(rng) + sp.eye(25) * 0.5).tocsr()
+        b = np.sin(rng)
+        exact = b / (rng + 0.5)
+        x, iters, rel = pcg(A, b, rel_tol=1e-13, precond=lambda r: r * (1.0 / (rng + 0.5)))
+        assert iters == 1 and x == pytest.approx(exact, rel=1e-13)
+
 
 class TestLambdaMax:
     def test_one_by_one_pencil(self):
