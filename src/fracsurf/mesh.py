@@ -275,7 +275,7 @@ def read_gmsh(path) -> SurfaceMesh:
 
     Point and line elements (boundary markers) are skipped; boundary vertices
     are recomputed from edge incidence. Any other element type is an error.
-    Every malformed file raises ValueError, with the line it stopped at.
+    Every malformed file raises ValueError naming the line it stopped at.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -285,42 +285,39 @@ def read_gmsh(path) -> SurfaceMesh:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {line}: not a text file") from None
     sections: dict[str, tuple[int, int]] = {}
-    i = 0
-    while i < len(lines):
-        token = lines[i].strip()
-        if token.startswith("$") and not token.startswith("$End"):
-            name = token[1:]
-            if name in sections:
-                raise ValueError(f"line {i + 1}: second {token} section")
-            end = f"$End{name}"
-            j = i + 1
-            while j < len(lines) and lines[j].strip() != end:
-                j += 1
-            if j == len(lines):
-                raise ValueError(f"line {i + 1}: section {token} never closed")
-            sections[name] = (i + 1, j)
-            i = j + 1
-        else:
-            i += 1
+    marks = [(i, t) for i, t in enumerate(ln.strip() for ln in lines) if t.startswith("$")]
+    k = 0
+    while k < len(marks):
+        i, token = marks[k]
+        k += 1
+        if token.startswith("$End"):
+            continue
+        name = token[1:]
+        if name in sections:
+            raise ValueError(f"line {i + 1}: second {token} section")
+        while k < len(marks) and marks[k][1] != f"$End{name}":
+            k += 1
+        if k == len(marks):
+            raise ValueError(f"line {i + 1}: section {token} never closed")
+        sections[name] = (i + 1, marks[k][0])
+        k += 1
     if "MeshFormat" not in sections:
         raise ValueError("line 1: not a Gmsh file: no $MeshFormat section")
     fmt_line, fmt_end = sections["MeshFormat"]
-    version, file_type, _ = _fields(lines, fmt_line, fmt_end, 3)
+    version, file_type, _ = _rows(lines, fmt_line, 1, fmt_end, 3)[0]
     if file_type != "0":
         raise ValueError(f"line {fmt_line + 1}: binary .msh not supported")
     if version.startswith("2."):
-        verts, tag_map = _read_nodes_v2(lines, _section(lines, sections, "Nodes"))
-        el_start, el_end = _section(lines, sections, "Elements")
-        tris = _read_elements_v2(lines, (el_start, el_end), tag_map)
+        read_nodes, read_elements = _read_nodes_v2, _read_elements_v2
     elif version.startswith("4.1"):
-        verts, tag_map = _read_nodes_v41(lines, _section(lines, sections, "Nodes"))
-        el_start, el_end = _section(lines, sections, "Elements")
-        tris = _read_elements_v41(lines, (el_start, el_end), tag_map)
+        read_nodes, read_elements = _read_nodes_v41, _read_elements_v41
     else:
         raise ValueError(f"line {fmt_line + 1}: unsupported .msh version {version}")
+    verts, tag_map = read_nodes(lines, *_section(lines, sections, "Nodes"))
+    el_start, el_end = _section(lines, sections, "Elements")
+    tris = read_elements(lines, el_start, el_end, tag_map)
     if len(tris) == 0:
         raise ValueError(f"line {el_start}: no triangle elements in $Elements")
-    verts, tris = np.asarray(verts, dtype=float).reshape(-1, 3), np.asarray(tris, dtype=np.int64)
     mode = MODE_DIRICHLET if _boundary_mask(len(verts), tris).any() else MODE_ZERO_MEAN
     try:
         return _finalize(verts, tris, mode)
@@ -329,55 +326,46 @@ def read_gmsh(path) -> SurfaceMesh:
 
 
 def _section(lines, sections, name) -> tuple[int, int]:
+    """(first content line, $End line) of a section, both 0-based."""
     if name not in sections:
         raise ValueError(f"line {len(lines)}: end of file without a ${name} section")
     return sections[name]
 
 
-def _fields(lines, ln, end, count, at_least=False) -> list[str]:
-    """The whitespace-separated fields of line ln (0-based) of a section ending at `end`."""
-    if ln >= end:
-        raise ValueError(f"line {ln + 1}: section ends before its declared content")
-    parts = lines[ln].split()
-    if len(parts) < count or (len(parts) > count and not at_least):
-        raise ValueError(f"line {ln + 1}: expected {count} fields, found {len(parts)}")
-    return parts
-
-
-def _ints(parts, ln) -> list[int]:
-    try:
-        return [int(t) for t in parts]
-    except ValueError:
-        raise ValueError(f"line {ln + 1}: expected integers, found {' '.join(parts)!r}") from None
-
-
-def _count(value: int, ln) -> int:
+def _count(value, ln) -> int:
+    """A count read from line ln (0-based), which must not be negative."""
     if value < 0:
         raise ValueError(f"line {ln + 1}: negative count {value}")
-    return value
+    return int(value)
 
 
-def _coords(parts, ln) -> list[float]:
+def _rows(lines, ln, count, end, width) -> list[list[str]]:
+    """The fields of `count` lines from ln (0-based), each holding exactly `width` fields."""
+    count = _count(count, ln - 1)
+    if ln + count > end:
+        raise ValueError(f"line {end + 1}: section ends before its declared content")
+    rows = [lines[i].split() for i in range(ln, ln + count)]
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"line {ln + k + 1}: expected {width} fields, found {len(row)}")
+    return rows
+
+
+def _numbers(rows, ln, dtype) -> np.ndarray:
+    """rows (from line ln, 0-based) as an array; integers, or finite floats."""
     try:
-        xyz = [float(t) for t in parts[:3]]
-    except ValueError:
-        raise ValueError(f"line {ln + 1}: expected coordinates, found {' '.join(parts)!r}") from None
-    if not all(math.isfinite(c) for c in xyz):
-        raise ValueError(f"line {ln + 1}: non-finite coordinate")
-    return xyz
-
-
-def _add_tag(tag_map, tag, ln) -> None:
-    if tag in tag_map:
-        raise ValueError(f"line {ln + 1}: node tag {tag} repeated")
-    tag_map[tag] = len(tag_map)
-
-
-def _triangle(tag_map, conn, ln) -> list[int]:
-    try:
-        return [tag_map[t] for t in conn]
-    except KeyError as exc:
-        raise ValueError(f"line {ln + 1}: element references unknown node {exc.args[0]}") from None
+        table = np.array(rows, dtype=dtype).reshape(len(rows), -1)
+    except (ValueError, OverflowError):
+        for k, row in enumerate(rows):
+            try:
+                np.array(row, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise ValueError(f"line {ln + k + 1}: malformed number in {' '.join(row)!r}") from None
+        raise
+    if dtype is float and not np.isfinite(table).all():
+        k = int(np.nonzero(~np.isfinite(table).all(axis=1))[0][0])
+        raise ValueError(f"line {ln + k + 1}: non-finite coordinate")
+    return table
 
 
 def _check_end(lines, ln, end) -> None:
@@ -386,82 +374,108 @@ def _check_end(lines, ln, end) -> None:
             raise ValueError(f"line {k + 1}: content after the declared entries")
 
 
-def _read_nodes_v2(lines, span):
-    start, end = span
-    count = _count(_ints(_fields(lines, start, end, 1), start)[0], start)
-    verts, tag_map = [], {}
-    for k in range(count):
-        ln = start + 1 + k
-        parts = _fields(lines, ln, end, 4)
-        _add_tag(tag_map, _ints(parts[:1], ln)[0], ln)
-        verts.append(_coords(parts[1:], ln))
-    _check_end(lines, start + 1 + count, end)
-    return verts, tag_map
+def _tag_map(tags: np.ndarray, lines_of) -> dict[int, int]:
+    """Node tag -> vertex index; lines_of(k) is the 0-based line of the k-th tag."""
+    tag_map = dict(zip(tags.tolist(), range(len(tags))))
+    if len(tag_map) < len(tags):
+        seen = set()
+        for k, t in enumerate(tags.tolist()):
+            if t in seen:
+                raise ValueError(f"line {lines_of(k) + 1}: node tag {t} repeated")
+            seen.add(t)
+    return tag_map
+
+
+def _connectivity(conn: np.ndarray, tag_map, lines_of) -> np.ndarray:
+    """Vertex indices of (k, 3) node tags; lines_of(k) is the 0-based line of row k."""
+    flat = [tag_map.get(t, -1) for t in conn.ravel().tolist()]
+    idx = np.array(flat, dtype=np.int64).reshape(-1, 3)
+    if len(flat) and min(flat) < 0:
+        k = int(np.nonzero(idx < 0)[0][0])
+        tag = int(conn[k][np.nonzero(idx[k] < 0)[0][0]])
+        raise ValueError(f"line {lines_of(k) + 1}: element references unknown node {tag}")
+    return idx
 
 
 # nodes per element of the types a surface file may hold
 _ELEMENT_NODES = {15: 1, 1: 2, 8: 3, 2: 3}
 
 
-def _read_elements_v2(lines, span, tag_map):
-    start, end = span
-    count = _count(_ints(_fields(lines, start, end, 1), start)[0], start)
-    tris = []
-    for k in range(count):
-        ln = start + 1 + k
-        head = _ints(_fields(lines, ln, end, 3, at_least=True)[:3], ln)
-        etype, ntags = head[1], _count(head[2], ln)
-        if etype not in _ELEMENT_NODES:
-            raise ValueError(f"line {ln + 1}: unsupported element type {etype} (need 3-node triangles)")
-        parts = _ints(_fields(lines, ln, end, 3 + ntags + _ELEMENT_NODES[etype]), ln)
-        if etype == 2:
-            tris.append(_triangle(tag_map, parts[3 + ntags:], ln))
+def _element_type(etype: int, ln) -> int:
+    if etype not in _ELEMENT_NODES:
+        raise ValueError(f"line {ln + 1}: unsupported element type {etype} (need 3-node triangles)")
+    return _ELEMENT_NODES[etype]
+
+
+def _read_nodes_v2(lines, start, end):
+    (count,) = _numbers(_rows(lines, start, 1, end, 1), start, np.int64)[0]
+    rows = _rows(lines, start + 1, count, end, 4)
+    tags = _numbers([r[:1] for r in rows], start + 1, np.int64).ravel()
+    verts = _numbers([r[1:] for r in rows], start + 1, float)
     _check_end(lines, start + 1 + count, end)
-    return tris
+    return verts, _tag_map(tags, lambda k: start + 1 + k)
 
 
-def _read_nodes_v41(lines, span):
-    start, end = span
-    n_blocks, n_nodes, _, _ = _ints(_fields(lines, start, end, 4), start)
-    verts, tag_map = [], {}
+def _read_elements_v2(lines, start, end, tag_map):
+    (count,) = _numbers(_rows(lines, start, 1, end, 1), start, np.int64)[0]
+    if start + 1 + count > end:
+        raise ValueError(f"line {end + 1}: section ends before its declared content")
+    conn, conn_lines = [], []
+    for ln in range(start + 1, start + 1 + count):
+        parts = lines[ln].split()
+        if len(parts) < 3:
+            raise ValueError(f"line {ln + 1}: expected at least 3 fields, found {len(parts)}")
+        _, etype, ntags = _numbers([parts[:3]], ln, np.int64)[0]
+        width = 3 + _count(ntags, ln) + _element_type(int(etype), ln)
+        row = _numbers(_rows(lines, ln, 1, end, width), ln, np.int64)[0]
+        if etype == 2:
+            conn.append(row[-3:])
+            conn_lines.append(ln)
+    _check_end(lines, start + 1 + count, end)
+    return _connectivity(np.array(conn, dtype=np.int64).reshape(-1, 3), tag_map,
+                         lambda k: conn_lines[k])
+
+
+def _read_nodes_v41(lines, start, end):
+    n_blocks, n_nodes, _, _ = _numbers(_rows(lines, start, 1, end, 4), start, np.int64)[0]
+    tags, verts, tag_lines = [], [], []
     ln = start + 1
     for _ in range(_count(n_blocks, start)):
-        dim, _, parametric, in_block = _ints(_fields(lines, ln, end, 4), ln)
-        n_coords = 3 + (dim if parametric else 0)
+        dim, _, parametric, in_block = _numbers(_rows(lines, ln, 1, end, 4), ln, np.int64)[0]
         ln += 1
-        for k in range(_count(in_block, ln - 1)):
-            _add_tag(tag_map, _ints(_fields(lines, ln + k, end, 1), ln + k)[0], ln + k)
+        tags.append(_numbers(_rows(lines, ln, in_block, end, 1), ln, np.int64).ravel())
+        tag_lines.append(np.arange(ln, ln + in_block))
         ln += in_block
-        for k in range(in_block):
-            verts.append(_coords(_fields(lines, ln + k, end, n_coords), ln + k))
+        width = 3 + (int(dim) if parametric else 0)
+        verts.append(_numbers(_rows(lines, ln, in_block, end, width), ln, float)[:, :3])
         ln += in_block
     _check_end(lines, ln, end)
-    if len(verts) != n_nodes:
-        raise ValueError(f"line {start + 1}: declared {n_nodes} nodes, found {len(verts)}")
-    return verts, tag_map
+    tags = np.concatenate(tags) if tags else np.zeros(0, dtype=np.int64)
+    if len(tags) != n_nodes:
+        raise ValueError(f"line {start + 1}: declared {n_nodes} nodes, found {len(tags)}")
+    tag_lines = np.concatenate(tag_lines) if tag_lines else tags
+    verts = np.concatenate(verts) if verts else np.zeros((0, 3))
+    return verts, _tag_map(tags, lambda k: int(tag_lines[k]))
 
 
-def _read_elements_v41(lines, span, tag_map):
-    start, end = span
-    n_blocks, n_elements, _, _ = _ints(_fields(lines, start, end, 4), start)
+def _read_elements_v41(lines, start, end, tag_map):
+    n_blocks, n_elements, _, _ = _numbers(_rows(lines, start, 1, end, 4), start, np.int64)[0]
     tris = []
     found = 0
     ln = start + 1
     for _ in range(_count(n_blocks, start)):
-        _, _, etype, in_block = _ints(_fields(lines, ln, end, 4), ln)
-        if etype not in _ELEMENT_NODES:
-            raise ValueError(f"line {ln + 1}: unsupported element type {etype} (need 3-node triangles)")
+        _, _, etype, in_block = _numbers(_rows(lines, ln, 1, end, 4), ln, np.int64)[0]
+        width = 1 + _element_type(int(etype), ln)
         ln += 1
-        for k in range(_count(in_block, ln - 1)):
-            parts = _ints(_fields(lines, ln + k, end, 1 + _ELEMENT_NODES[etype]), ln + k)
-            if etype == 2:
-                tris.append(_triangle(tag_map, parts[1:], ln + k))
+        rows = _numbers(_rows(lines, ln, in_block, end, width), ln, np.int64)
+        if etype == 2:
+            tris.append(_connectivity(rows[:, 1:], tag_map, lambda k, ln=ln: ln + k))
         ln += in_block
         found += in_block
     _check_end(lines, ln, end)
     if found != n_elements:
         raise ValueError(f"line {start + 1}: declared {n_elements} elements, found {found}")
-    return tris
+    return np.concatenate(tris) if tris else np.zeros((0, 3), dtype=np.int64)
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:
