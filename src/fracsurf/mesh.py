@@ -284,6 +284,7 @@ def read_gmsh(path) -> SurfaceMesh:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {line}: not a text file") from None
+    del raw
     sections: dict[str, tuple[int, int]] = {}
     marks = [(i, t) for i, t in enumerate(ln.strip() for ln in lines) if t.startswith("$")]
     k = 0
@@ -304,7 +305,10 @@ def read_gmsh(path) -> SurfaceMesh:
     if "MeshFormat" not in sections:
         raise ValueError("line 1: not a Gmsh file: no $MeshFormat section")
     fmt_line, fmt_end = sections["MeshFormat"]
-    version, file_type, _ = _rows(lines, fmt_line, 1, fmt_end, 3)[0]
+    fmt = lines[fmt_line].split() if fmt_line < fmt_end else []
+    if len(fmt) != 3:
+        raise ValueError(f"line {fmt_line + 1}: expected 'version file-type data-size'")
+    version, file_type, _ = fmt
     if file_type != "0":
         raise ValueError(f"line {fmt_line + 1}: binary .msh not supported")
     if version.startswith("2."):
@@ -339,29 +343,37 @@ def _count(value, ln) -> int:
     return int(value)
 
 
-def _rows(lines, ln, count, end, width) -> list[list[str]]:
-    """The fields of `count` lines from ln (0-based), each holding exactly `width` fields."""
+def _line(lines, ln, end, width, dtype, prefix=False) -> np.ndarray:
+    """The `width` numbers on line ln (0-based); with prefix, the first `width` of more."""
+    if ln >= end:
+        raise ValueError(f"line {end + 1}: section ends before its declared content")
+    parts = lines[ln].split()
+    if len(parts) < width or (len(parts) > width and not prefix):
+        raise ValueError(f"line {ln + 1}: expected {width} fields, found {len(parts)}")
+    try:
+        return np.array(parts[:width], dtype=dtype)
+    except (ValueError, OverflowError):
+        raise ValueError(f"line {ln + 1}: malformed number in {lines[ln].strip()!r}") from None
+
+
+def _table(lines, ln, count, end, width, dtype) -> np.ndarray:
+    """`count` lines from ln (0-based), each of `width` numbers, as a (count, width) array.
+
+    Integers, or finite floats. np.loadtxt parses the block; only a block it
+    rejects is read again line by line, to name the line at fault.
+    """
     count = _count(count, ln - 1)
     if ln + count > end:
         raise ValueError(f"line {end + 1}: section ends before its declared content")
-    rows = [lines[i].split() for i in range(ln, ln + count)]
-    for k, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"line {ln + k + 1}: expected {width} fields, found {len(row)}")
-    return rows
-
-
-def _numbers(rows, ln, dtype) -> np.ndarray:
-    """rows (from line ln, 0-based) as an array; integers, or finite floats."""
-    try:
-        table = np.array(rows, dtype=dtype).reshape(len(rows), -1)
-    except (ValueError, OverflowError):
-        for k, row in enumerate(rows):
-            try:
-                np.array(row, dtype=dtype)
-            except (ValueError, OverflowError):
-                raise ValueError(f"line {ln + k + 1}: malformed number in {' '.join(row)!r}") from None
-        raise
+    table = None
+    if count:
+        try:
+            table = np.loadtxt(lines[ln:ln + count], dtype=dtype, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is None or table.shape != (count, width):
+        rows = [_line(lines, k, end, width, dtype) for k in range(ln, ln + count)]
+        table = np.array(rows, dtype=dtype).reshape(count, width)
     if dtype is float and not np.isfinite(table).all():
         k = int(np.nonzero(~np.isfinite(table).all(axis=1))[0][0])
         raise ValueError(f"line {ln + k + 1}: non-finite coordinate")
@@ -374,26 +386,25 @@ def _check_end(lines, ln, end) -> None:
             raise ValueError(f"line {k + 1}: content after the declared entries")
 
 
-def _tag_map(tags: np.ndarray, lines_of) -> dict[int, int]:
-    """Node tag -> vertex index; lines_of(k) is the 0-based line of the k-th tag."""
+def _tag_map(tags: np.ndarray, tag_lines) -> dict[int, int]:
+    """Node tag -> vertex index; tag_lines[k] is the 0-based line of the k-th tag."""
     tag_map = dict(zip(tags.tolist(), range(len(tags))))
     if len(tag_map) < len(tags):
         seen = set()
         for k, t in enumerate(tags.tolist()):
             if t in seen:
-                raise ValueError(f"line {lines_of(k) + 1}: node tag {t} repeated")
+                raise ValueError(f"line {tag_lines[k] + 1}: node tag {t} repeated")
             seen.add(t)
     return tag_map
 
 
-def _connectivity(conn: np.ndarray, tag_map, lines_of) -> np.ndarray:
-    """Vertex indices of (k, 3) node tags; lines_of(k) is the 0-based line of row k."""
-    flat = [tag_map.get(t, -1) for t in conn.ravel().tolist()]
-    idx = np.array(flat, dtype=np.int64).reshape(-1, 3)
-    if len(flat) and min(flat) < 0:
-        k = int(np.nonzero(idx < 0)[0][0])
-        tag = int(conn[k][np.nonzero(idx[k] < 0)[0][0]])
-        raise ValueError(f"line {lines_of(k) + 1}: element references unknown node {tag}")
+def _connectivity(conn: np.ndarray, tag_map, conn_lines) -> np.ndarray:
+    """Vertex indices of (k, 3) node tags; conn_lines[k] is the 0-based line of row k."""
+    idx = np.array([tag_map.get(t, -1) for t in conn.ravel().tolist()], dtype=np.int64)
+    idx = idx.reshape(-1, 3)
+    if (idx < 0).any():
+        k, j = (int(a[0]) for a in np.nonzero(idx < 0))
+        raise ValueError(f"line {conn_lines[k] + 1}: element references unknown node {conn[k, j]}")
     return idx
 
 
@@ -401,53 +412,51 @@ def _connectivity(conn: np.ndarray, tag_map, lines_of) -> np.ndarray:
 _ELEMENT_NODES = {15: 1, 1: 2, 8: 3, 2: 3}
 
 
-def _element_type(etype: int, ln) -> int:
+def _element_nodes(etype, ln) -> int:
     if etype not in _ELEMENT_NODES:
         raise ValueError(f"line {ln + 1}: unsupported element type {etype} (need 3-node triangles)")
     return _ELEMENT_NODES[etype]
 
 
 def _read_nodes_v2(lines, start, end):
-    (count,) = _numbers(_rows(lines, start, 1, end, 1), start, np.int64)[0]
-    rows = _rows(lines, start + 1, count, end, 4)
-    tags = _numbers([r[:1] for r in rows], start + 1, np.int64).ravel()
-    verts = _numbers([r[1:] for r in rows], start + 1, float)
+    (count,) = _line(lines, start, end, 1, np.int64)
+    table = _table(lines, start + 1, count, end, 4, float)
     _check_end(lines, start + 1 + count, end)
-    return verts, _tag_map(tags, lambda k: start + 1 + k)
+    tags = table[:, 0]
+    if (tags != np.trunc(tags)).any():
+        k = int(np.nonzero(tags != np.trunc(tags))[0][0])
+        raise ValueError(f"line {start + k + 2}: node tag {float(tags[k])!r} is not an integer")
+    return table[:, 1:], _tag_map(tags.astype(np.int64), range(start + 1, start + 1 + count))
 
 
 def _read_elements_v2(lines, start, end, tag_map):
-    (count,) = _numbers(_rows(lines, start, 1, end, 1), start, np.int64)[0]
-    if start + 1 + count > end:
-        raise ValueError(f"line {end + 1}: section ends before its declared content")
+    (count,) = _line(lines, start, end, 1, np.int64)
+    count = _count(count, start)
     conn, conn_lines = [], []
     for ln in range(start + 1, start + 1 + count):
-        parts = lines[ln].split()
-        if len(parts) < 3:
-            raise ValueError(f"line {ln + 1}: expected at least 3 fields, found {len(parts)}")
-        _, etype, ntags = _numbers([parts[:3]], ln, np.int64)[0]
-        width = 3 + _count(ntags, ln) + _element_type(int(etype), ln)
-        row = _numbers(_rows(lines, ln, 1, end, width), ln, np.int64)[0]
+        _, etype, ntags = _line(lines, ln, end, 3, np.int64, prefix=True)
+        width = 3 + _count(ntags, ln) + _element_nodes(int(etype), ln)
+        row = _line(lines, ln, end, width, np.int64)
         if etype == 2:
             conn.append(row[-3:])
             conn_lines.append(ln)
     _check_end(lines, start + 1 + count, end)
-    return _connectivity(np.array(conn, dtype=np.int64).reshape(-1, 3), tag_map,
-                         lambda k: conn_lines[k])
+    conn = np.array(conn, dtype=np.int64).reshape(-1, 3)
+    return _connectivity(conn, tag_map, conn_lines)
 
 
 def _read_nodes_v41(lines, start, end):
-    n_blocks, n_nodes, _, _ = _numbers(_rows(lines, start, 1, end, 4), start, np.int64)[0]
+    n_blocks, n_nodes, _, _ = _line(lines, start, end, 4, np.int64)
     tags, verts, tag_lines = [], [], []
     ln = start + 1
     for _ in range(_count(n_blocks, start)):
-        dim, _, parametric, in_block = _numbers(_rows(lines, ln, 1, end, 4), ln, np.int64)[0]
+        dim, _, parametric, in_block = _line(lines, ln, end, 4, np.int64)
         ln += 1
-        tags.append(_numbers(_rows(lines, ln, in_block, end, 1), ln, np.int64).ravel())
+        tags.append(_table(lines, ln, in_block, end, 1, np.int64).ravel())
         tag_lines.append(np.arange(ln, ln + in_block))
         ln += in_block
         width = 3 + (int(dim) if parametric else 0)
-        verts.append(_numbers(_rows(lines, ln, in_block, end, width), ln, float)[:, :3])
+        verts.append(_table(lines, ln, in_block, end, width, float)[:, :3])
         ln += in_block
     _check_end(lines, ln, end)
     tags = np.concatenate(tags) if tags else np.zeros(0, dtype=np.int64)
@@ -455,21 +464,21 @@ def _read_nodes_v41(lines, start, end):
         raise ValueError(f"line {start + 1}: declared {n_nodes} nodes, found {len(tags)}")
     tag_lines = np.concatenate(tag_lines) if tag_lines else tags
     verts = np.concatenate(verts) if verts else np.zeros((0, 3))
-    return verts, _tag_map(tags, lambda k: int(tag_lines[k]))
+    return verts, _tag_map(tags, tag_lines)
 
 
 def _read_elements_v41(lines, start, end, tag_map):
-    n_blocks, n_elements, _, _ = _numbers(_rows(lines, start, 1, end, 4), start, np.int64)[0]
+    n_blocks, n_elements, _, _ = _line(lines, start, end, 4, np.int64)
     tris = []
     found = 0
     ln = start + 1
     for _ in range(_count(n_blocks, start)):
-        _, _, etype, in_block = _numbers(_rows(lines, ln, 1, end, 4), ln, np.int64)[0]
-        width = 1 + _element_type(int(etype), ln)
+        _, _, etype, in_block = _line(lines, ln, end, 4, np.int64)
+        width = 1 + _element_nodes(int(etype), ln)
         ln += 1
-        rows = _numbers(_rows(lines, ln, in_block, end, width), ln, np.int64)
+        rows = _table(lines, ln, in_block, end, width, np.int64)
         if etype == 2:
-            tris.append(_connectivity(rows[:, 1:], tag_map, lambda k, ln=ln: ln + k))
+            tris.append(_connectivity(rows[:, 1:], tag_map, range(ln, ln + in_block)))
         ln += in_block
         found += in_block
     _check_end(lines, ln, end)

@@ -51,13 +51,9 @@ class Hierarchy:
         """Unknowns per level, finest first."""
         return tuple(M.shape[0] for M in self.mass)
 
-    def vcycle(self, c1: float, c2: float) -> "ShiftedVCycle":
-        """The V(1,1)-cycle preconditioner of c1*M + c2*S, for c1 > 0 and c2 >= 0."""
-        return ShiftedVCycle(self, c1, c2)
-
 
 class ShiftedVCycle:
-    """Symmetric V(1,1)-cycle for A = c1*M + c2*S; `matrix` is the fine-level A.
+    """Symmetric V(1,1)-cycle for A = c1*M + c2*S (c1 > 0, c2 >= 0); `matrix` is the fine A.
 
     Pre- and post-smoothing are the same damped-Jacobi step and the coarsest
     solve is exact, so the cycle is a symmetric positive definite operator and

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .assembly import AssembledOperator, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
-from .multigrid import build_hierarchy
+from .multigrid import ShiftedVCycle, build_hierarchy
 from .pade import build_pade
 from .scheme import TimeGrid, build_time_grid, scheme_error_bound
 
@@ -245,7 +245,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             s = t_l + p.den_roots[i] * tau
             if not 0.0 < s < 1.0:
                 raise AssertionError(f"solve weight s={s} outside (0,1) at step {l}, term {i}")
-            vcycle = hierarchy.vcycle((1.0 - s) * lh, s)
+            vcycle = ShiftedVCycle(hierarchy, (1.0 - s) * lh, s)
             try:
                 x, iters, rel = pcg(vcycle.matrix, rhs, rel_tol=cfg.cg_rel_tol,
                                     max_iter=n_iter_cap, precond=vcycle)

@@ -4,9 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracsurf import assemble, build_rhs, coefficient_field, gen_graded_square, gen_sphere, gen_torus
-from fracsurf.multigrid import MAX_COARSE, build_hierarchy
+from fracsurf.multigrid import MAX_COARSE, ShiftedVCycle, build_hierarchy
 from fracsurf.solver import SolverConfig, fractional_apply
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -35,7 +36,7 @@ class TestVCycle:
         assert len(h.sizes) >= 2 and h.sizes[0] == op.n and h.sizes[-1] <= MAX_COARSE
         rng = np.random.default_rng(7)
         for c1, c2 in self.SHIFTS:
-            vcycle = h.vcycle(c1, c2)
+            vcycle = ShiftedVCycle(h, c1, c2)
             for _ in range(3):
                 u, v = rng.standard_normal(op.n), rng.standard_normal(op.n)
                 uu, vv = u @ vcycle(u), v @ vcycle(v)
@@ -48,15 +49,25 @@ class TestVCycle:
         # with a single level the cycle is the eigenbasis solve itself
         op = sphere3_op
         h = build_hierarchy(op.mass, op.stiffness)
-        vcycle = h.vcycle(0.3, 0.7)
+        vcycle = ShiftedVCycle(h, 0.3, 0.7)
         A = vcycle.matrix.toarray()
         np.testing.assert_allclose(A, (0.3 * op.mass + 0.7 * op.stiffness).toarray(), rtol=0)
         h1 = build_hierarchy(h.mass[-1], h.stiffness[-1])
         assert len(h1.sizes) == 1
-        coarse = h1.vcycle(0.3, 0.7)
+        coarse = ShiftedVCycle(h1, 0.3, 0.7)
         b = np.sin(np.arange(h1.sizes[0]) + 1.0)
         x = coarse(b)
         np.testing.assert_allclose(coarse.matrix @ x, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+    def test_all_weak_connections_still_coarsen(self, square16_op):
+        # a stiffness dominated by its diagonal has no strong connection at the
+        # default threshold; aggregation falls back to the matrix graph rather
+        # than leaving a fine-level eigendecomposition to the coarsest solve
+        op = square16_op
+        S = (op.stiffness + 1e3 * sp.diags(op.stiffness.diagonal())).tocsr()
+        h = build_hierarchy(op.mass, S)
+        assert h.sizes[0] == op.n and h.sizes[-1] <= MAX_COARSE
 
 
 class TestSchemeSolves:
