@@ -270,6 +270,10 @@ def _tensor_square(axis: np.ndarray) -> SurfaceMesh:
     return _finalize(verts, tris, MODE_DIRICHLET)
 
 
+# sections the reader uses; others (such as $NodeData, which may repeat) are skipped
+_READ_SECTIONS = ("MeshFormat", "Nodes", "Elements")
+
+
 def read_gmsh(path) -> SurfaceMesh:
     """Read an ASCII Gmsh .msh file (format 2.2 or 4.1) holding 3-node triangles.
 
@@ -294,7 +298,7 @@ def read_gmsh(path) -> SurfaceMesh:
         if token.startswith("$End"):
             continue
         name = token[1:]
-        if name in sections:
+        if name in sections and name in _READ_SECTIONS:
             raise ValueError(f"line {i + 1}: second {token} section")
         while k < len(marks) and marks[k][1] != f"$End{name}":
             k += 1

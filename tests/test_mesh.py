@@ -248,6 +248,19 @@ class TestGmshReader:
         with pytest.raises(ValueError, match="unsupported"):
             read_gmsh(path)
 
+    def test_repeated_unused_sections_skipped(self, tmp_path):
+        # post-processing files repeat $NodeData; only a repeated section the
+        # reader uses is an error
+        v, t = two_triangle_patch()
+        path = tmp_path / "data.msh"
+        write_msh41(path, v, t)
+        data = '$NodeData\n1\n"u"\n$EndNodeData\n'
+        path.write_text(path.read_text() + 2 * data)
+        assert read_gmsh(path).num_triangles == 2
+        path.write_text(path.read_text() + "$Elements\n$EndElements\n")
+        with pytest.raises(ValueError, match=r"line \d+: second \$Elements section"):
+            read_gmsh(path)
+
     def test_rejects_binary(self, tmp_path):
         path = tmp_path / "bin.msh"
         path.write_text("$MeshFormat\n2.2 1 8\n$EndMeshFormat\n")

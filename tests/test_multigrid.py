@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracsurf import assemble, build_rhs, coefficient_field, gen_graded_square, gen_sphere, gen_torus
+from fracsurf import (
+    assemble,
+    build_rhs,
+    coefficient_field,
+    gen_graded_square,
+    gen_sphere,
+    gen_torus,
+)
 from fracsurf.multigrid import MAX_COARSE, ShiftedVCycle, build_hierarchy
 from fracsurf.solver import SolverConfig, fractional_apply
 
