@@ -51,7 +51,6 @@ from .scheme import (
     build_time_grid,
     scalar_mu,
     scheme_error_bound,
-    scheme_error_bound_general,
 )
 from .solver import (
     FracSolveResult,
@@ -102,7 +101,6 @@ __all__ = [
     "scheme_error_bound",
     "sphere_series_solution",
     "suggest_lambda_hat",
-    "scheme_error_bound_general",
     "torus_fields",
     "torus_mean_curvature",
     "write_off",

@@ -30,7 +30,6 @@ __all__ = [
     "build_rhs",
     "deflate_mean",
     "dot",
-    "write_matrix_market",
     "TRI_QUAD_POINTS",
     "TRI_QUAD_WEIGHTS",
 ]
@@ -315,17 +314,3 @@ def deflate_mean(v: np.ndarray, op: AssembledOperator) -> np.ndarray:
         raise ValueError("deflation only applies in zero-mean mode")
     m_ones = op.mass @ np.ones(op.n)
     return v - dot(m_ones, v) / float(m_ones.sum())
-
-
-def write_matrix_market(op: AssembledOperator, directory) -> list[str]:
-    """Debug export of the pencil in MatrixMarket coordinate format."""
-    import os
-
-    from scipy.io import mmwrite
-
-    paths = []
-    for name, A in (("mass", op.mass), ("stiffness", op.stiffness)):
-        path = os.path.join(directory, f"{name}.mtx")
-        mmwrite(path, A.tocoo())
-        paths.append(path)
-    return paths

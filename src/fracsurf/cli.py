@@ -143,8 +143,10 @@ def _mesh_stats(mesh: SurfaceMesh) -> dict:
 
 
 # ---------------------------------------------------------------- subcommands
+# Each runner returns its output paths and the statistics of the mesh it
+# solved on (None when it solves on no single mesh) for the manifest.
 
-def run_pade_table(config: dict, out_dir: str) -> list[str]:
+def run_pade_table(config: dict, out_dir: str) -> tuple[list[str], None]:
     rows = []
     root_rows = []
     ts = np.round(np.arange(0, 101) * 0.01, 10)
@@ -166,10 +168,10 @@ def run_pade_table(config: dict, out_dir: str) -> list[str]:
     _write_csv(
         roots_path, ["m", "alpha", "index", "num_root", "den_root", "beta"], root_rows
     )
-    return [path, roots_path]
+    return [path, roots_path], None
 
 
-def run_scalar_error(config: dict, out_dir: str) -> list[str]:
+def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
     lh = config["lambda_hat"]
     lam_max = config["lambda_max"]
     grid = build_time_grid(lh, lam_max)
@@ -191,10 +193,10 @@ def run_scalar_error(config: dict, out_dir: str) -> list[str]:
         path = os.path.join(out_dir, f"scalar_error_a{alpha:g}.csv")
         _write_csv(path, ["lambda", "mu", "exact", "abs_err", "rel_err", "bound"], rows)
         paths.append(path)
-    return paths
+    return paths, None
 
 
-def run_sphere_convergence(config: dict, out_dir: str) -> list[str]:
+def run_sphere_convergence(config: dict, out_dir: str) -> tuple[list[str], None]:
     levels = config["levels"]
     if max(levels) > 5:
         raise ValueError("rate study limited to refinement level 5 (10242 dofs)")
@@ -233,10 +235,10 @@ def run_sphere_convergence(config: dict, out_dir: str) -> list[str]:
                   + (f"{rate:6.2f}" if k else "     -"))
     path = os.path.join(out_dir, "sphere_convergence.csv")
     _write_csv(path, ["level", "dof", "alpha", "l2_error", "rate"], rows)
-    return [path]
+    return [path], None
 
 
-def run_solve(config: dict, out_dir: str) -> list[str]:
+def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
     if config.get("mesh_path"):
         mesh = read_gmsh(config["mesh_path"])
     else:
@@ -293,10 +295,10 @@ def run_solve(config: dict, out_dir: str) -> list[str]:
             f"time={wall:.2f}s"
         )
     config["runs"] = run_stats
-    return paths
+    return paths, _mesh_stats(mesh)
 
 
-def run_compare_oracle(config: dict, out_dir: str) -> list[str]:
+def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
     mesh = _load_builtin(config["builtin"])
     mode = mesh.mode_hint
     b_coeff = 1.0 if mode == "positive-reaction" else 0.0
@@ -322,15 +324,15 @@ def run_compare_oracle(config: dict, out_dir: str) -> list[str]:
             rows.append((alpha, m, rel, bound))
     path = os.path.join(out_dir, "compare_oracle.csv")
     _write_csv(path, ["alpha", "m", "rel_err", "bound"], rows)
-    return [path]
+    return [path], _mesh_stats(mesh)
 
 
 _RUNNERS = {
-    "pade-table": (run_pade_table, False),
-    "scalar-error": (run_scalar_error, False),
-    "sphere-convergence": (run_sphere_convergence, True),
-    "solve": (run_solve, True),
-    "compare-oracle": (run_compare_oracle, True),
+    "pade-table": run_pade_table,
+    "scalar-error": run_scalar_error,
+    "sphere-convergence": run_sphere_convergence,
+    "solve": run_solve,
+    "compare-oracle": run_compare_oracle,
 }
 
 
@@ -467,18 +469,9 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
         if subcommand not in _RUNNERS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
-        runner, _needs_mesh = _RUNNERS[subcommand]
         os.makedirs(args.out, exist_ok=True)
         t0 = time.time()
-        outputs = runner(config, args.out)
-        mesh_stats = None
-        if config.get("builtin") or config.get("mesh_path"):
-            mesh = (
-                read_gmsh(config["mesh_path"])
-                if config.get("mesh_path")
-                else _load_builtin(config["builtin"])
-            )
-            mesh_stats = _mesh_stats(mesh)
+        outputs, mesh_stats = _RUNNERS[subcommand](config, args.out)
         manifest_path = _manifest(args.out, subcommand, config, outputs, mesh_stats, t0)
         print(f"wrote {len(outputs)} output file(s) and {os.path.basename(manifest_path)}")
         return 0

@@ -23,7 +23,6 @@ __all__ = [
     "gen_unit_square",
     "read_gmsh",
     "write_off",
-    "write_vertex_csv",
 ]
 
 MODE_DIRICHLET = "dirichlet"
@@ -500,12 +499,3 @@ def write_off(mesh: SurfaceMesh, path) -> None:
             fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for t in mesh.triangles:
             fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
-
-
-def write_vertex_csv(path, values: np.ndarray, name: str = "value") -> None:
-    """Companion per-vertex scalar export keyed by vertex index."""
-    values = np.asarray(values)
-    with open(path, "w") as fh:
-        fh.write(f"vertex,{name}\n")
-        for k, x in enumerate(values):
-            fh.write(f"{k},{x:.17g}\n")

@@ -8,8 +8,10 @@ piecewise-constant tentative prolongator is smoothed by one damped-Jacobi step
 of the filtered stiffness (weak connections lumped into the diagonal), which
 keeps the coarse stencils narrow on anisotropic meshes.
 
-The Galerkin coarse mass and stiffness are kept apart on every level, so the
-coarse operators of any shift cost one sparse add per level. The coarsest
+The Galerkin coarse mass and stiffness are kept apart on every level, as two
+value arrays on one CSR pattern (the union of theirs, with the diagonal), so
+c1*M + c2*S on any level is the value array c1*m + c2*s on that pattern and
+its diagonal is c1*dm + c2*ds: no shift runs a sparse add. The coarsest
 pencil is diagonalised once, S_c V = M_c V diag(lam) with V^T M_c V = I, after
 which a coarse solve with any shift is V diag(1/(c1 + c2 lam)) V^T: no solve
 factorises anything.
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 
 from .assembly import dot
 
-__all__ = ["Hierarchy", "ShiftedVCycle", "build_hierarchy"]
+__all__ = ["Hierarchy", "PencilLevel", "ShiftedVCycle", "build_hierarchy"]
 
 # Coarsening stops at this many unknowns. OpenBLAS runs the coarse
 # eigendecomposition on one thread below about 32 unknowns; above that it wakes
@@ -37,9 +39,29 @@ POWER_ITERS = 15  # power iterations for the spectral radius of diag(A)^-1 A
 
 
 @dataclass(frozen=True)
+class PencilLevel:
+    """Mass and stiffness of one level as value arrays on one shared CSR pattern."""
+
+    indptr: np.ndarray
+    indices: np.ndarray  # sorted within each row; every diagonal entry is stored
+    mass: np.ndarray
+    stiffness: np.ndarray
+    mass_diagonal: np.ndarray
+    stiffness_diagonal: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    def shifted(self, c1: float, c2: float) -> sp.csr_matrix:
+        """c1*M + c2*S on the shared pattern."""
+        return sp.csr_matrix((c1 * self.mass + c2 * self.stiffness, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+
+@dataclass(frozen=True)
 class Hierarchy:
-    mass: list[sp.csr_matrix]  # Galerkin mass per level, finest first
-    stiffness: list[sp.csr_matrix]  # Galerkin stiffness per level
+    levels: list[PencilLevel]  # Galerkin mass and stiffness per level, finest first
     prolong: list[sp.csr_matrix]  # prolong[k] maps level k+1 to level k
     restrict: list[sp.csr_matrix]  # restrict[k] is prolong[k] transposed
     jacobi_weights: list[float]  # per level above the coarsest; valid for every shift
@@ -49,7 +71,7 @@ class Hierarchy:
     @property
     def sizes(self) -> tuple[int, ...]:
         """Unknowns per level, finest first."""
-        return tuple(M.shape[0] for M in self.mass)
+        return tuple(level.n for level in self.levels)
 
 
 class ShiftedVCycle:
@@ -62,8 +84,9 @@ class ShiftedVCycle:
 
     def __init__(self, h: Hierarchy, c1: float, c2: float):
         self._h = h
-        self._ops = [c1 * M + c2 * S for M, S in zip(h.mass, h.stiffness)]
-        self._smoothers = [w / A.diagonal() for w, A in zip(h.jacobi_weights, self._ops)]
+        self._ops = [level.shifted(c1, c2) for level in h.levels]
+        self._smoothers = [w / (c1 * level.mass_diagonal + c2 * level.stiffness_diagonal)
+                           for w, level in zip(h.jacobi_weights, h.levels)]
         self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
         self.matrix = self._ops[0]
 
@@ -84,9 +107,9 @@ class ShiftedVCycle:
 def build_hierarchy(mass: sp.csr_matrix, stiffness: sp.csr_matrix) -> Hierarchy:
     """Coarsen (mass, stiffness) by smoothed aggregation of the stiffness graph."""
     M, S = sp.csr_matrix(mass), sp.csr_matrix(stiffness)
-    masses, stiffnesses, prolongs, restricts, weights = [M], [S], [], [], []
+    levels, prolongs, restricts, weights = [_pencil_level(M, S)], [], [], []
     while M.shape[0] > MAX_COARSE:
-        dm, ds = M.diagonal(), S.diagonal()
+        dm, ds = levels[-1].mass_diagonal, levels[-1].stiffness_diagonal
         G = _strength(S, ds, STRENGTH_THETA)
         agg, n_agg = _aggregate(G)
         if n_agg == 0:  # every connection weak: aggregate along the matrix graph
@@ -103,10 +126,33 @@ def build_hierarchy(mass: sp.csr_matrix, stiffness: sp.csr_matrix) -> Hierarchy:
         prolongs.append(P)
         restricts.append(R)
         M, S = (R @ M @ P).tocsr(), (R @ S @ P).tocsr()
-        masses.append(M)
-        stiffnesses.append(S)
+        levels.append(_pencil_level(M, S))
     lam, V = la.eigh(S.toarray(), M.toarray())
-    return Hierarchy(masses, stiffnesses, prolongs, restricts, weights, V, np.maximum(lam, 0.0))
+    return Hierarchy(levels, prolongs, restricts, weights, V, np.maximum(lam, 0.0))
+
+
+def _pencil_level(M: sp.csr_matrix, S: sp.csr_matrix) -> PencilLevel:
+    """Align M and S on the union of their patterns and the diagonal.
+
+    Galerkin products drop exact zeros, so the two patterns can differ; the
+    union is found once here, from the row-major keys i*n + j of the entries.
+    """
+    n = M.shape[0]
+    coo = [A.tocoo() for A in (M, S)]
+    for A in coo:
+        A.sum_duplicates()
+    entry_keys = [A.row.astype(np.int64) * n + A.col for A in coo]
+    diag = np.arange(n, dtype=np.int64) * (n + 1)
+    keys = np.sort(np.concatenate(entry_keys + [diag]))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]  # np.unique hashes, 10x slower here
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    # scipy narrows the index arrays here, once, so that `shifted` copies neither
+    pattern = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
+    m, s = np.zeros(len(keys)), np.zeros(len(keys))
+    for values, A, k in zip((m, s), coo, entry_keys):
+        values[np.searchsorted(keys, k)] = A.data
+    at_diag = np.searchsorted(keys, diag)
+    return PencilLevel(pattern.indptr, pattern.indices, m, s, m[at_diag], s[at_diag])
 
 
 def _strength(S: sp.csr_matrix, diag: np.ndarray, theta: float) -> sp.csr_matrix:

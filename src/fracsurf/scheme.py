@@ -21,7 +21,6 @@ __all__ = [
     "build_time_grid",
     "scalar_mu",
     "scheme_error_bound",
-    "scheme_error_bound_general",
 ]
 
 
@@ -145,17 +144,3 @@ def scheme_error_bound(m: int, alpha: float, lambda_hat: float, lambda_max_bound
     if lambda_max_bound <= lambda_hat or lambda_hat <= 0.0:
         raise ValueError("need 0 < lambda_hat < lambda_max_bound")
     return _chat(alpha) * lambda_hat ** (-alpha) * 32.0 ** (-m)
-
-
-def scheme_error_bound_general(m: int, alpha: float, lambda_hat: float, nu: float = 2.0) -> float:
-    """Grid-shape form of the bound: (alpha+nu) 2^alpha c'_alpha/alpha * lh^(-alpha) * 2^(-5m).
-
-    nu is the admissible step-growth ratio; the constructed grid has nu = 2,
-    for which this coincides with scheme_error_bound.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
-    c_prime = math.sin(math.pi * alpha) / 2.0
-    return (alpha + nu) * 2.0**alpha * c_prime / alpha * lambda_hat ** (-alpha) * 2.0 ** (-5 * m)

@@ -2,11 +2,14 @@
 
 The product factorization turns the task into m solves per time step with
 matrices A = (1-s)*lh*M + s*S, s in (0,1), all symmetric positive definite
-even when S has the constant nullspace. Solves use conjugate gradients
-preconditioned by one smoothed-aggregation multigrid V-cycle, from a hierarchy
-built once per call and shared by every shift (see `multigrid`); the m solves
-of a step are independent and combined in fixed index order so results are
-deterministic.
+even when S has the constant nullspace. The time grid spans [lh, Lambda],
+Lambda being the rigorous per-element ceiling that `assemble` computes, or a
+bound the caller supplies. Solves use conjugate gradients preconditioned by
+one smoothed-aggregation multigrid V-cycle, from a hierarchy built once per
+call and shared by every shift (see `multigrid`); every A and every step's
+B = (1-t)*lh*M + t*S is a value array on the hierarchy's shared fine pattern.
+The m solves of a step are independent and combined in fixed index order so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import AssembledOperator, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
@@ -46,8 +48,6 @@ class SolverConfig:
     m: int = 3
     cg_rel_tol: float = 1e-12
     cg_max_iter: int | None = None  # default max(200, 10*sqrt(n)), set at solve time
-    power_iters: int = 30
-    safety: float = 1.1
     check_lambda_hat: bool | str = "auto"  # probe lambda_min when n is small
 
     def __post_init__(self):
@@ -122,30 +122,15 @@ def _power_start(n: int) -> np.ndarray:
 
 
 def estimate_lambda_max(op: AssembledOperator, cfg: SolverConfig) -> float:
-    """Practical upper bound for the largest eigenvalue of (S, M).
+    """Rigorous upper bound for the largest eigenvalue of (S, M): the operator's ceiling.
 
-    Power iteration on the pencil (each step: apply S, M-solve by CG,
-    M-normalize), times cfg.safety, clipped at the rigorous per-element
-    ceiling carried by the operator. The Gershgorin value of diag(M)^-1 S is
-    logged as a diagnostic only; it is not an upper bound for the pencil.
+    `assemble` computes the ceiling from the per-element pencils. An operator
+    built without one needs an explicit `SolverConfig.lambda_max_bound`.
     """
-    n = op.n
-    x = _power_start(n)
-    x /= op.m_norm(x)
-    rayleigh = 0.0
-    for _ in range(cfg.power_iters):
-        y = op.stiffness @ x
-        z, _, _ = pcg(op.mass, y, rel_tol=1e-10, max_iter=cfg.max_iter(n))
-        rayleigh = dot(x, y)
-        x = z / op.m_norm(z)
-    estimate = rayleigh * cfg.safety
-    abs_row_sums = np.asarray(np.abs(op.stiffness).sum(axis=1)).ravel()
-    gersh = float(np.max(abs_row_sums / op.mass.diagonal()))
-    log.info("power estimate %.6e (x%.2f safety), Gershgorin diagnostic %.6e",
-             rayleigh, cfg.safety, gersh)
-    if op.lambda_max_ceiling is not None:
-        estimate = min(estimate, op.lambda_max_ceiling)
-    return float(estimate)
+    if op.lambda_max_ceiling is None:
+        raise ValueError("operator carries no lambda_max_ceiling; "
+                         "set SolverConfig.lambda_max_bound")
+    return float(op.lambda_max_ceiling)
 
 
 def suggest_lambda_hat(op: AssembledOperator, cfg: SolverConfig, iters: int = 10) -> float:
@@ -232,14 +217,14 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     nodes = grid.nodes
     n_iter_cap = cfg.max_iter(op.n)
     hierarchy = build_hierarchy(op.mass, op.stiffness)
+    fine = hierarchy.levels[0]
 
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
     for l in range(grid.num_steps):
         t_l = nodes[l]
         tau = nodes[l + 1] - t_l
-        B = (1.0 - t_l) * lh * op.mass + t_l * op.stiffness
-        rhs = B @ U
+        rhs = fine.shifted((1.0 - t_l) * lh, t_l) @ U
         dec = np.zeros_like(U)
         for i in range(cfg.m):
             s = t_l + p.den_roots[i] * tau

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracsurf.assembly import (
-    assemble,
-    build_rhs,
-    coefficient_field,
-    deflate_mean,
-    write_matrix_market,
-)
+from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean
 from fracsurf.mesh import SurfaceMesh, gen_sphere, gen_torus, gen_unit_square
 
 
@@ -214,13 +208,3 @@ class TestDeflation:
     def test_wrong_mode(self, square16_op):
         with pytest.raises(ValueError):
             deflate_mean(np.ones(square16_op.n), square16_op)
-
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path, sphere2_op):
-        from scipy.io import mmread
-
-        paths = write_matrix_market(sphere2_op, tmp_path)
-        assert len(paths) == 2
-        M = mmread(paths[0]).tocsr()
-        assert abs(M - sphere2_op.mass).max() <= 1e-17

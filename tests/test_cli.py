@@ -107,6 +107,41 @@ class TestSolve:
     def test_unknown_builtin(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--builtin", "cube:3"]) == 2
 
+    def test_mesh_built_once_per_solve(self, tmp_path, monkeypatch):
+        # the manifest's mesh block comes from the mesh the solve used, not a rebuild
+        from util import write_msh22
+
+        from fracsurf import cli
+        from fracsurf.mesh import gen_unit_square, read_gmsh
+
+        calls = {"gen_sphere": 0, "read_gmsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+
+        out = tmp_path / "sphere"
+        assert main(["--out", str(out), "solve", "--builtin", "sphere:2", "--m", "2"]) == 0
+        assert calls == {"gen_sphere": 1, "read_gmsh": 0}
+        manifest = json.loads((out / "manifest_solve.json").read_text())
+        assert manifest["mesh"] == {"vertices": 162, "triangles": 320,
+                                    "boundary_vertices": 0, "mode_hint": "zero-mean"}
+
+        msh = tmp_path / "square.msh"
+        square = gen_unit_square(4)
+        write_msh22(msh, square.vertices, square.triangles)
+        mesh = read_gmsh(str(msh))
+        out = tmp_path / "gmsh"
+        assert main(["--out", str(out), "solve", "--mesh", str(msh), "--m", "2",
+                     "--f", "ones"]) == 0
+        assert calls == {"gen_sphere": 1, "read_gmsh": 1}
+        manifest = json.loads((out / "manifest_solve.json").read_text())
+        assert manifest["mesh"] == {"vertices": mesh.num_vertices,
+                                    "triangles": mesh.num_triangles,
+                                    "boundary_vertices": int(mesh.boundary_vertices.sum()),
+                                    "mode_hint": mesh.mode_hint}
+
 
 def _zero_csv(tmp_path, n):
     path = tmp_path / "zeros.csv"

@@ -10,7 +10,6 @@ from fracsurf.mesh import (
     mesh_validate,
     read_gmsh,
     write_off,
-    write_vertex_csv,
 )
 from util import fibonacci_sphere_mesh, two_triangle_patch, write_msh22, write_msh41
 
@@ -277,8 +276,3 @@ class TestWriters:
         assert lines[0] == "OFF"
         assert lines[1] == "12 20 0"
         assert len(lines) == 2 + 12 + 20
-
-    def test_vertex_csv(self, tmp_path):
-        path = tmp_path / "vals.csv"
-        write_vertex_csv(path, np.array([1.0, 2.5]), name="u")
-        assert path.read_text().splitlines() == ["vertex,u", "0,1", "1,2.5"]

@@ -59,7 +59,8 @@ class TestVCycle:
         vcycle = ShiftedVCycle(h, 0.3, 0.7)
         A = vcycle.matrix.toarray()
         np.testing.assert_allclose(A, (0.3 * op.mass + 0.7 * op.stiffness).toarray(), rtol=0)
-        h1 = build_hierarchy(h.mass[-1], h.stiffness[-1])
+        coarsest = h.levels[-1]
+        h1 = build_hierarchy(coarsest.shifted(1.0, 0.0), coarsest.shifted(0.0, 1.0))
         assert len(h1.sizes) == 1
         coarse = ShiftedVCycle(h1, 0.3, 0.7)
         b = np.sin(np.arange(h1.sizes[0]) + 1.0)
@@ -131,3 +132,32 @@ class TestSchemeSolves:
         res = fractional_apply(op, f, 0.5, cfg)
         assert res.max_residual <= 1e-12
         assert max(r.iterations for r in res.solve_log) <= 200
+
+
+class TestSharedPattern:
+    @staticmethod
+    def _pencil(name, request):
+        if name == "lumped_square":
+            # a row-sum lumped mass is diagonal, so its stored pattern is not the stiffness's
+            op = request.getfixturevalue("square16_op")
+            return sp.diags(np.asarray(op.mass.sum(axis=1)).ravel()).tocsr(), op.stiffness
+        op = request.getfixturevalue(name)
+        return op.mass, op.stiffness
+
+    @pytest.mark.parametrize("name", ["sphere3_op", "torus_op", "lumped_square"])
+    def test_shifted_levels_equal_the_sum(self, name, request):
+        M, S = self._pencil(name, request)
+        h = build_hierarchy(M, S)
+        assert len(h.levels) >= 2
+        patterns_differ = False
+        for k, level in enumerate(h.levels):
+            if k:  # the Galerkin products the hierarchy was built from
+                P, R = h.prolong[k - 1], h.restrict[k - 1]
+                M, S = (R @ M @ P).tocsr(), (R @ S @ P).tocsr()
+            patterns_differ |= M.nnz != S.nnz
+            for c1, c2 in TestVCycle.SHIFTS + [(1.0, 0.0), (0.0, 1.0)]:
+                expected = c1 * M + c2 * S
+                np.testing.assert_array_equal(level.shifted(c1, c2).toarray(), expected.toarray())
+                np.testing.assert_array_equal(
+                    c1 * level.mass_diagonal + c2 * level.stiffness_diagonal, expected.diagonal())
+        assert patterns_differ == (name == "lumped_square")

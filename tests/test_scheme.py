@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from fracsurf.pade import build_pade, eval_rm_partial
-from fracsurf.scheme import (
-    build_time_grid,
-    scalar_mu,
-    scheme_error_bound,
-    scheme_error_bound_general,
-)
+from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
 
 
 class TestTimeGrid:
@@ -137,12 +132,6 @@ class TestBounds:
         b1 = scheme_error_bound(3, 0.7, 1.0, 1e8)
         b2 = scheme_error_bound(4, 0.7, 1.0, 1e8)
         assert b2 / b1 == pytest.approx(1.0 / 32.0, rel=1e-14)
-
-    def test_general_form_matches_constructed_grid_at_nu2(self):
-        for alpha in (0.1, 0.5, 0.9):
-            a = scheme_error_bound_general(5, alpha, 2.0, nu=2.0)
-            b = scheme_error_bound(5, alpha, 2.0, 1e9)
-            assert a == pytest.approx(b, rel=1e-14)
 
     def test_shift_scaling(self):
         assert scheme_error_bound(2, 0.5, 4.0, 1e6) == pytest.approx(

@@ -74,17 +74,25 @@ class TestPcg:
 
 
 class TestLambdaMax:
-    def test_one_by_one_pencil(self):
-        op = _tiny_op([2.0], [6.0])
-        cfg = SolverConfig(lambda_hat=1.0, safety=1.1)
-        assert estimate_lambda_max(op, cfg) == pytest.approx(3.0 * 1.1, rel=1e-10)
-
-    def test_square_within_15_percent(self, square16_op):
+    def test_estimate_is_the_ceiling(self, sphere2_op, square16_op):
         cfg = SolverConfig(lambda_hat=1.0)
-        est = estimate_lambda_max(square16_op, cfg)
-        exact = dense_decompose(square16_op).eigenvalues[-1]
-        assert est == pytest.approx(exact, rel=0.15)
-        assert est >= exact  # safety factor keeps it above
+        for op in (sphere2_op, square16_op):
+            assert estimate_lambda_max(op, cfg) == op.lambda_max_ceiling
+
+    def test_missing_ceiling_raises(self):
+        op = _tiny_op([2.0], [6.0])  # built by hand, so it carries no ceiling
+        cfg = SolverConfig(lambda_hat=1.0)
+        with pytest.raises(ValueError, match="lambda_max_bound"):
+            estimate_lambda_max(op, cfg)
+        with pytest.raises(ValueError, match="lambda_max_bound"):
+            fractional_apply(op, np.array([1.0]), 0.5, cfg)
+
+    def test_apply_steps_to_the_ceiling(self, sphere2_op, sphere2_sign_rhs, square16_op):
+        f_square = np.sin(np.arange(1.0, square16_op.n + 1))
+        for op, f, lh in ((sphere2_op, sphere2_sign_rhs, 1.0), (square16_op, f_square, 10.0)):
+            res = fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=lh, m=2))
+            assert res.lambda_max_used == op.lambda_max_ceiling
+            assert res.time_grid.num_steps == math.ceil(math.log2(op.lambda_max_ceiling / lh))
 
     def test_sphere_below_ceiling(self, sphere2_op):
         cfg = SolverConfig(lambda_hat=1.0)
