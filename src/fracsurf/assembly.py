@@ -101,7 +101,9 @@ class AssembledOperator:
     stiffness includes the reaction term; free_dofs indexes into the mesh
     vertex list (all vertices unless the mode is dirichlet).
     lambda_max_ceiling is a rigorous upper bound on the largest generalized
-    eigenvalue, from the per-element pencils.
+    eigenvalue, from the per-element pencils. mass_diagonal_floor is a c with
+    M >= c * diag(M) in the Loewner order (1/2 for the consistent P1 mass).
+    Either is None on an operator built without one.
     """
 
     mass: sp.csr_matrix
@@ -110,6 +112,7 @@ class AssembledOperator:
     free_dofs: np.ndarray
     vertex_count: int
     lambda_max_ceiling: float | None = None
+    mass_diagonal_floor: float | None = None
 
     @property
     def n(self) -> int:
@@ -164,8 +167,7 @@ def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> Assemble
     n = mesh.num_vertices
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    M = _accumulate(rows, cols, mass_el.ravel(), n)
-    S = _accumulate(rows, cols, (stiff_el + react_el).ravel(), n)
+    M, S = _accumulate(rows, cols, n, mass_el.ravel(), (stiff_el + react_el).ravel())
     _check_assembled(mesh, M, S, mode)
 
     if mode == MODE_DIRICHLET:
@@ -191,19 +193,27 @@ def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> Assemble
         free_dofs=free,
         vertex_count=n,
         lambda_max_ceiling=ceiling,
+        # the element mass (area/12)(I + J) less half its diagonal is (area/12) J,
+        # positive semidefinite; so is the sum M - diag(M)/2 and each principal
+        # submatrix of it, so the factor survives Dirichlet elimination
+        mass_diagonal_floor=0.5,
     )
 
 
-def _accumulate(rows, cols, vals, n) -> sp.csr_matrix:
+def _accumulate(rows, cols, n, *vals) -> list[sp.csr_matrix]:
     # canonical summation order: entries sorted by (row, col) before reduction,
-    # so assembly is independent of triangle ordering to machine precision
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    boundary = np.ones(len(r), dtype=bool)
-    boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    # so assembly is independent of triangle ordering to machine precision; a
+    # stable sort of the key row*n + col is that order, found once for every
+    # value array
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    boundary = np.ones(len(k), dtype=bool)
+    boundary[1:] = k[1:] != k[:-1]
     starts = np.nonzero(boundary)[0]
-    summed = np.add.reduceat(v, starts)
-    return sp.csr_matrix((summed, (r[starts], c[starts])), shape=(n, n))
+    r, c = np.divmod(k[starts], n)
+    return [sp.csr_matrix((np.add.reduceat(v[order], starts), (r, c)), shape=(n, n))
+            for v in vals]
 
 
 def _check_mode(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> None:

@@ -283,6 +283,9 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
                 "lambda_max_used": result.lambda_max_used,
                 "a_priori_bound": result.a_priori_bound,
                 "max_cg_residual": result.max_residual,
+                # null when the solves ran to --cg-tol instead of the error budget
+                "cg_error_bound": None if math.isnan(result.cg_error_bound)
+                else result.cg_error_bound,
                 "cg_iters_total": sum(r.iterations for r in result.solve_log),
                 "cg_iters_max": max((r.iterations for r in result.solve_log), default=0),
                 "mg_levels": list(result.mg_levels),
@@ -336,6 +339,10 @@ _RUNNERS = {
 }
 
 
+_CG_TOL_HELP = ("relative CG residual at which every solve stops "
+                "(default: each solve stops at its share of an error budget)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a top-level --out from being clobbered by the subparser default
@@ -373,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--n-terms", type=int, default=4000)
-    p.add_argument("--cg-tol", type=float, default=1e-12)
+    p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
 
     p = sub.add_parser("solve", parents=[common], help="solve on a builtin or Gmsh mesh")
     p.add_argument("--mesh", dest="mesh_path", help="path to an ASCII .msh file")
@@ -382,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--lambda-max", default="auto")
-    p.add_argument("--cg-tol", type=float, default=1e-12)
+    p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
     p.add_argument("--cg-max-iter", type=int, default=None,
                    help="solver iteration budget (default 10*sqrt(n))")
     p.add_argument("--rhs", choices=["interpolate", "l2_project"], default="interpolate")
@@ -395,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.01,0.5,0.99")
     p.add_argument("--m", default="1,2,3,4,5,6")
     p.add_argument("--lambda-hat", type=float, default=1.0)
-    p.add_argument("--cg-tol", type=float, default=1e-12)
+    p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
     p.add_argument("--rhs", choices=["interpolate", "l2_project"], default="l2_project")
     p.add_argument("--f", default="auto")
     return top

@@ -10,6 +10,30 @@ call and shared by every shift (see `multigrid`); every A and every step's
 B = (1-t)*lh*M + t*S is a value array on the hierarchy's shared fine pattern.
 The m solves of a step are independent and combined in fixed index order so
 results are deterministic.
+
+Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
+eps = a_priori_bound / 100 in the M-norm, and each stops once it has provably
+spent no more than its share. The argument has three parts:
+
+- Error propagation. Each step maps U through r(theta_l) of the pencil, with
+  0 < r <= 1 for theta >= 0, and the zero-mean deflation is an M-orthogonal
+  projection, so solve errors e_li add up to at most
+  sum_l sum_i beta_i ||e_li||_M.
+- Error per solve. A = (1-s)*lh*M + s*S >= lh*M on the space that matters,
+  because lh <= lambda_min is the scheme's own assumption. So
+  ||e||_M <= ||rho||_{M^-1} / lh for the true residual rho.
+- A computable norm. `assemble` records c with M >= c*diag(M) (c = 1/2 for
+  the consistent P1 mass, also after Dirichlet elimination), so
+  ||rho||_{M^-1} <= sqrt(rho^T diag(M)^-1 rho / c).
+
+A solve therefore stops once sqrt(r^T diag(M)^-1 r / c) is at most
+lh * eps / ((L+1) * sum_i beta_i), tested on the CG recurrence residual and
+confirmed once on the true residual. It also stops at the relative residual
+CG_REL_FLOOR, the fixed tolerance of an explicit setting, which covers meshes
+where the weighted target lies below round-off and keeps any solve from
+working harder than at that tolerance. `FracSolveResult.cg_error_bound` sums
+beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals. An
+operator without c keeps the relative stop alone.
 """
 
 from __future__ import annotations
@@ -29,6 +53,9 @@ from .scheme import TimeGrid, build_time_grid, scheme_error_bound
 
 log = logging.getLogger(__name__)
 
+CG_REL_FLOOR = 1e-12  # relative residual at which every budgeted solve stops
+CG_BUDGET_FRACTION = 0.01  # share of the a-priori bound the CG solves may add
+
 __all__ = [
     "SolverConfig",
     "SolveRecord",
@@ -46,14 +73,14 @@ class SolverConfig:
     lambda_hat: float = 1.0
     lambda_max_bound: float | str = "auto"
     m: int = 3
-    cg_rel_tol: float = 1e-12
+    cg_rel_tol: float | None = None  # None: solves share an error budget (module docstring)
     cg_max_iter: int | None = None  # default max(200, 10*sqrt(n)), set at solve time
     check_lambda_hat: bool | str = "auto"  # probe lambda_min when n is small
 
     def __post_init__(self):
         if self.lambda_hat <= 0.0:
             raise ValueError("lambda_hat must be positive")
-        if self.cg_rel_tol <= 0.0:
+        if self.cg_rel_tol is not None and self.cg_rel_tol <= 0.0:
             raise ValueError("cg_rel_tol must be positive")
         if self.m < 1:
             raise ValueError("m must be positive")
@@ -64,21 +91,29 @@ class SolverConfig:
         return max(200, int(10 * math.sqrt(n)))
 
 
-def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None):
+def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
+        residual=None):
     """Preconditioned conjugate gradients for SPD A.
 
     `precond` maps a residual to the preconditioned residual and must be
     symmetric positive definite; without one the preconditioner is Jacobi.
     Iteration stops once ||r|| / ||b|| <= rel_tol for the residual r (not the
     preconditioned one), or raises RuntimeError with the last five residuals
-    after `max_iter` iterations (default: `SolverConfig.max_iter`). Updates
-    are in place, and inner products use `dot`, which calls no BLAS.
+    after `max_iter` iterations (default: `SolverConfig.max_iter`). With
+    `weight`, a positive vector w, it also stops once
+    sqrt(sum(w * r**2)) <= weighted_tol, if the true residual b - A x passes
+    the same test; that check costs one matvec and runs once, and after a
+    failed check only the relative test stops the iteration. `residual`, when
+    given, receives the true residual of the returned x. Updates are in place,
+    and inner products use `dot`, which calls no BLAS.
     Returns (x, iterations, final relative residual).
     """
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
     norm_b = math.sqrt(dot(b, b))
     if norm_b == 0.0:
+        if residual is not None:
+            residual[:] = b
         return np.zeros_like(b), 0, 0.0
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -93,6 +128,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None):
     rz = dot(r, z)
     step = np.empty_like(b)
     tail = deque(maxlen=5)
+    weighted_sq = weighted_tol * weighted_tol
     for it in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rz / dot(p, Ap)
@@ -103,7 +139,16 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None):
         rel = math.sqrt(dot(r, r)) / norm_b
         tail.append(rel)
         if rel <= rel_tol:
+            if residual is not None:
+                np.subtract(b, A @ x, out=residual)
             return x, it, rel
+        if weight is not None and dot(weight * r, r) <= weighted_sq:
+            true_r = b - A @ x
+            if dot(weight * true_r, true_r) <= weighted_sq:
+                if residual is not None:
+                    residual[:] = true_r
+                return x, it, rel
+            weight = None
         z = precond(r)
         rz_new = dot(r, z)
         p *= rz_new / rz
@@ -167,6 +212,9 @@ class FracSolveResult:
     a_priori_bound: float = math.nan
     lambda_max_used: float = math.nan
     mg_levels: tuple[int, ...] = ()  # unknowns per multigrid level, finest first
+    # certified bound on the M-norm error the CG solves add (module docstring);
+    # NaN when the solves ran to a relative tolerance instead of the budget
+    cg_error_bound: float = math.nan
 
     @property
     def max_residual(self) -> float:
@@ -184,7 +232,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     r(theta) = 1 - sum_i beta_i d_i theta / (1 + d_i theta), which leaves the
     lh-eigencomponent unchanged without relying on the weights summing to 1
     in floating point. Zero-mean runs re-deflate after every step to
-    stop constant-mode drift from being amplified by lh^(-alpha).
+    stop constant-mode drift from being amplified by lh^(-alpha). The solves
+    stop at `cfg.cg_rel_tol` when it is set, and by the error budget of the
+    module docstring otherwise.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
@@ -218,6 +268,17 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     n_iter_cap = cfg.max_iter(op.n)
     hierarchy = build_hierarchy(op.mass, op.stiffness)
     fine = hierarchy.levels[0]
+    bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
+
+    budgeted = cfg.cg_rel_tol is None and op.mass_diagonal_floor is not None
+    rel_tol = CG_REL_FLOOR if cfg.cg_rel_tol is None else cfg.cg_rel_tol
+    weight = residual = None
+    share = 0.0
+    if budgeted:
+        weight = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())
+        share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
+        residual = np.empty(op.n)
+    cg_error = 0.0
 
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
@@ -232,11 +293,14 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                 raise AssertionError(f"solve weight s={s} outside (0,1) at step {l}, term {i}")
             vcycle = ShiftedVCycle(hierarchy, (1.0 - s) * lh, s)
             try:
-                x, iters, rel = pcg(vcycle.matrix, rhs, rel_tol=cfg.cg_rel_tol,
-                                    max_iter=n_iter_cap, precond=vcycle)
+                x, iters, rel = pcg(vcycle.matrix, rhs, rel_tol=rel_tol, max_iter=n_iter_cap,
+                                    precond=vcycle, weight=weight, weighted_tol=share,
+                                    residual=residual)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
             records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
+            if budgeted:
+                cg_error += p.beta[i + 1] * math.sqrt(dot(weight * residual, residual)) / lh
             dec += p.beta[i + 1] * (U - x)
         U_next = U - dec
         if op.mode == MODE_ZERO_MEAN:
@@ -246,7 +310,6 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     total = grid.num_steps * cfg.m
     if len(records) != total:
         raise AssertionError("solve count mismatch")
-    bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
     return FracSolveResult(
         solution=U,
         time_grid=grid,
@@ -255,6 +318,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         a_priori_bound=bound,
         lambda_max_used=lam_max,
         mg_levels=hierarchy.sizes,
+        cg_error_bound=float(cg_error) if budgeted else math.nan,
     )
 
 

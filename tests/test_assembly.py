@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import scipy.sparse as sp
+
+from fracsurf import assembly
 from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean
-from fracsurf.mesh import SurfaceMesh, gen_sphere, gen_torus, gen_unit_square
+from fracsurf.mesh import (
+    SurfaceMesh,
+    gen_graded_square,
+    gen_sphere,
+    gen_torus,
+    gen_unit_square,
+)
 
 
 def _single_right_triangle():
@@ -102,6 +111,21 @@ class TestSpectra:
         drift = np.abs(sphere2_op.stiffness @ np.ones(sphere2_op.n)).max()
         assert drift <= 1e-12 * abs(sphere2_op.stiffness).max()
 
+    @pytest.mark.parametrize("family", ["sphere", "torus", "graded_square", "unit_square"])
+    def test_mass_diagonal_floor(self, family):
+        # M >= c diag(M) with the recorded c, also after Dirichlet elimination
+        mesh, b, mode = {
+            "sphere": (gen_sphere(2), 0.0, "zero-mean"),
+            "torus": (gen_torus(1.0, 0.3, 16, 8), 1.0, "positive-reaction"),
+            "graded_square": (gen_graded_square(6, 4), 0.0, "dirichlet"),
+            "unit_square": (gen_unit_square(8), 0.0, "dirichlet"),
+        }[family]
+        op = assemble(mesh, coefficient_field(mesh, b=b), mode)
+        assert op.mass_diagonal_floor == 0.5
+        M = op.mass.toarray()
+        d = 1.0 / np.sqrt(np.diag(M))
+        assert scipy.linalg.eigvalsh(d[:, None] * M * d[None, :])[0] >= 0.5
+
 
 class TestDeterminism:
     def test_triangle_permutation_invariance(self):
@@ -120,6 +144,32 @@ class TestDeterminism:
         assert gap <= 1e-15 * abs(op1.stiffness).max()
         gap_m = abs(op1.mass - op2.mass).max()
         assert gap_m <= 1e-15 * abs(op1.mass).max()
+
+
+    @pytest.mark.parametrize("case", ["sphere3", "square12_4"])
+    def test_one_sort_matches_two_lexsorts(self, case, monkeypatch):
+        # the shared sort of the combined key is the permutation lexsort gave
+        # each matrix, so both matrices are bit-identical to the per-matrix path
+        def lexsort_accumulate(rows, cols, n, *vals):
+            out = []
+            for v in vals:
+                order = np.lexsort((cols, rows))
+                r, c, w = rows[order], cols[order], v[order]
+                boundary = np.ones(len(r), dtype=bool)
+                boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+                starts = np.nonzero(boundary)[0]
+                out.append(sp.csr_matrix((np.add.reduceat(w, starts), (r[starts], c[starts])),
+                                         shape=(n, n)))
+            return out
+
+        mesh, mode = ((gen_sphere(3), "zero-mean") if case == "sphere3"
+                      else (gen_graded_square(12, 4), "dirichlet"))
+        op = assemble(mesh, coefficient_field(mesh), mode)
+        monkeypatch.setattr(assembly, "_accumulate", lexsort_accumulate)
+        ref = assemble(mesh, coefficient_field(mesh), mode)
+        for A, B in ((op.mass, ref.mass), (op.stiffness, ref.stiffness)):
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
 
 
 class TestModeChecks:

@@ -192,6 +192,28 @@ class TestDeterminismAndManifest:
         assert main(["--from-manifest", str(manifest), "--out", str(b)]) == 0
         assert (a / "compare_oracle.csv").read_bytes() == (b / "compare_oracle.csv").read_bytes()
 
+    def test_solve_manifest_replay_at_default_tolerance(self, tmp_path):
+        # the default tolerance is written as null and replays byte for byte;
+        # a manifest holding an explicit 1e-12 replays the run it came from
+        args = ["solve", "--builtin", "sphere:2", "--alpha", "0.5", "--m", "2"]
+        a, b, c, d = (tmp_path / k for k in "abcd")
+        assert main(["--out", str(a)] + args) == 0
+        manifest = json.loads((a / "manifest_solve.json").read_text())
+        assert manifest["config"]["cg_tol"] is None
+        run = manifest["config"]["runs"][0]
+        assert 0.0 < run["cg_error_bound"] <= run["a_priori_bound"] / 100
+        assert main(["--from-manifest", str(a / "manifest_solve.json"), "--out", str(b)]) == 0
+        assert (a / "solution_a0.5.csv").read_bytes() == (b / "solution_a0.5.csv").read_bytes()
+
+        assert main(["--out", str(c)] + args + ["--cg-tol", "1e-12"]) == 0
+        run = json.loads((c / "manifest_solve.json").read_text())["config"]["runs"][0]
+        assert run["cg_error_bound"] is None and run["max_cg_residual"] <= 1e-12
+        manifest["config"]["cg_tol"] = 1e-12
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["--from-manifest", str(old), "--out", str(d)]) == 0
+        assert (c / "solution_a0.5.csv").read_bytes() == (d / "solution_a0.5.csv").read_bytes()
+
     def test_manifest_lists_outputs(self, tmp_path):
         out = tmp_path / "o"
         main(["--out", str(out), "pade-table", "--m", "2", "--alpha", "0.5"])

@@ -120,8 +120,9 @@ class TestSchemeSolves:
         assert digests[0] == digests[1]
 
     def test_graded_square_at_defaults(self):
-        # cg_rel_tol 1e-12 and the default cap of 10*sqrt(n) = 970 iterations;
-        # Jacobi-PCG stalled near 1e-11 on this mesh and exhausted the cap
+        # the default cap of 10*sqrt(n) = 970 iterations, first with the error
+        # budget and then at cg_rel_tol 1e-12; Jacobi-PCG stalled near 1e-11 on
+        # this mesh and exhausted the cap
         mesh = gen_graded_square(25, 12)
         op = assemble(mesh, coefficient_field(mesh), "dirichlet")
         checker = np.sign(mesh.vertices[:, 0] * mesh.vertices[:, 1])
@@ -130,6 +131,9 @@ class TestSchemeSolves:
         cfg = SolverConfig(lambda_hat=4.0, m=3)
         assert cfg.max_iter(op.n) == 970
         res = fractional_apply(op, f, 0.5, cfg)
+        assert res.cg_error_bound <= res.a_priori_bound / 100
+        assert max(r.iterations for r in res.solve_log) <= 200
+        res = fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=4.0, m=3, cg_rel_tol=1e-12))
         assert res.max_residual <= 1e-12
         assert max(r.iterations for r in res.solve_log) <= 200
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracsurf.assembly import AssembledOperator
+from fracsurf import solver
+from fracsurf.assembly import AssembledOperator, assemble, build_rhs, coefficient_field
+from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus
 from fracsurf.oracle import dense_decompose, dense_fractional
 from fracsurf.pade import build_pade
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
@@ -204,6 +206,71 @@ class TestFractionalApply:
             tau = nodes[l + 1] - nodes[l]
             s = nodes[l] + p.den_roots * tau
             assert np.all(s > 0.0) and np.all(s < 1.0)
+
+
+def _budget_case(name):
+    """(operator, right-hand side, lambda_hat) of one problem mode."""
+    if name == "sphere":
+        mesh = gen_sphere(3)
+        op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+        return op, build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project"), 1.0
+    if name == "torus":
+        mesh = gen_torus(1.0, 0.3, 32, 16)
+        op = assemble(mesh, coefficient_field(mesh, a=1.0, b=1.0), "positive-reaction")
+        f = build_rhs(mesh, lambda x: np.cos(3.0 * np.arctan2(x[:, 1], x[:, 0])), op,
+                      method="l2_project")
+        return op, f, 0.9
+    mesh = gen_graded_square(12, 4)
+    op = assemble(mesh, coefficient_field(mesh), "dirichlet")
+    checker = np.sign(mesh.vertices[:, 0] * mesh.vertices[:, 1])
+    checker[checker == 0] = 1.0
+    return op, build_rhs(mesh, checker, op, method="interpolate"), 4.0
+
+
+class TestErrorBudget:
+    @pytest.mark.parametrize("name", ["sphere", "torus", "square"])
+    def test_budget_bounds_the_solve_error(self, name):
+        # the certified bound covers the distance to a tightly solved result,
+        # and the solves spend at most their budget, a hundredth of the a-priori bound
+        op, f, lh = _budget_case(name)
+        for alpha in (0.1, 0.5, 0.9):
+            res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=3))
+            tight = fractional_apply(op, f, alpha,
+                                     SolverConfig(lambda_hat=lh, m=3, cg_rel_tol=1e-14))
+            assert math.isnan(tight.cg_error_bound)
+            err = op.m_norm(res.solution - tight.solution)
+            assert err <= res.cg_error_bound <= res.a_priori_bound / 100
+
+    def test_explicit_tolerance_runs_no_weighted_test(self, sphere2_op, sphere2_sign_rhs,
+                                                      monkeypatch):
+        weights = []
+
+        def recording_pcg(*args, **kwargs):
+            weights.append(kwargs.get("weight"))
+            return pcg(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "pcg", recording_pcg)
+        for tol in (1e-6, 1e-12):
+            res = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5,
+                                   SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=tol,
+                                                check_lambda_hat=False))
+            assert all(r.relative_residual <= tol for r in res.solve_log)
+            assert math.isnan(res.cg_error_bound)
+        assert len(weights) == 2 * res.total_solves
+        assert all(w is None for w in weights)
+
+    def test_operator_without_floor_keeps_relative_stop(self):
+        op = _tiny_op([1.0, 2.0], [3.0, 40.0])
+        assert op.mass_diagonal_floor is None
+        res = fractional_apply(op, np.array([1.0, -1.0]), 0.5,
+                               SolverConfig(lambda_hat=1.0, lambda_max_bound=64.0, m=3))
+        assert math.isnan(res.cg_error_bound)
+        assert res.max_residual <= 1e-12
+
+    def test_tolerance_must_be_positive(self):
+        with pytest.raises(ValueError, match="cg_rel_tol"):
+            SolverConfig(cg_rel_tol=0.0)
+        assert SolverConfig().cg_rel_tol is None
 
 
 class TestStability:
