@@ -103,10 +103,17 @@ def _source_field(name: str, mesh: SurfaceMesh, builtin: str | None):
         R, r = (float(v) for v in builtin.partition(":")[2].split(",")[:2])
         return name, lambda x: torus_fields(R, r, x)[1]
     if name.startswith("csv:"):
-        path = name[4:]
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        vals = np.zeros(mesh.num_vertices)
-        vals[data[:, 0].astype(int)] = data[:, 1]
+        data = np.loadtxt(name[4:], delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"{name}: expected rows vertex,value, got {data.shape[1]} column(s)")
+        index, values = data.T
+        n = mesh.num_vertices
+        if not np.all((index == np.floor(index)) & (index >= 0) & (index < n)):
+            raise ValueError(f"{name}: vertex indices must be integers in [0, {n})")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name}: values must be finite")
+        vals = np.zeros(n)
+        vals[index.astype(int)] = values
         return name, vals
     raise ValueError(f"unknown source field {name!r}")
 
@@ -131,6 +138,13 @@ def _manifest(out_dir: str, subcommand: str, config: dict, outputs: list[str],
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+class _ManifestFields(dict):
+    """A JSON object read from a manifest; a missing key is a validation error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"manifest lacks key {key!r}")
 
 
 def _mesh_stats(mesh: SurfaceMesh) -> dict:
@@ -257,7 +271,6 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
         m=config["m"],
         cg_rel_tol=config["cg_tol"],
         cg_max_iter=config.get("cg_max_iter"),
-        check_lambda_hat=False,  # user-supplied shift is authoritative here
     )
     off_path = os.path.join(out_dir, "mesh.off")
     write_off(mesh, off_path)  # geometry once; solution CSVs key vertices by index
@@ -466,7 +479,9 @@ def main(argv=None) -> int:
     try:
         if args.from_manifest:
             with open(args.from_manifest) as fh:
-                manifest = json.load(fh)
+                manifest = json.load(fh, object_hook=_ManifestFields)
+            if not isinstance(manifest, dict) or not isinstance(manifest["config"], dict):
+                raise ValueError("a manifest is a JSON object whose config is an object")
             subcommand = manifest["subcommand"]
             config = manifest["config"]
             config.pop("runs", None)  # regenerated on replay

@@ -34,27 +34,32 @@ where the weighted target lies below round-off and keeps any solve from
 working harder than at that tolerance. `FracSolveResult.cg_error_bound` sums
 beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals. An
 operator without c keeps the relative stop alone.
+
+Every call checks lh <= lambda_min with `suggest_lambda_hat`, a LOBPCG Ritz
+value preconditioned on the call's own hierarchy, and rejects a larger lh. The
+check is a test, not a proof: a Ritz value only bounds lambda_min from above.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import lobpcg
 
 from .assembly import AssembledOperator, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
-from .multigrid import ShiftedVCycle, build_hierarchy
+from .multigrid import Hierarchy, ShiftedVCycle, build_hierarchy
 from .pade import build_pade
 from .scheme import TimeGrid, build_time_grid, scheme_error_bound
 
-log = logging.getLogger(__name__)
-
 CG_REL_FLOOR = 1e-12  # relative residual at which every budgeted solve stops
 CG_BUDGET_FRACTION = 0.01  # share of the a-priori bound the CG solves may add
+PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
+PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
+PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
 
 __all__ = [
     "SolverConfig",
@@ -75,11 +80,12 @@ class SolverConfig:
     m: int = 3
     cg_rel_tol: float | None = None  # None: solves share an error budget (module docstring)
     cg_max_iter: int | None = None  # default max(200, 10*sqrt(n)), set at solve time
-    check_lambda_hat: bool | str = "auto"  # probe lambda_min when n is small
 
     def __post_init__(self):
-        if self.lambda_hat <= 0.0:
-            raise ValueError("lambda_hat must be positive")
+        if not (math.isfinite(self.lambda_hat) and self.lambda_hat > 0.0):
+            raise ValueError(f"lambda_hat must be positive and finite, got {self.lambda_hat}")
+        if self.lambda_max_bound != "auto" and not math.isfinite(self.lambda_max_bound):
+            raise ValueError(f"lambda_max_bound must be finite, got {self.lambda_max_bound}")
         if self.cg_rel_tol is not None and self.cg_rel_tol <= 0.0:
             raise ValueError("cg_rel_tol must be positive")
         if self.m < 1:
@@ -96,7 +102,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     """Preconditioned conjugate gradients for SPD A.
 
     `precond` maps a residual to the preconditioned residual and must be
-    symmetric positive definite; without one the preconditioner is Jacobi.
+    symmetric positive definite; without one the preconditioner is Jacobi,
+    which serves `build_rhs`'s mass solve (the scheme's solves pass a V-cycle).
     Iteration stops once ||r|| / ||b|| <= rel_tol for the residual r (not the
     preconditioned one), or raises RuntimeError with the last five residuals
     after `max_iter` iterations (default: `SolverConfig.max_iter`). With
@@ -160,12 +167,6 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     )
 
 
-def _power_start(n: int) -> np.ndarray:
-    # deterministic start with components on generic eigenvectors; no RNG so
-    # repeated runs are bit-identical
-    return np.sin(np.arange(1, n + 1, dtype=float))
-
-
 def estimate_lambda_max(op: AssembledOperator, cfg: SolverConfig) -> float:
     """Rigorous upper bound for the largest eigenvalue of (S, M): the operator's ceiling.
 
@@ -178,21 +179,29 @@ def estimate_lambda_max(op: AssembledOperator, cfg: SolverConfig) -> float:
     return float(op.lambda_max_ceiling)
 
 
-def suggest_lambda_hat(op: AssembledOperator, cfg: SolverConfig, iters: int = 10) -> float:
-    """Inverse-power probe of the smallest pencil eigenvalue; returns 0.95x the estimate."""
+def suggest_lambda_hat(op: AssembledOperator, hierarchy: Hierarchy, lambda_hat: float) -> float:
+    """Ritz value theta of the smallest eigenvalue of (S, M), the ceiling for lambda_hat.
+
+    One LOBPCG vector (Knyazev 2001) from a deterministic start, preconditioned
+    by the V-cycle of lambda_hat*M + S on `hierarchy`; a zero-mean operator
+    keeps it M-orthogonal to the constants. theta is a Rayleigh quotient, an
+    upper estimate of lambda_min, so theta itself is not a certified
+    lambda_hat: a lambda_hat above theta is certainly too large, one below it
+    has passed a test. LOBPCG stops at the residual norm
+    PROBE_TOL * lambda_hat * sqrt(mean(diag M)), which scales with the mesh and
+    the coefficients as the residual does; theta is then within 2e-5 of
+    lambda_min, relatively, on small meshes of the four families.
+    """
     n = op.n
-    x = _power_start(n)
-    if op.mode == MODE_ZERO_MEAN:
-        x = deflate_mean(x, op)
-    x /= op.m_norm(x)
-    for _ in range(iters):
-        rhs = op.mass @ x
-        y, _, _ = pcg(op.stiffness, rhs, rel_tol=1e-10, max_iter=cfg.max_iter(n))
-        if op.mode == MODE_ZERO_MEAN:
-            y = deflate_mean(y, op)
-        x = y / op.m_norm(y)
-    lam = dot(x, op.stiffness @ x)  # M-normalized Rayleigh quotient, converges from above
-    return 0.95 * float(lam)
+    constraint = np.ones((n, 1)) if op.mode == MODE_ZERO_MEAN else None
+    if constraint is not None and n < 6:  # lobpcg's dense path for n - 1 < 5 takes no constraint
+        raise ValueError(f"zero-mean operator with {n} unknowns is too small to check lambda_hat")
+    vcycle = ShiftedVCycle(hierarchy, lambda_hat, 1.0)
+    start = np.sin(np.arange(1, n + 1, dtype=float))[:, None]
+    tol = PROBE_TOL * lambda_hat * math.sqrt(float(np.mean(op.mass.diagonal())))
+    theta, _ = lobpcg(op.stiffness, start, B=op.mass, M=lambda R: vcycle(R[:, 0])[:, None],
+                      Y=constraint, tol=tol, maxiter=PROBE_MAX_ITER, largest=False)
+    return float(theta[0])
 
 
 @dataclass(frozen=True)
@@ -241,6 +250,8 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     f_h = np.asarray(f_h, dtype=float)
     if f_h.shape != (op.n,):
         raise ValueError(f"f_h has shape {f_h.shape}, expected ({op.n},)")
+    if not np.all(np.isfinite(f_h)):
+        raise ValueError("f_h has non-finite entries")
     lh = cfg.lambda_hat
 
     if op.mode == MODE_ZERO_MEAN:
@@ -252,8 +263,6 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                 "zero-mean mode requires a deflated right-hand side "
                 f"(constant-mode weight {drift:.3e})"
             )
-
-    _probe_lambda_hat(op, cfg)
 
     if cfg.lambda_max_bound == "auto":
         lam_max = estimate_lambda_max(op, cfg)
@@ -267,6 +276,10 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     nodes = grid.nodes
     n_iter_cap = cfg.max_iter(op.n)
     hierarchy = build_hierarchy(op.mass, op.stiffness)
+    theta = suggest_lambda_hat(op, hierarchy, lh)
+    if lh > theta * (1.0 + PROBE_ROUNDING):
+        raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
+                         "smallest eigenvalue; choose lambda_hat <= lambda_min")
     fine = hierarchy.levels[0]
     bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
 
@@ -320,21 +333,6 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         mg_levels=hierarchy.sizes,
         cg_error_bound=float(cg_error) if budgeted else math.nan,
     )
-
-
-def _probe_lambda_hat(op: AssembledOperator, cfg: SolverConfig) -> None:
-    check = cfg.check_lambda_hat
-    if check == "auto":
-        check = op.n <= 2000
-    if not check:
-        log.warning("lambda_hat=%.6g trusted without probe (n=%d)", cfg.lambda_hat, op.n)
-        return
-    est = suggest_lambda_hat(op, cfg) / 0.95  # raw smallest-eigenvalue estimate
-    if cfg.lambda_hat > est * 1.05:
-        raise ValueError(
-            f"lambda_hat={cfg.lambda_hat} exceeds the probed smallest eigenvalue "
-            f"~{est:.6g}; choose lambda_hat <= lambda_min"
-        )
 
 
 def apriori_bound(m: int, alpha: float, lambda_hat: float, lambda_max_bound: float,

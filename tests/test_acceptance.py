@@ -213,8 +213,7 @@ def _criterion6_body(instances, alphas, label):
             exact = dense_fractional(op, alpha, f_h, dec)
             errs = []
             for m in ORDERS_6:
-                cfg = SolverConfig(lambda_hat=1.0, m=m, cg_rel_tol=1e-13,
-                                   check_lambda_hat=False)
+                cfg = SolverConfig(lambda_hat=1.0, m=m, cg_rel_tol=1e-13)
                 res = fractional_apply(op, f_h, alpha, cfg)
                 rel = op.m_norm(res.solution - exact) / fnorm
                 limit = 1.5 * scheme_error_bound(m, alpha, 1.0, res.lambda_max_used)
@@ -249,7 +248,7 @@ def test_criterion_07_sphere_convergence_rates():
         op = assemble(mesh, coefficient_field(mesh), "zero-mean")
         f_h = build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project")
         dofs.append(op.n)
-        cfg = SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=1e-12, check_lambda_hat=False)
+        cfg = SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=1e-12)
         for alpha in alphas:
             res = fractional_apply(op, f_h, alpha, cfg)
 

@@ -152,6 +152,46 @@ def _zero_csv(tmp_path, n):
     return str(path)
 
 
+class TestLambdaHatCheck:
+    def test_above_minimum_exits_2(self, tmp_path, capsys):
+        # sphere:4 has n = 2562 and lambda_min = 2.003; square:25,12 has
+        # lambda_min = 4.939, so 5 is only 1.2% above it
+        for builtin, lambda_hat in (("sphere:4", "3"), ("square:25,12", "5")):
+            assert main(["--out", str(tmp_path), "solve", "--builtin", builtin,
+                         "--lambda-hat", lambda_hat]) == 2
+            assert "Ritz estimate" in capsys.readouterr().err
+
+    def test_torus_at_default_shift(self, tmp_path):
+        # b = 1 makes lambda_min exactly 1, the default --lambda-hat
+        assert main(["--out", str(tmp_path), "solve", "--builtin", "torus:1,0.3,32,16"]) == 0
+
+    def test_tiny_closed_mesh_exits_2(self, tmp_path, capsys):
+        from util import write_msh22
+
+        vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+        triangles = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+        msh = tmp_path / "tetrahedron.msh"
+        write_msh22(msh, vertices, triangles)
+        assert main(["--out", str(tmp_path), "solve", "--mesh", str(msh)]) == 2
+        assert "too small" in capsys.readouterr().err
+
+
+class TestCsvSource:
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1.0\n42,2.0\n", "vertex indices"),  # sphere:1 has 42 vertices
+        ("0\n1\n", "column"),
+        ("-1,1.0\n", "vertex indices"),
+        ("1.5,1.0\n", "vertex indices"),
+        ("0,nan\n", "finite"),
+    ], ids=["out-of-range", "one-column", "negative", "non-integer", "nan"])
+    def test_malformed_source_exits_2(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "source.csv"
+        path.write_text("vertex,value\n" + rows)
+        assert main(["--out", str(tmp_path), "solve", "--builtin", "sphere:1",
+                     "--f", f"csv:{path}"]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestCompareOracle:
     def test_error_decays_and_bound_holds(self, tmp_path):
         out = tmp_path / "o"
@@ -213,6 +253,26 @@ class TestDeterminismAndManifest:
         old.write_text(json.dumps(manifest))
         assert main(["--from-manifest", str(old), "--out", str(d)]) == 0
         assert (c / "solution_a0.5.csv").read_bytes() == (d / "solution_a0.5.csv").read_bytes()
+
+    def test_replay_of_incomplete_manifest_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a"
+        assert main(["--out", str(a), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0
+        manifest = json.loads((a / "manifest_solve.json").read_text())
+        for drop in ("subcommand", "config", "f"):
+            broken = json.loads(json.dumps(manifest))
+            if drop == "f":
+                del broken["config"]["f"]
+            else:
+                del broken[drop]
+            path = tmp_path / f"without_{drop}.json"
+            path.write_text(json.dumps(broken))
+            assert main(["--from-manifest", str(path), "--out", str(tmp_path / "b")]) == 2
+            assert f"lacks key '{drop}'" in capsys.readouterr().err
+        for text in ("[]", '{"subcommand": "solve", "config": 3}'):
+            path = tmp_path / "not_an_object.json"
+            path.write_text(text)
+            assert main(["--from-manifest", str(path), "--out", str(tmp_path / "b")]) == 2
+            assert "JSON object" in capsys.readouterr().err
 
     def test_manifest_lists_outputs(self, tmp_path):
         out = tmp_path / "o"

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from fracsurf import solver
 from fracsurf.assembly import AssembledOperator, assemble, build_rhs, coefficient_field
-from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus
+from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus, gen_unit_square
+from fracsurf.multigrid import build_hierarchy
 from fracsurf.oracle import dense_decompose, dense_fractional
 from fracsurf.pade import build_pade
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
@@ -109,18 +110,66 @@ class TestLambdaMax:
             assert op.lambda_max_ceiling >= exact
 
 
+def _probe_case(name):
+    """(operator, lambda_1) of a small mesh; lambda_1 excludes the constant of zero-mean."""
+    if name == "sphere2":
+        mesh, mode, b = gen_sphere(2), "zero-mean", 0.0
+    elif name == "torus":
+        mesh, mode, b = gen_torus(1.0, 0.3, 32, 16), "positive-reaction", 1.0
+    elif name == "unit_square16":
+        mesh, mode, b = gen_unit_square(16), "dirichlet", 0.0
+    else:
+        mesh, mode, b = gen_graded_square(12, 4), "dirichlet", 0.0
+    op = assemble(mesh, coefficient_field(mesh, a=1.0, b=b), mode)
+    eigenvalues = dense_decompose(op).eigenvalues
+    return op, eigenvalues[1] if mode == "zero-mean" else eigenvalues[0]
+
+
 class TestLambdaHatProbe:
-    def test_suggestion_close_to_minimum(self, square16_op):
-        cfg = SolverConfig(lambda_hat=1.0)
-        suggestion = suggest_lambda_hat(square16_op, cfg)
-        lam1 = dense_decompose(square16_op).eigenvalues[0]
-        assert suggestion <= lam1
-        assert suggestion >= 0.9 * lam1
+    @pytest.mark.parametrize("name", ["sphere2", "torus", "unit_square16", "square12_4"])
+    def test_ritz_value_brackets_minimum(self, name):
+        op, lam1 = _probe_case(name)
+        theta = suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)
+        assert lam1 <= theta <= lam1 * (1.0 + 1e-4)
 
     def test_bad_shift_rejected(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=50.0, m=2)
         with pytest.raises(ValueError, match="lambda_hat"):
             fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
+
+    def test_every_call_probes_its_own_hierarchy(self, sphere2_op, sphere2_sign_rhs,
+                                                 monkeypatch):
+        built, probed = [], []
+
+        def recording_build(*args):
+            built.append(build_hierarchy(*args))
+            return built[-1]
+
+        def recording_probe(op, hierarchy, lambda_hat):
+            probed.append(hierarchy)
+            return suggest_lambda_hat(op, hierarchy, lambda_hat)
+
+        monkeypatch.setattr(solver, "build_hierarchy", recording_build)
+        monkeypatch.setattr(solver, "suggest_lambda_hat", recording_probe)
+        for _ in range(2):
+            fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=1.0, m=2))
+        assert len(probed) == 2 and all(p is b for p, b in zip(probed, built))
+
+    def test_rounding_allowance(self, sphere2_op, sphere2_sign_rhs, monkeypatch):
+        # a Ritz value one ulp below lambda_hat passes; one a millionth below does not
+        for theta, passes in ((np.nextafter(1.0, 0.0), True), (1.0 - 1e-6, False)):
+            monkeypatch.setattr(solver, "suggest_lambda_hat", lambda *args, _t=theta: _t)
+            cfg = SolverConfig(lambda_hat=1.0, m=2)
+            if passes:
+                fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
+            else:
+                with pytest.raises(ValueError, match="Ritz estimate"):
+                    fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
+
+    def test_tiny_zero_mean_operator_rejected(self):
+        op = _tiny_op([1.0] * 5, [0.0, 1.0, 2.0, 3.0, 4.0], mode="zero-mean")
+        with pytest.raises(ValueError, match="too small"):
+            suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)
 
 
 class TestFractionalApply:
@@ -252,8 +301,7 @@ class TestErrorBudget:
         monkeypatch.setattr(solver, "pcg", recording_pcg)
         for tol in (1e-6, 1e-12):
             res = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5,
-                                   SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=tol,
-                                                check_lambda_hat=False))
+                                   SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=tol))
             assert all(r.relative_residual <= tol for r in res.solve_log)
             assert math.isnan(res.cg_error_bound)
         assert len(weights) == 2 * res.total_solves
@@ -266,6 +314,17 @@ class TestErrorBudget:
                                SolverConfig(lambda_hat=1.0, lambda_max_bound=64.0, m=3))
         assert math.isnan(res.cg_error_bound)
         assert res.max_residual <= 1e-12
+
+    def test_non_finite_input_rejected(self, sphere2_op, sphere2_sign_rhs):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda_hat"):
+                SolverConfig(lambda_hat=bad)
+            with pytest.raises(ValueError, match="lambda_max_bound"):
+                SolverConfig(lambda_max_bound=bad)
+            f = sphere2_sign_rhs.copy()
+            f[7] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                fractional_apply(sphere2_op, f, 0.5, SolverConfig(lambda_hat=1.0, m=2))
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError, match="cg_rel_tol"):
@@ -307,7 +366,7 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         def run(alpha):
-            cfg = SolverConfig(lambda_hat=1.0, m=2, check_lambda_hat=False)
+            cfg = SolverConfig(lambda_hat=1.0, m=2)
             return fractional_apply(sphere2_op, sphere2_sign_rhs, alpha, cfg).solution
 
         alphas = [0.2, 0.4, 0.6, 0.8]
