@@ -103,7 +103,6 @@ class AssembledOperator:
     lambda_max_ceiling is a rigorous upper bound on the largest generalized
     eigenvalue, from the per-element pencils. mass_diagonal_floor is a c with
     M >= c * diag(M) in the Loewner order (1/2 for the consistent P1 mass).
-    Either is None on an operator built without one.
     """
 
     mass: sp.csr_matrix
@@ -111,8 +110,8 @@ class AssembledOperator:
     mode: str
     free_dofs: np.ndarray
     vertex_count: int
-    lambda_max_ceiling: float | None = None
-    mass_diagonal_floor: float | None = None
+    lambda_max_ceiling: float
+    mass_diagonal_floor: float
 
     @property
     def n(self) -> int:

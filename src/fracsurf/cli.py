@@ -22,6 +22,7 @@ import scipy
 from . import __version__
 from .assembly import assemble, build_rhs, coefficient_field
 from .mesh import (
+    MODE_REACTION,
     MODE_ZERO_MEAN,
     SurfaceMesh,
     gen_graded_square,
@@ -49,12 +50,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _parse_list(kind, text: str) -> list:
+    values = [kind(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"empty comma list {text!r}")
+    return values
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -116,6 +116,20 @@ def _source_field(name: str, mesh: SurfaceMesh, builtin: str | None):
         vals[index.astype(int)] = values
         return name, vals
     raise ValueError(f"unknown source field {name!r}")
+
+
+def _problem(config: dict, mesh: SurfaceMesh, builtin: str | None):
+    """Assemble the problem the mesh's topology selects and its right-hand side.
+
+    The reaction coefficient is 1 in positive-reaction mode and 0 otherwise;
+    the resolved source name is recorded in `config["f_resolved"]`.
+    """
+    mode = mesh.mode_hint
+    b_coeff = 1.0 if mode == MODE_REACTION else 0.0
+    op = assemble(mesh, coefficient_field(mesh, a=1.0, b=b_coeff), mode)
+    name, f = _source_field(config["f"], mesh, builtin)
+    config["f_resolved"] = name
+    return op, build_rhs(mesh, f, op, method=config["rhs"])
 
 
 def _manifest(out_dir: str, subcommand: str, config: dict, outputs: list[str],
@@ -253,21 +267,16 @@ def run_sphere_convergence(config: dict, out_dir: str) -> tuple[list[str], None]
 
 
 def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
+    # Lambda is always the assembled ceiling; older manifests record it as "auto"
+    if config.pop("lambda_max", "auto") != "auto":
+        raise ValueError("manifest sets lambda_max; Lambda is always the assembled ceiling")
     if config.get("mesh_path"):
         mesh = read_gmsh(config["mesh_path"])
     else:
         mesh = _load_builtin(config["builtin"])
-    mode = config.get("mode") or mesh.mode_hint
-    b_coeff = 1.0 if mode == "positive-reaction" else 0.0
-    op = assemble(mesh, coefficient_field(mesh, a=1.0, b=b_coeff), mode)
-    name, f = _source_field(config["f"], mesh, config.get("builtin"))
-    config["f_resolved"] = name
-    f_h = build_rhs(mesh, f, op, method=config["rhs"])
-
-    lam_max = config["lambda_max"]
+    op, f_h = _problem(config, mesh, config.get("builtin"))
     cfg = SolverConfig(
         lambda_hat=config["lambda_hat"],
-        lambda_max_bound="auto" if lam_max == "auto" else float(lam_max),
         m=config["m"],
         cg_rel_tol=config["cg_tol"],
         cg_max_iter=config.get("cg_max_iter"),
@@ -316,14 +325,9 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
 
 def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
     mesh = _load_builtin(config["builtin"])
-    mode = mesh.mode_hint
-    b_coeff = 1.0 if mode == "positive-reaction" else 0.0
-    op = assemble(mesh, coefficient_field(mesh, a=1.0, b=b_coeff), mode)
+    op, f_h = _problem(config, mesh, config["builtin"])
     if op.n > 2000:
         raise ValueError(f"compare-oracle limited to 2000 dofs, mesh has {op.n}")
-    name, f = _source_field(config["f"], mesh, config["builtin"])
-    config["f_resolved"] = name
-    f_h = build_rhs(mesh, f, op, method=config["rhs"])
     fnorm = op.m_norm(f_h)
     decomp = dense_decompose(op)
     rows = []
@@ -401,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.5")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--lambda-hat", type=float, default=1.0)
-    p.add_argument("--lambda-max", default="auto")
     p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
     p.add_argument("--cg-max-iter", type=int, default=None,
                    help="solver iteration budget (default 10*sqrt(n))")
@@ -424,19 +427,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> dict:
     sc = args.subcommand
     if sc == "pade-table":
-        return {"m_list": _parse_ints(args.m), "alpha_list": _parse_floats(args.alpha)}
+        return {"m_list": _parse_list(int, args.m), "alpha_list": _parse_list(float, args.alpha)}
     if sc == "scalar-error":
         return {
             "m": args.m,
-            "alpha_list": _parse_floats(args.alpha),
+            "alpha_list": _parse_list(float, args.alpha),
             "lambda_hat": args.lambda_hat,
             "lambda_max": args.lambda_max,
             "n_lambda": args.n_lambda,
         }
     if sc == "sphere-convergence":
         return {
-            "levels": _parse_ints(args.levels),
-            "alpha_list": _parse_floats(args.alpha),
+            "levels": _parse_list(int, args.levels),
+            "alpha_list": _parse_list(float, args.alpha),
             "m": args.m,
             "lambda_hat": args.lambda_hat,
             "n_terms": args.n_terms,
@@ -448,10 +451,9 @@ def _config_from_args(args) -> dict:
         return {
             "mesh_path": args.mesh_path,
             "builtin": args.builtin,
-            "alpha_list": _parse_floats(args.alpha),
+            "alpha_list": _parse_list(float, args.alpha),
             "m": args.m,
             "lambda_hat": args.lambda_hat,
-            "lambda_max": args.lambda_max,
             "cg_tol": args.cg_tol,
             "cg_max_iter": args.cg_max_iter,
             "rhs": args.rhs,
@@ -460,8 +462,8 @@ def _config_from_args(args) -> dict:
     if sc == "compare-oracle":
         return {
             "builtin": args.builtin,
-            "alpha_list": _parse_floats(args.alpha),
-            "m_list": _parse_ints(args.m),
+            "alpha_list": _parse_list(float, args.alpha),
+            "m_list": _parse_list(int, args.m),
             "lambda_hat": args.lambda_hat,
             "cg_tol": args.cg_tol,
             "rhs": args.rhs,

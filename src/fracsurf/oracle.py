@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2000
+EXACT_DIGITS = 120  # decimal digits of the power in rm_minus_power_exact
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,12 @@ def sphere_sign_coefficients(n_max: int) -> np.ndarray:
     return a
 
 
-def sphere_series_solution(alpha: float, x3, n_terms: int = 4000, window: bool = True):
+def sphere_series_solution(alpha: float, x3, n_terms: int = 4000):
     """Series solution u(x3) of the fractional problem on the unit sphere with sign data.
 
     u = sum over odd n of a_n * (n(n+1))^(-alpha) * P_n(x3). A cos^2 spectral
-    window (on by default) suppresses the slow oscillatory tail near the poles
-    and the equator jump; self-convergence of the windowed sums is part of the
-    test suite.
+    window suppresses the slow oscillatory tail near the poles and the equator
+    jump; self-convergence of the windowed sums is part of the test suite.
     """
     if not 1 <= n_terms <= 10**4:
         raise ValueError("n_terms must be in [1, 10^4]")
@@ -131,7 +131,7 @@ def sphere_series_solution(alpha: float, x3, n_terms: int = 4000, window: bool =
     p_cur = x.copy()  # P_1
     for n in range(1, n_terms + 1):
         if n % 2 == 1:
-            w = math.cos(0.5 * math.pi * n / n_terms) ** 2 if window else 1.0
+            w = math.cos(0.5 * math.pi * n / n_terms) ** 2
             acc += w * a[n] * (n * (n + 1.0)) ** (-alpha) * p_cur
         p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
     return float(acc[0]) if scalar else acc
@@ -263,11 +263,11 @@ def scalar_mu_extended(m: int, alpha: float, grid, lams) -> np.ndarray:
     return mu
 
 
-def rm_minus_power_exact(m: int, alpha, t, digits: int = 120) -> Decimal:
+def rm_minus_power_exact(m: int, alpha, t) -> Decimal:
     """r_m(t) - (1+t)^(-alpha) in high-precision arithmetic.
 
     The rational value is exact (closed-form coefficients over the rationals);
-    the power is evaluated with `digits` decimal digits. Resolves gaps far
+    the power is evaluated with EXACT_DIGITS decimal digits. Resolves gaps far
     below double precision, which the double path cannot distinguish from
     rounding noise.
     """
@@ -285,9 +285,9 @@ def rm_minus_power_exact(m: int, alpha, t, digits: int = 120) -> Decimal:
         tp *= tf
     rm = Fraction(pv, qv)
     ctx = getcontext().copy()
-    ctx.prec = digits
+    ctx.prec = EXACT_DIGITS
     rm_dec = ctx.divide(Decimal(rm.numerator), Decimal(rm.denominator))
-    power = _decimal_power(al, tf, digits)
+    power = _decimal_power(al, tf)
     return ctx.subtract(rm_dec, power)
 
 
@@ -298,10 +298,10 @@ def _cached_pq(m: int, al: Fraction):
 
 
 @lru_cache(maxsize=4096)
-def _decimal_power(al: Fraction, tf: Fraction, digits: int) -> Decimal:
+def _decimal_power(al: Fraction, tf: Fraction) -> Decimal:
     # (1+t)^(-alpha); memoized since bound scans share one (alpha, t) across orders
     ctx = getcontext().copy()
-    ctx.prec = digits
+    ctx.prec = EXACT_DIGITS
     base = ctx.add(Decimal(1), ctx.divide(Decimal(tf.numerator), Decimal(tf.denominator)))
     exponent = ctx.divide(Decimal(al.numerator), Decimal(al.denominator))
     # bare unary minus would round through the ambient 28-digit context

@@ -3,11 +3,11 @@
 The product factorization turns the task into m solves per time step with
 matrices A = (1-s)*lh*M + s*S, s in (0,1), all symmetric positive definite
 even when S has the constant nullspace. The time grid spans [lh, Lambda],
-Lambda being the rigorous per-element ceiling that `assemble` computes, or a
-bound the caller supplies. Solves use conjugate gradients preconditioned by
-one smoothed-aggregation multigrid V-cycle, from a hierarchy built once per
-call and shared by every shift (see `multigrid`); every A and every step's
-B = (1-t)*lh*M + t*S is a value array on the hierarchy's shared fine pattern.
+Lambda being the rigorous per-element ceiling that `assemble` computes. Solves
+use conjugate gradients preconditioned by one smoothed-aggregation multigrid
+V-cycle, from a hierarchy built once per call and shared by every shift (see
+`multigrid`); every A and every step's B = (1-t)*lh*M + t*S is a value array
+on the hierarchy's shared fine pattern.
 The m solves of a step are independent and combined in fixed index order so
 results are deterministic.
 
@@ -32,8 +32,7 @@ confirmed once on the true residual. It also stops at the relative residual
 CG_REL_FLOOR, the fixed tolerance of an explicit setting, which covers meshes
 where the weighted target lies below round-off and keeps any solve from
 working harder than at that tolerance. `FracSolveResult.cg_error_bound` sums
-beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals. An
-operator without c keeps the relative stop alone.
+beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals.
 
 Every call checks lh <= lambda_min with `suggest_lambda_hat`, a LOBPCG Ritz
 value preconditioned on the call's own hierarchy, and rejects a larger lh. The
@@ -76,7 +75,6 @@ __all__ = [
 @dataclass
 class SolverConfig:
     lambda_hat: float = 1.0
-    lambda_max_bound: float | str = "auto"
     m: int = 3
     cg_rel_tol: float | None = None  # None: solves share an error budget (module docstring)
     cg_max_iter: int | None = None  # default max(200, 10*sqrt(n)), set at solve time
@@ -84,12 +82,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lambda_hat) and self.lambda_hat > 0.0):
             raise ValueError(f"lambda_hat must be positive and finite, got {self.lambda_hat}")
-        if self.lambda_max_bound != "auto" and not math.isfinite(self.lambda_max_bound):
-            raise ValueError(f"lambda_max_bound must be finite, got {self.lambda_max_bound}")
         if self.cg_rel_tol is not None and self.cg_rel_tol <= 0.0:
             raise ValueError("cg_rel_tol must be positive")
         if self.m < 1:
             raise ValueError("m must be positive")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError(f"cg_max_iter must be positive, got {self.cg_max_iter}")
 
     def max_iter(self, n: int) -> int:
         if self.cg_max_iter is not None:
@@ -167,15 +165,11 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     )
 
 
-def estimate_lambda_max(op: AssembledOperator, cfg: SolverConfig) -> float:
+def estimate_lambda_max(op: AssembledOperator) -> float:
     """Rigorous upper bound for the largest eigenvalue of (S, M): the operator's ceiling.
 
-    `assemble` computes the ceiling from the per-element pencils. An operator
-    built without one needs an explicit `SolverConfig.lambda_max_bound`.
+    `assemble` computes the ceiling from the per-element pencils.
     """
-    if op.lambda_max_ceiling is None:
-        raise ValueError("operator carries no lambda_max_ceiling; "
-                         "set SolverConfig.lambda_max_bound")
     return float(op.lambda_max_ceiling)
 
 
@@ -264,13 +258,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                 f"(constant-mode weight {drift:.3e})"
             )
 
-    if cfg.lambda_max_bound == "auto":
-        lam_max = estimate_lambda_max(op, cfg)
-    else:
-        lam_max = float(cfg.lambda_max_bound)
-    if lam_max <= lh:
-        raise ValueError(f"lambda_max_bound {lam_max} must exceed lambda_hat {lh}")
-
+    lam_max = estimate_lambda_max(op)
     p = build_pade(cfg.m, alpha)
     grid = build_time_grid(lh, lam_max)
     nodes = grid.nodes
@@ -283,7 +271,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     fine = hierarchy.levels[0]
     bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
 
-    budgeted = cfg.cg_rel_tol is None and op.mass_diagonal_floor is not None
+    budgeted = cfg.cg_rel_tol is None
     rel_tol = CG_REL_FLOOR if cfg.cg_rel_tol is None else cfg.cg_rel_tol
     weight = residual = None
     share = 0.0

@@ -107,6 +107,31 @@ class TestSolve:
     def test_unknown_builtin(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--builtin", "cube:3"]) == 2
 
+    def test_lambda_max_is_not_an_option(self, tmp_path, capsys):
+        # Lambda is the assembled ceiling; a caller-supplied value could undercut it
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(tmp_path), "solve", "--builtin", "sphere:3",
+                  "--lambda-max", "20"])
+        assert info.value.code == 2
+        assert "--lambda-max" in capsys.readouterr().err
+
+    def test_non_positive_iteration_cap_exits_2(self, tmp_path, capsys):
+        for cap in ("0", "-5"):
+            assert main(["--out", str(tmp_path), "solve", "--builtin", "sphere:2",
+                         "--cg-max-iter", cap]) == 2
+            assert "cg_max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--builtin", "sphere:2", "--alpha", ","],
+        ["pade-table", "--m", ","],
+        ["compare-oracle", "--builtin", "sphere:1", "--m", ","],
+    ], ids=["solve", "pade-table", "compare-oracle"])
+    def test_empty_comma_list_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert main(["--out", str(out)] + args) == 2
+        assert "empty comma list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mesh_built_once_per_solve(self, tmp_path, monkeypatch):
         # the manifest's mesh block comes from the mesh the solve used, not a rebuild
         from util import write_msh22
@@ -253,6 +278,26 @@ class TestDeterminismAndManifest:
         old.write_text(json.dumps(manifest))
         assert main(["--from-manifest", str(old), "--out", str(d)]) == 0
         assert (c / "solution_a0.5.csv").read_bytes() == (d / "solution_a0.5.csv").read_bytes()
+
+    def test_lambda_max_in_a_manifest(self, tmp_path, capsys):
+        # manifests written while solve took --lambda-max hold "auto" and replay
+        # byte for byte; one holding a number would override the ceiling and exits 2
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["--out", str(a), "solve", "--builtin", "sphere:2", "--m", "2"]) == 0
+        manifest = json.loads((a / "manifest_solve.json").read_text())
+        assert "lambda_max" not in manifest["config"]
+        for value, code in (("auto", 0), (20.0, 2), ("20", 2)):
+            manifest["config"]["lambda_max"] = value
+            old = tmp_path / "old_manifest.json"
+            old.write_text(json.dumps(manifest))
+            assert main(["--from-manifest", str(old), "--out", str(b)]) == code
+            if code == 0:
+                assert (a / "solution_a0.5.csv").read_bytes() == (
+                    b / "solution_a0.5.csv").read_bytes()
+                replayed = json.loads((b / "manifest_solve.json").read_text())["config"]
+                assert "lambda_max" not in replayed
+            else:
+                assert "lambda_max" in capsys.readouterr().err
 
     def test_replay_of_incomplete_manifest_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a"

@@ -2,9 +2,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from fracsurf.assembly import AssembledOperator
 from fracsurf.oracle import (
     convergence_rate,
     dense_decompose,
@@ -19,22 +17,12 @@ from fracsurf.oracle import (
 )
 from fracsurf.pade import build_pade, eval_rm, pade_error_bound
 from fracsurf.solver import pcg
-
-
-def _diag_op(m_diag, s_diag, mode="positive-reaction"):
-    n = len(m_diag)
-    return AssembledOperator(
-        mass=sp.csr_matrix(np.diag(np.asarray(m_diag, float))),
-        stiffness=sp.csr_matrix(np.diag(np.asarray(s_diag, float))),
-        mode=mode,
-        free_dofs=np.arange(n),
-        vertex_count=n,
-    )
+from util import diagonal_op
 
 
 class TestDenseFractional:
     def test_diagonal_pencil(self):
-        op = _diag_op([1.0, 1.0, 1.0], [1.0, 4.0, 9.0])
+        op = diagonal_op([1.0, 1.0, 1.0], [1.0, 4.0, 9.0])
         out = dense_fractional(op, 0.5, np.ones(3))
         assert out == pytest.approx([1.0, 0.5, 1.0 / 3.0], rel=1e-13)
 
@@ -56,14 +44,14 @@ class TestDenseFractional:
         n = 40
         diag_m = 1.0 + 0.3 * np.sin(np.arange(n))
         diag_s = np.linspace(2.0, 50.0, n)
-        op = _diag_op(diag_m, diag_s)
+        op = diagonal_op(diag_m, diag_s)
         f = np.cos(np.arange(n, dtype=float))
         once = dense_fractional(op, 0.3, dense_fractional(op, 0.4, f))
         combined = dense_fractional(op, 0.7, f)
         assert np.linalg.norm(once - combined) <= 1e-8 * np.linalg.norm(combined)
 
     def test_size_guard(self):
-        op = _diag_op(np.ones(2001), np.ones(2001))
+        op = diagonal_op(np.ones(2001), np.ones(2001))
         with pytest.raises(ValueError, match="2000"):
             dense_decompose(op)
 

@@ -1,6 +1,9 @@
-"""Shared test helpers: fixture writers for Gmsh files and small meshes."""
+"""Shared test helpers: fixture writers for Gmsh files, small meshes and pencils."""
 
 import numpy as np
+import scipy.sparse as sp
+
+from fracsurf.assembly import AssembledOperator
 
 
 def write_msh22(path, vertices, triangles):
@@ -60,3 +63,23 @@ def fibonacci_sphere_mesh(n_points):
     flip = np.einsum("ij,ij->i", np.cross(p1 - p0, p2 - p0), centers) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return pts, tris
+
+
+def diagonal_op(m_diag, s_diag, mode="positive-reaction"):
+    """Operator of the diagonal pencil (diag(s_diag), diag(m_diag)) with both certificates.
+
+    The ceiling is the exact largest eigenvalue max(s_ii / m_ii), and the mass
+    floor is 1, since a diagonal mass equals its own diagonal.
+    """
+    m_diag = np.asarray(m_diag, dtype=float)
+    s_diag = np.asarray(s_diag, dtype=float)
+    n = len(m_diag)
+    return AssembledOperator(
+        mass=sp.csr_matrix(np.diag(m_diag)),
+        stiffness=sp.csr_matrix(np.diag(s_diag)),
+        mode=mode,
+        free_dofs=np.arange(n),
+        vertex_count=n,
+        lambda_max_ceiling=float(np.max(s_diag / m_diag)),
+        mass_diagonal_floor=1.0,
+    )
