@@ -270,11 +270,13 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
     # Lambda is always the assembled ceiling; older manifests record it as "auto"
     if config.pop("lambda_max", "auto") != "auto":
         raise ValueError("manifest sets lambda_max; Lambda is always the assembled ceiling")
-    if config.get("mesh_path"):
+    if bool(config["mesh_path"]) == bool(config["builtin"]):
+        raise ValueError("give exactly one of --mesh or --builtin")
+    if config["mesh_path"]:
         mesh = read_gmsh(config["mesh_path"])
     else:
         mesh = _load_builtin(config["builtin"])
-    op, f_h = _problem(config, mesh, config.get("builtin"))
+    op, f_h = _problem(config, mesh, config["builtin"])
     cfg = SolverConfig(
         lambda_hat=config["lambda_hat"],
         m=config["m"],
@@ -305,9 +307,7 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
                 "lambda_max_used": result.lambda_max_used,
                 "a_priori_bound": result.a_priori_bound,
                 "max_cg_residual": result.max_residual,
-                # null when the solves ran to --cg-tol instead of the error budget
-                "cg_error_bound": None if math.isnan(result.cg_error_bound)
-                else result.cg_error_bound,
+                "cg_error_bound": result.cg_error_bound,
                 "cg_iters_total": sum(r.iterations for r in result.solve_log),
                 "cg_iters_max": max((r.iterations for r in result.solve_log), default=0),
                 "mg_levels": list(result.mg_levels),
@@ -379,13 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pade-table", parents=[common],
                        help="approximation error vs bound on a t grid")
-    p.add_argument("--m", default="1,2,3,4,6,8", help="comma list of orders")
-    p.add_argument("--alpha", default="0.1,0.5,0.9", help="comma list of exponents")
+    p.add_argument("--m", dest="m_list", default="1,2,3,4,6,8", help="comma list of orders")
+    p.add_argument("--alpha", dest="alpha_list", default="0.1,0.5,0.9",
+                   help="comma list of exponents")
 
     p = sub.add_parser("scalar-error", parents=[common],
                        help="scalar transfer-function error scan")
     p.add_argument("--m", type=int, default=10)
-    p.add_argument("--alpha", default="0.1,0.5,0.9")
+    p.add_argument("--alpha", dest="alpha_list", default="0.1,0.5,0.9")
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--lambda-max", type=float, default=2.0**50)
     p.add_argument("--n-lambda", type=int, default=200)
@@ -393,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sphere-convergence", parents=[common],
                        help="rate study on nested sphere meshes")
     p.add_argument("--levels", default="2,3,4,5")
-    p.add_argument("--alpha", default="0.01,0.3,0.5,0.7,0.99")
+    p.add_argument("--alpha", dest="alpha_list", default="0.01,0.3,0.5,0.7,0.99")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--n-terms", type=int, default=4000)
@@ -402,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common], help="solve on a builtin or Gmsh mesh")
     p.add_argument("--mesh", dest="mesh_path", help="path to an ASCII .msh file")
     p.add_argument("--builtin", help="sphere:L | torus:R,r,n1,n2 | square:N0,p")
-    p.add_argument("--alpha", default="0.5")
+    p.add_argument("--alpha", dest="alpha_list", default="0.5")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
@@ -415,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-oracle", parents=[common],
                        help="solver vs dense spectral reference")
     p.add_argument("--builtin", default="sphere:2")
-    p.add_argument("--alpha", default="0.01,0.5,0.99")
-    p.add_argument("--m", default="1,2,3,4,5,6")
+    p.add_argument("--alpha", dest="alpha_list", default="0.01,0.5,0.99")
+    p.add_argument("--m", dest="m_list", default="1,2,3,4,5,6")
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
     p.add_argument("--rhs", choices=["interpolate", "l2_project"], default="l2_project")
@@ -424,52 +425,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_LIST_KINDS = {"alpha_list": float, "m_list": int, "levels": int}
+_NOT_CONFIG = ("subcommand", "from_manifest", "out", "verbose")
+_WRITTEN_KEYS = {"runs", "L_plus_1", "f_resolved"}  # keys a runner adds to its config
+
+
 def _config_from_args(args) -> dict:
-    sc = args.subcommand
-    if sc == "pade-table":
-        return {"m_list": _parse_list(int, args.m), "alpha_list": _parse_list(float, args.alpha)}
-    if sc == "scalar-error":
-        return {
-            "m": args.m,
-            "alpha_list": _parse_list(float, args.alpha),
-            "lambda_hat": args.lambda_hat,
-            "lambda_max": args.lambda_max,
-            "n_lambda": args.n_lambda,
-        }
-    if sc == "sphere-convergence":
-        return {
-            "levels": _parse_list(int, args.levels),
-            "alpha_list": _parse_list(float, args.alpha),
-            "m": args.m,
-            "lambda_hat": args.lambda_hat,
-            "n_terms": args.n_terms,
-            "cg_tol": args.cg_tol,
-        }
-    if sc == "solve":
-        if bool(args.mesh_path) == bool(args.builtin):
-            raise ValueError("give exactly one of --mesh or --builtin")
-        return {
-            "mesh_path": args.mesh_path,
-            "builtin": args.builtin,
-            "alpha_list": _parse_list(float, args.alpha),
-            "m": args.m,
-            "lambda_hat": args.lambda_hat,
-            "cg_tol": args.cg_tol,
-            "cg_max_iter": args.cg_max_iter,
-            "rhs": args.rhs,
-            "f": args.f,
-        }
-    if sc == "compare-oracle":
-        return {
-            "builtin": args.builtin,
-            "alpha_list": _parse_list(float, args.alpha),
-            "m_list": _parse_list(int, args.m),
-            "lambda_hat": args.lambda_hat,
-            "cg_tol": args.cg_tol,
-            "rhs": args.rhs,
-            "f": args.f,
-        }
-    raise ValueError("no subcommand given (see --help)")
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    for key, kind in _LIST_KINDS.items():
+        if key in config:
+            config[key] = _parse_list(kind, config[key])
+    return config
+
+
+def _check_replayed_keys(subcommand: str, config: dict) -> None:
+    known = set(_config_from_args(_build_parser().parse_args([subcommand]))) | _WRITTEN_KEYS
+    if subcommand == "solve":
+        known.add("lambda_max")  # older manifests hold "auto"; run_solve rejects a number
+    unknown = set(config) - known
+    if unknown:
+        raise ValueError(f"manifest config has keys {sorted(unknown)} "
+                         f"that {subcommand} does not take")
+
+
+def _check_distinct(config: dict) -> None:
+    # output files are named by f"{alpha:g}"; orders and levels are small integers,
+    # which :g prints exactly
+    for key in _LIST_KINDS:
+        names = [f"{v:g}" for v in config.get(key, ())]
+        if len(set(names)) < len(names):
+            raise ValueError(f"{key} repeats an entry: {','.join(names)}")
 
 
 def main(argv=None) -> int:
@@ -485,14 +470,18 @@ def main(argv=None) -> int:
             if not isinstance(manifest, dict) or not isinstance(manifest["config"], dict):
                 raise ValueError("a manifest is a JSON object whose config is an object")
             subcommand = manifest["subcommand"]
+            if subcommand not in _RUNNERS:
+                raise ValueError(f"unknown subcommand {subcommand!r}")
             config = manifest["config"]
+            _check_replayed_keys(subcommand, config)
             config.pop("runs", None)  # regenerated on replay
             config.pop("L_plus_1", None)
         else:
             subcommand = args.subcommand
+            if subcommand is None:
+                raise ValueError("no subcommand given (see --help)")
             config = _config_from_args(args)
-        if subcommand not in _RUNNERS:
-            raise ValueError(f"unknown subcommand {subcommand!r}")
+        _check_distinct(config)
         os.makedirs(args.out, exist_ok=True)
         t0 = time.time()
         outputs, mesh_stats = _RUNNERS[subcommand](config, args.out)

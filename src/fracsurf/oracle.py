@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .assembly import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, AssembledOperator, deflate_mean
 from .mesh import MODE_ZERO_MEAN, SurfaceMesh
-from .pade import explicit_pq_coefficients
+from .pade import PadeApproximant, explicit_pq_coefficients, jacobi_roots, pade_from_roots
 
 __all__ = [
     "SpectralDecomposition",
@@ -33,7 +33,7 @@ __all__ = [
     "l2_error_on_mesh",
     "convergence_rate",
     "jacobi_roots_extended",
-    "scalar_mu_extended",
+    "pade_extended",
     "rm_minus_power_exact",
 ]
 
@@ -227,8 +227,6 @@ def jacobi_roots_extended(m: int, beta_exp: float, gamma_exp: float) -> np.ndarr
     the longdouble recurrence push the root error to the extended-precision
     level, which matters when many product steps amplify root perturbations.
     """
-    from .pade import jacobi_roots
-
     t = jacobi_roots(m, beta_exp, gamma_exp).astype(np.longdouble)
     x = 2.0 * t - 1.0
     for _ in range(3):
@@ -237,30 +235,16 @@ def jacobi_roots_extended(m: int, beta_exp: float, gamma_exp: float) -> np.ndarr
     return (1.0 + x) / 2.0
 
 
-def scalar_mu_extended(m: int, alpha: float, grid, lams) -> np.ndarray:
-    """Transfer function evaluated with refined roots in extended precision.
+def pade_extended(m: int, alpha: float) -> PadeApproximant:
+    """The order-m approximant from refined extended-precision roots and weights.
 
     Measurement instrument for bound checks whose threshold sits below the
     double-precision representation noise of the approximant (the roots are
-    only ~1e-16 accurate in double, which 50 product steps amplify to ~1e-13).
+    only ~1e-16 accurate in double, which 50 product steps amplify to ~1e-13):
+    pass it to `scalar_mu` with longdouble lambdas.
     """
-    a = jacobi_roots_extended(m, alpha, -alpha)
-    b = jacobi_roots_extended(m, -alpha, alpha)
-    # beta_0 = 1 - sum(betas) never enters the 1 - sum form below
-    betas = [np.prod(1.0 - a / b[i]) / np.prod(np.delete(1.0 - b / b[i], i)) for i in range(m)]
-    lams = np.asarray(lams, dtype=np.longdouble)
-    lh = np.longdouble(grid.lambda_hat)
-    mu = np.full_like(lams, lh ** np.longdouble(-alpha))
-    for n in range(grid.num_steps):
-        tn = np.longdouble(grid.nodes[n])
-        tau = np.longdouble(grid.nodes[n + 1]) - tn
-        theta = tau * (lams - lh) / (lh + tn * (lams - lh))
-        dec = np.zeros_like(lams)
-        for i in range(m):
-            dth = b[i] * theta
-            dec += betas[i] * dth / (1.0 + dth)
-        mu *= 1.0 - dec
-    return mu
+    return pade_from_roots(alpha, jacobi_roots_extended(m, alpha, -alpha),
+                           jacobi_roots_extended(m, -alpha, alpha))
 
 
 def rm_minus_power_exact(m: int, alpha, t) -> Decimal:

@@ -21,6 +21,8 @@ __all__ = [
     "build_pade",
     "eval_rm",
     "eval_rm_partial",
+    "rm_partial",
+    "pade_from_roots",
     "pade_error_bound",
     "maclaurin_pade_oracle",
     "explicit_pq_coefficients",
@@ -83,11 +85,23 @@ def build_pade(m: int, alpha: float) -> PadeApproximant:
         raise ValueError(f"order m={m} outside [1, {MAX_ORDER}]")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
-    a = jacobi_roots(m, alpha, -alpha)
-    b = jacobi_roots(m, -alpha, alpha)
-    _check_interlacing(a, b)
+    p = pade_from_roots(alpha, jacobi_roots(m, alpha, -alpha), jacobi_roots(m, -alpha, alpha))
 
-    beta = np.empty(m + 1)
+    ts = np.linspace(0.0, 1.0, 33)
+    gap = np.abs(eval_rm(p, ts) - eval_rm_partial(p, ts))
+    if gap.max() > 1e-12:
+        raise ValueError(f"product and partial-fraction forms disagree by {gap.max():.3e}")
+    return p
+
+
+def pade_from_roots(alpha: float, a: np.ndarray, b: np.ndarray) -> PadeApproximant:
+    """The approximant with numerator roots a and denominator roots b, weights in their dtype.
+
+    Checks that the roots interlace in (0,1) and the weights are positive and sum to 1.
+    """
+    _check_interlacing(a, b)
+    m = len(a)
+    beta = np.empty(m + 1, dtype=np.result_type(a, b))
     beta[0] = np.prod(a / b)
     for i in range(m):
         num = np.prod(1.0 - a / b[i])
@@ -102,18 +116,12 @@ def build_pade(m: int, alpha: float) -> PadeApproximant:
     a.setflags(write=False)
     b.setflags(write=False)
     beta.setflags(write=False)
-    p = PadeApproximant(m=m, alpha=float(alpha), num_roots=a, den_roots=b, beta=beta)
-
-    ts = np.linspace(0.0, 1.0, 33)
-    gap = np.abs(eval_rm(p, ts) - eval_rm_partial(p, ts))
-    if gap.max() > 1e-12:
-        raise ValueError(f"product and partial-fraction forms disagree by {gap.max():.3e}")
-    return p
+    return PadeApproximant(m=m, alpha=float(alpha), num_roots=a, den_roots=b, beta=beta)
 
 
 def _check_interlacing(a: np.ndarray, b: np.ndarray) -> None:
     m = len(a)
-    merged = np.empty(2 * m)
+    merged = np.empty(2 * m, dtype=np.result_type(a, b))
     merged[0::2] = a
     merged[1::2] = b
     if not merged[0] > 0.0:
@@ -141,12 +149,20 @@ def eval_rm_partial(p: PadeApproximant, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be non-negative")
+    out = rm_partial(p, t)
+    return out if out.ndim else float(out)
+
+
+def rm_partial(p: PadeApproximant, t: np.ndarray) -> np.ndarray:
+    """r(t) = 1 - sum_i beta_i d_i t / (1 + d_i t) in the dtype of t, exactly 1 at t = 0.
+
+    No range check: rounding just below the shift gives t of about -1e-12.
+    """
     dec = np.zeros_like(t)
     for i in range(p.m):
         dt = p.den_roots[i] * t
         dec += p.beta[i + 1] * dt / (1.0 + dt)
-    out = 1.0 - dec
-    return out if out.ndim else float(out)
+    return 1.0 - dec
 
 
 def pade_error_bound(m: int, alpha: float, t):

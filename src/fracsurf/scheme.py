@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pade import PadeApproximant
+from .pade import PadeApproximant, rm_partial
 
 __all__ = [
     "TimeGrid",
@@ -40,10 +40,18 @@ class TimeGrid:
         return len(self.nodes) - 1
 
     def theta(self, lam):
-        """theta_n(lam) for n = 0..L, the scalar arguments fed to the rational factor."""
-        lam = float(lam)
-        tn = self.nodes[:-1]
-        return self.steps * (lam - self.lambda_hat) / (self.lambda_hat + tn * (lam - self.lambda_hat))
+        """theta_n(lam) for n = 0..L, the scalar arguments fed to the rational factor.
+
+        The step index n is a new first axis in front of lam's shape; computed
+        in lam's floating dtype (float64 otherwise), nodes and lambda_hat included.
+        """
+        lam = np.asarray(lam)
+        if lam.dtype.kind != "f":
+            lam = lam.astype(float)
+        lh = lam.dtype.type(self.lambda_hat)
+        nodes = self.nodes.astype(lam.dtype).reshape((-1,) + (1,) * lam.ndim)
+        tn = nodes[:-1]
+        return (nodes[1:] - tn) * (lam - lh) / (lh + tn * (lam - lh))
 
 
 def build_time_grid(lambda_hat: float, lambda_max_bound: float) -> TimeGrid:
@@ -95,8 +103,9 @@ def scalar_mu(p: PadeApproximant, grid: TimeGrid, lam):
 
     Accepts scalars or arrays. Values above lambda_max_bound are accepted but
     flagged with a warning since the a-priori bound no longer covers them.
-    Floating dtypes are preserved, so an extended-precision grid of lambdas
-    yields an extended-precision evaluation.
+    Computed in lam's floating dtype (float64 otherwise); a scalar comes back
+    as a numpy scalar of that dtype. Longdouble lambdas with
+    `oracle.pade_extended` give an extended-precision evaluation.
     """
     lam = np.asarray(lam)
     if lam.dtype.kind != "f":
@@ -110,18 +119,11 @@ def scalar_mu(p: PadeApproximant, grid: TimeGrid, lam):
             "the range covered by the error bound",
             stacklevel=2,
         )
-    mu = np.full_like(lam, lh ** (-p.alpha))
-    for n in range(grid.num_steps):
-        tn = grid.nodes[n]
-        tau = grid.nodes[n + 1] - tn
-        theta = tau * (lam - lh) / (lh + tn * (lam - lh))
-        # r(theta) = 1 - sum_i beta_i d_i theta / (1 + d_i theta): exactly 1 at theta = 0
-        dec = np.zeros_like(lam)
-        for i in range(p.m):
-            dth = p.den_roots[i] * theta
-            dec += p.beta[i + 1] * dth / (1.0 + dth)
-        mu *= 1.0 - dec
-    return mu if mu.ndim else float(mu)
+    real = lam.dtype.type
+    mu = np.full_like(lam, real(lh) ** -real(p.alpha))
+    for theta in grid.theta(lam):
+        mu *= rm_partial(p, theta)
+    return mu if mu.ndim else mu[()]
 
 
 def _chat(alpha: float) -> float:

@@ -32,7 +32,9 @@ confirmed once on the true residual. It also stops at the relative residual
 CG_REL_FLOOR, the fixed tolerance of an explicit setting, which covers meshes
 where the weighted target lies below round-off and keeps any solve from
 working harder than at that tolerance. `FracSolveResult.cg_error_bound` sums
-beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals.
+beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals;
+the bound holds whatever rule stopped the solves, so it is also reported
+under an explicit `cg_rel_tol`.
 
 Every call checks lh <= lambda_min with `suggest_lambda_hat`, a LOBPCG Ritz
 value preconditioned on the call's own hierarchy, and rejects a larger lh. The
@@ -215,8 +217,7 @@ class FracSolveResult:
     a_priori_bound: float = math.nan
     lambda_max_used: float = math.nan
     mg_levels: tuple[int, ...] = ()  # unknowns per multigrid level, finest first
-    # certified bound on the M-norm error the CG solves add (module docstring);
-    # NaN when the solves ran to a relative tolerance instead of the budget
+    # certified bound on the M-norm error the CG solves add (module docstring)
     cg_error_bound: float = math.nan
 
     @property
@@ -271,14 +272,11 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     fine = hierarchy.levels[0]
     bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
 
-    budgeted = cfg.cg_rel_tol is None
     rel_tol = CG_REL_FLOOR if cfg.cg_rel_tol is None else cfg.cg_rel_tol
-    weight = residual = None
-    share = 0.0
-    if budgeted:
-        weight = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())
-        share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
-        residual = np.empty(op.n)
+    inv_diag = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())
+    weight = inv_diag if cfg.cg_rel_tol is None else None
+    share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
+    residual = np.empty(op.n)
     cg_error = 0.0
 
     U = lh ** (-alpha) * f_h
@@ -300,8 +298,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             except RuntimeError as exc:
                 raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
             records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
-            if budgeted:
-                cg_error += p.beta[i + 1] * math.sqrt(dot(weight * residual, residual)) / lh
+            cg_error += p.beta[i + 1] * math.sqrt(dot(inv_diag * residual, residual)) / lh
             dec += p.beta[i + 1] * (U - x)
         U_next = U - dec
         if op.mode == MODE_ZERO_MEAN:
@@ -319,7 +316,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         a_priori_bound=bound,
         lambda_max_used=lam_max,
         mg_levels=hierarchy.sizes,
-        cg_error_bound=float(cg_error) if budgeted else math.nan,
+        cg_error_bound=float(cg_error),
     )
 
 

@@ -104,6 +104,14 @@ class TestSolve:
         assert main(["--out", str(tmp_path), "solve", "--mesh", "x.msh",
                      "--builtin", "sphere:1"]) == 2
 
+    def test_neither_mesh_nor_builtin_rejected(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "o"), "solve"]) == 2
+        assert "exactly one of --mesh or --builtin" in capsys.readouterr().err
+
+    def test_no_subcommand_exits_2(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "o")]) == 2
+        assert "no subcommand" in capsys.readouterr().err
+
     def test_unknown_builtin(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--builtin", "cube:3"]) == 2
 
@@ -272,7 +280,8 @@ class TestDeterminismAndManifest:
 
         assert main(["--out", str(c)] + args + ["--cg-tol", "1e-12"]) == 0
         run = json.loads((c / "manifest_solve.json").read_text())["config"]["runs"][0]
-        assert run["cg_error_bound"] is None and run["max_cg_residual"] <= 1e-12
+        # the certified bound holds whatever rule stopped the solves
+        assert run["cg_error_bound"] > 0.0 and run["max_cg_residual"] <= 1e-12
         manifest["config"]["cg_tol"] = 1e-12
         old = tmp_path / "old_manifest.json"
         old.write_text(json.dumps(manifest))
@@ -298,6 +307,52 @@ class TestDeterminismAndManifest:
                 assert "lambda_max" not in replayed
             else:
                 assert "lambda_max" in capsys.readouterr().err
+
+    def test_unknown_key_in_a_manifest_exits_2(self, tmp_path, capsys):
+        # the run would ignore a key that no flag of its subcommand writes; the
+        # keys runners add (L_plus_1, runs, f_resolved) still replay
+        a = tmp_path / "a"
+        assert main(["--out", str(a), "scalar-error", "--m", "2", "--alpha", "0.5",
+                     "--n-lambda", "5"]) == 0
+        assert main(["--out", str(a), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0
+        for name, key, value in (("solve", "mode", "dirichlet"), ("scalar_error", "cg_tol", None)):
+            manifest = a / f"manifest_{name}.json"
+            assert main(["--from-manifest", str(manifest), "--out", str(tmp_path / "ok")]) == 0
+            edited = json.loads(manifest.read_text())
+            edited["config"][key] = value
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(edited))
+            out = tmp_path / f"edited_{name}"
+            assert main(["--from-manifest", str(path), "--out", str(out)]) == 2
+            assert f"['{key}']" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_manifest_without_mesh_exits_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["--out", str(a), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0
+        manifest = json.loads((a / "manifest_solve.json").read_text())
+        manifest["config"].update(mesh_path=None, builtin=None)
+        path = tmp_path / "no_mesh.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["--from-manifest", str(path), "--out", str(b)]) == 2
+        assert "exactly one of --mesh or --builtin" in capsys.readouterr().err
+        assert list(b.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--builtin", "sphere:1", "--alpha", "0.1234567,0.1234568"],
+        ["solve", "--builtin", "sphere:1", "--alpha", "0.5,0.50"],
+        ["sphere-convergence", "--levels", "1,2,3", "--alpha", "0.5,0.5"],
+        ["sphere-convergence", "--levels", "1,2,2", "--alpha", "0.5"],
+        ["pade-table", "--m", "2,3,2"],
+        ["compare-oracle", "--builtin", "sphere:1", "--m", "1,1"],
+    ], ids=["solve-colliding", "solve-repeated", "sphere-alpha", "sphere-levels",
+            "pade-table-m", "compare-oracle-m"])
+    def test_repeated_list_entry_exits_2(self, tmp_path, capsys, args):
+        # two runs with one output name would overwrite each other and share a table row
+        out = tmp_path / "o"
+        assert main(["--out", str(out)] + args) == 2
+        assert "repeats an entry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_of_incomplete_manifest_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a"

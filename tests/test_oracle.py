@@ -9,6 +9,7 @@ from fracsurf.oracle import (
     dense_fractional,
     l2_error_on_mesh,
     legendre_at_zero,
+    pade_extended,
     rm_minus_power_exact,
     sphere_series_solution,
     sphere_sign_coefficients,
@@ -191,6 +192,25 @@ class TestL2Error:
             sphere3, sphere3_op, np.zeros(sphere3_op.n), lambda x: np.sign(x[:, 2])
         )
         assert err == pytest.approx(math.sqrt(4.0 * math.pi), rel=0.02)
+
+
+class TestPadeExtended:
+    @pytest.mark.parametrize("m", [1, 5, 10])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_longdouble_weights_pass_shared_checks(self, m, alpha):
+        p = pade_extended(m, alpha)
+        for values in (p.num_roots, p.den_roots, p.beta):
+            assert values.dtype == np.longdouble and not values.flags.writeable
+        merged = np.empty(2 * m, dtype=np.longdouble)
+        merged[0::2] = p.num_roots
+        merged[1::2] = p.den_roots
+        assert merged[0] > 0 and merged[-1] < 1 and np.all(np.diff(merged) > 0)
+        assert np.all(p.beta > 0)
+        assert abs(p.beta.sum() - 1) <= 100 * np.finfo(np.longdouble).eps
+        # the double approximant is the same one, to double rounding
+        double = build_pade(m, alpha)
+        assert np.abs(p.beta - double.beta).max() <= 1e-13
+        assert np.abs(p.den_roots - double.den_roots).max() <= 1e-14
 
 
 class TestExactGap:

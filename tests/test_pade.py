@@ -11,6 +11,7 @@ from fracsurf.pade import (
     jacobi_roots,
     maclaurin_pade_oracle,
     pade_error_bound,
+    pade_from_roots,
 )
 
 
@@ -114,6 +115,11 @@ class TestBuildPade:
             merged[0::2] = p.num_roots
             merged[1::2] = p.den_roots
             assert np.all(np.diff(merged) > 0)
+
+    def test_shared_checks_reject_swapped_roots(self):
+        p = build_pade(3, 0.4)
+        with pytest.raises(ValueError, match="interlacing"):
+            pade_from_roots(0.4, p.den_roots.copy(), p.num_roots.copy())
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,22 @@ class TestTimeGrid:
     def test_l_plus_one_for_2p50(self):
         assert build_time_grid(1.0, 2.0**50).num_steps == 50
 
+    def test_theta_on_an_array_stacks_scalar_calls(self):
+        grid = build_time_grid(0.37, 1e4)
+        lams = np.array([[0.37, 1.0, 2.5], [123.4, 5e3, 1e4]])
+        theta = grid.theta(lams)
+        assert theta.shape == (grid.num_steps,) + lams.shape
+        expected = np.stack([grid.theta(lam) for lam in lams.ravel()], axis=1)
+        assert np.array_equal(theta.reshape(grid.num_steps, -1), expected)
+
+    def test_theta_keeps_longdouble(self):
+        grid = build_time_grid(1.0, 2.0**50)
+        lam = 1 + np.longdouble(3) / 7
+        theta = grid.theta(lam)
+        assert theta.dtype == np.longdouble
+        # t_0 = 0 and lh = 1, so theta_0 = t_1 * (lam - 1), rounded in longdouble
+        assert theta[0] == np.longdouble(grid.nodes[1]) * (lam - 1)
+
 
 class TestScalarMu:
     def test_exact_at_shift(self):
@@ -67,6 +83,23 @@ class TestScalarMu:
                 for lh in (1.0, 2.0, 0.37):
                     grid = build_time_grid(lh, 1024.0 * lh)
                     assert scalar_mu(p, grid, lh) == lh ** (-alpha), (m, alpha, lh)
+
+    def test_longdouble_scalar_keeps_dtype(self):
+        # a 0-d longdouble comes back as a longdouble, exact at the shift
+        for m, alpha, lh in ((3, 0.3, 3.0), (10, 0.9, 0.37)):
+            grid = build_time_grid(lh, 1e6)
+            mu = scalar_mu(build_pade(m, alpha), grid, np.longdouble(lh))
+            assert type(mu) is np.longdouble
+            assert mu == np.longdouble(lh) ** -np.longdouble(alpha)
+
+    def test_rounding_below_the_shift_accepted(self):
+        # lambda in [lh(1-1e-12), lh) gives theta of about -1e-12, which the factor takes
+        p = build_pade(4, 0.3)
+        grid = build_time_grid(2.0, 1e5)
+        for lam in (np.float64(2.0) * (1 - 5e-13), np.longdouble(2.0) * (1 - np.longdouble(5e-13))):
+            mu = scalar_mu(p, grid, lam)
+            assert type(mu) is type(lam)
+            assert mu == pytest.approx(2.0 ** (-0.3), rel=1e-11)
 
     def test_range(self):
         p = build_pade(4, 0.3)
