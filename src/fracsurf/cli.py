@@ -25,6 +25,7 @@ from .mesh import (
     MODE_REACTION,
     MODE_ZERO_MEAN,
     SurfaceMesh,
+    _write_rows,
     gen_graded_square,
     gen_sphere,
     gen_torus,
@@ -46,10 +47,6 @@ from .solver import SolverConfig, fractional_apply
 log = logging.getLogger(__name__)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _parse_list(kind, text: str) -> list:
     values = [kind(tok) for tok in text.split(",") if tok]
     if not values:
@@ -57,11 +54,11 @@ def _parse_list(kind, text: str) -> list:
     return values
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], table) -> None:
+    """Write a 2-d float table under a header, each number to 17 significant digits."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(header)) + "\n", table)
 
 
 def _load_builtin(spec: str) -> SurfaceMesh:
@@ -144,7 +141,7 @@ def _manifest(out_dir: str, subcommand: str, config: dict, outputs: list[str],
             "fracsurf": __version__,
         },
         "mesh": mesh_stats,
-        "timing_seconds": time.time() - t0,
+        "timing_seconds": time.perf_counter() - t0,
         "outputs": outputs,
     }
     path = os.path.join(out_dir, f"manifest_{subcommand.replace('-', '_')}.json")
@@ -191,10 +188,10 @@ def run_pade_table(config: dict, out_dir: str) -> tuple[list[str], None]:
                 )
             root_rows.append((m, alpha, 0, math.nan, math.nan, p.beta[0]))
     path = os.path.join(out_dir, "pade_table.csv")
-    _write_csv(path, ["m", "alpha", "t", "actual_err", "bound"], rows)
+    _write_csv(path, ["m", "alpha", "t", "actual_err", "bound"], np.array(rows))
     roots_path = os.path.join(out_dir, "pade_roots.csv")
     _write_csv(
-        roots_path, ["m", "alpha", "index", "num_root", "den_root", "beta"], root_rows
+        roots_path, ["m", "alpha", "index", "num_root", "den_root", "beta"], np.array(root_rows)
     )
     return [path, roots_path], None
 
@@ -214,12 +211,9 @@ def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
         abs_err = np.abs(mu - exact)
         rel_err = abs_err * lams**alpha
         bound = scheme_error_bound(config["m"], alpha, lh, lam_max)
-        rows = [
-            (lam, m_, e_, a_, r_, bound)
-            for lam, m_, e_, a_, r_ in zip(lams, mu, exact, abs_err, rel_err)
-        ]
+        table = np.column_stack([lams, mu, exact, abs_err, rel_err, np.full(len(lams), bound)])
         path = os.path.join(out_dir, f"scalar_error_a{alpha:g}.csv")
-        _write_csv(path, ["lambda", "mu", "exact", "abs_err", "rel_err", "bound"], rows)
+        _write_csv(path, ["lambda", "mu", "exact", "abs_err", "rel_err", "bound"], table)
         paths.append(path)
     return paths, None
 
@@ -262,7 +256,7 @@ def run_sphere_convergence(config: dict, out_dir: str) -> tuple[list[str], None]
             print(f"{alpha:6g} {dofs[k]:8d} {errors[alpha][k]:13.6e} "
                   + (f"{rate:6.2f}" if k else "     -"))
     path = os.path.join(out_dir, "sphere_convergence.csv")
-    _write_csv(path, ["level", "dof", "alpha", "l2_error", "rate"], rows)
+    _write_csv(path, ["level", "dof", "alpha", "l2_error", "rate"], np.array(rows))
     return [path], None
 
 
@@ -288,16 +282,13 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
     paths = [off_path]
     run_stats = []
     for alpha in config["alpha_list"]:
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = fractional_apply(op, f_h, alpha, cfg)
-        wall = time.time() - t0
+        wall = time.perf_counter() - t0
         full = op.expand(result.solution)
         path = os.path.join(out_dir, f"solution_a{alpha:g}.csv")
-        rows = [
-            (k, v[0], v[1], v[2], u)
-            for k, (v, u) in enumerate(zip(mesh.vertices, full))
-        ]
-        _write_csv(path, ["vertex", "x", "y", "z", "u"], rows)
+        table = np.column_stack([np.arange(mesh.num_vertices), mesh.vertices, full])
+        _write_csv(path, ["vertex", "x", "y", "z", "u"], table)
         paths.append(path)
         run_stats.append(
             {
@@ -343,7 +334,7 @@ def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
             bound = scheme_error_bound(m, alpha, config["lambda_hat"], result.lambda_max_used)
             rows.append((alpha, m, rel, bound))
     path = os.path.join(out_dir, "compare_oracle.csv")
-    _write_csv(path, ["alpha", "m", "rel_err", "bound"], rows)
+    _write_csv(path, ["alpha", "m", "rel_err", "bound"], np.array(rows))
     return [path], _mesh_stats(mesh)
 
 
@@ -438,14 +429,44 @@ def _config_from_args(args) -> dict:
     return config
 
 
-def _check_replayed_keys(subcommand: str, config: dict) -> None:
-    known = set(_config_from_args(_build_parser().parse_args([subcommand]))) | _WRITTEN_KEYS
+def _as_parsed(key: str, kind: type, value):
+    """A replayed value as the parser's `kind` gives it; a JSON integer stands for a float."""
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ValueError(f"manifest config {key!r} holds {value!r}, not {kind.__name__}")
+    return kind(value)
+
+
+def _check_replayed(subcommand: str, config: dict) -> None:
+    """Check a replayed config against what the subcommand's parser produces.
+
+    It may hold only the parser's keys and those a runner writes. Each value
+    has the parser's type: a non-empty list of its kind for a list key, and
+    None only where the parser's default is None.
+    """
+    top = _build_parser()
+    sub = next(a for a in top._actions if a.dest == "subcommand").choices[subcommand]
+    actions = {a.dest: a for a in sub._actions if a.dest not in _NOT_CONFIG + ("help",)}
+    known = set(actions) | _WRITTEN_KEYS
     if subcommand == "solve":
         known.add("lambda_max")  # older manifests hold "auto"; run_solve rejects a number
     unknown = set(config) - known
     if unknown:
         raise ValueError(f"manifest config has keys {sorted(unknown)} "
                          f"that {subcommand} does not take")
+    for key, action in actions.items():
+        if key not in config:
+            continue  # the runner that reads it names the missing key
+        value = config[key]
+        if key in _LIST_KINDS:
+            if not isinstance(value, list) or not value:
+                raise ValueError(f"manifest config {key!r} holds {value!r}, not a list")
+            config[key] = [_as_parsed(key, _LIST_KINDS[key], v) for v in value]
+        elif value is not None or action.default is not None:
+            config[key] = _as_parsed(key, action.type or str, value)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"manifest config {key!r} holds {value!r}, "
+                                 f"not one of {list(action.choices)}")
 
 
 def _check_distinct(config: dict) -> None:
@@ -473,7 +494,7 @@ def main(argv=None) -> int:
             if subcommand not in _RUNNERS:
                 raise ValueError(f"unknown subcommand {subcommand!r}")
             config = manifest["config"]
-            _check_replayed_keys(subcommand, config)
+            _check_replayed(subcommand, config)
             config.pop("runs", None)  # regenerated on replay
             config.pop("L_plus_1", None)
         else:
@@ -483,7 +504,7 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
         _check_distinct(config)
         os.makedirs(args.out, exist_ok=True)
-        t0 = time.time()
+        t0 = time.perf_counter()
         outputs, mesh_stats = _RUNNERS[subcommand](config, args.out)
         manifest_path = _manifest(args.out, subcommand, config, outputs, mesh_stats, t0)
         print(f"wrote {len(outputs)} output file(s) and {os.path.basename(manifest_path)}")

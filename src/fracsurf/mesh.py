@@ -170,25 +170,30 @@ def gen_sphere(refinement_level: int) -> SurfaceMesh:
     """Unit sphere: icosahedron subdivided `refinement_level` times, vertices projected."""
     if not 0 <= refinement_level <= 7:
         raise ValueError("refinement level must be in [0, 7]")
-    verts = list(_ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None])
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None]
     faces = _ICO_FACES
     for _ in range(refinement_level):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                p = verts[i] + verts[j]
-                verts.append(p / np.linalg.norm(p))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-        for t, (a, b, c) in enumerate(faces):
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces[4 * t : 4 * t + 4] = [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        faces = new_faces
-    return _finalize(np.array(verts), faces, MODE_ZERO_MEAN)
+        n = len(verts)
+        # the edges ab, bc, ca of each face in turn; a new vertex is numbered by
+        # the first face edge that reaches it
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(
+            _edge_keys(edges, n), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends = edges[first[order]]
+        p = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # np.linalg.norm of one vector is sqrt(v.dot(v)); the stacked 1x3 @ 3x1
+        # product takes the same dot per vertex and rounds alike, while
+        # norm(p, axis=1) differs in the last bit on about a tenth of them
+        norms = np.sqrt((p[:, None, :] @ p[:, :, None]).ravel())
+        verts = np.concatenate([verts, p / norms[:, None]])
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    return _finalize(verts, faces, MODE_ZERO_MEAN)
 
 
 def gen_torus(R: float, r: float, n1: int, n2: int) -> SurfaceMesh:
@@ -490,12 +495,21 @@ def _read_elements_v41(lines, start, end, tag_map):
     return np.concatenate(tris) if tris else np.zeros((0, 3), dtype=np.int64)
 
 
+# rows per %-format call: a call holds a Python object per number it formats;
+# one call over the whole vertex array raised peak memory by 6.5 MB at sphere level 6
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(fh, row: str, table: np.ndarray) -> None:
+    """Write each row of a 2-d array with the %-format `row`, a block of rows per call."""
+    for start in range(0, len(table), _ROWS_PER_WRITE):
+        block = table[start:start + _ROWS_PER_WRITE]
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_off(mesh: SurfaceMesh, path) -> None:
     """Write the mesh in OFF format (vertex scalars go in a separate CSV)."""
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.num_vertices} {mesh.num_triangles} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.write(f"OFF\n{mesh.num_vertices} {mesh.num_triangles} 0\n")
+        _write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)

@@ -225,6 +225,29 @@ class TestCsvSource:
         assert message in capsys.readouterr().err
 
 
+class TestWriteCsv:
+    def test_matches_per_cell_formatting(self, tmp_path):
+        # the reference is the per-cell f"{float(x):.17g}" join the whole-table
+        # format replaced
+        from fracsurf.cli import _write_csv
+
+        special = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                            [5e-324, 1e300, 3.0, -7.0],
+                            [0.0, 0.1, 1.0 / 3.0, 2.0**60]])
+        # more rows than one formatting block
+        table = np.concatenate([special, np.random.default_rng(0).standard_normal((9000, 4))])
+        header = ["a", "b", "c", "d"]
+        reference = ",".join(header) + "\n" + "".join(
+            ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in table)
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), header, table)
+        assert path.read_bytes() == reference.encode()
+        assert reference.startswith(
+            "a,b,c,d\nnan,inf,-inf,-0\n"
+            "4.9406564584124654e-324,1.0000000000000001e+300,3,-7\n"
+            "0,0.10000000000000001,0.33333333333333331,1.152921504606847e+18\n")
+
+
 class TestCompareOracle:
     def test_error_decays_and_bound_holds(self, tmp_path):
         out = tmp_path / "o"
@@ -326,6 +349,45 @@ class TestDeterminismAndManifest:
             assert main(["--from-manifest", str(path), "--out", str(out)]) == 2
             assert f"['{key}']" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_wrongly_typed_value_in_a_manifest_exits_2(self, tmp_path, capsys):
+        # each value must have the type the subcommand's parser gives it; a JSON
+        # integer stands for a float and replays byte for byte
+        a = tmp_path / "a"
+        assert main(["--out", str(a), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0
+        manifest = json.loads((a / "manifest_solve.json").read_text())
+        for key, value in (("m", "3"), ("m", 1.0), ("m", True), ("alpha_list", [0.5, "0.7"]),
+                           ("alpha_list", 0.5), ("alpha_list", []), ("lambda_hat", "1"),
+                           ("cg_tol", "1e-8"), ("builtin", 1), ("rhs", "spectral"),
+                           ("f", None)):
+            edited = json.loads(json.dumps(manifest))
+            edited["config"][key] = value
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(edited))
+            out = tmp_path / "edited"
+            assert main(["--from-manifest", str(path), "--out", str(out)]) == 2
+            assert repr(key) in capsys.readouterr().err
+            assert not out.exists()
+        manifest["config"]["lambda_hat"] = 1
+        path = tmp_path / "integer.json"
+        path.write_text(json.dumps(manifest))
+        b = tmp_path / "b"
+        assert main(["--from-manifest", str(path), "--out", str(b)]) == 0
+        assert (a / "solution_a0.5.csv").read_bytes() == (b / "solution_a0.5.csv").read_bytes()
+        assert json.loads((b / "manifest_solve.json").read_text())["config"]["lambda_hat"] == 1.0
+
+    def test_durations_ignore_a_wall_clock_step(self, tmp_path, monkeypatch):
+        # time.time steps back an hour on every call, as if the system clock were set
+        import itertools
+        import time
+
+        clock = itertools.count(2e9, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0
+        manifest = json.loads((out / "manifest_solve.json").read_text())
+        assert manifest["timing_seconds"] >= 0.0
+        assert manifest["config"]["runs"][0]["seconds"] >= 0.0
 
     def test_manifest_without_mesh_exits_2(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

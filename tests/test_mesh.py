@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,32 @@ class TestSphere:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             gen_sphere(8)
+
+    # SHA-256 of vertices.tobytes() and triangles.tobytes(), recorded from the
+    # generator that normalised each new vertex with np.linalg.norm in a Python loop
+    DIGESTS = {
+        0: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+            "186f818fb6c23400f1d3c93cbaf4b6794e32a02afd1df1ab1289a7edf7c36f5f"),
+        1: ("06c7f0252260d8fc7aee150c52687730f6e6b5155419da81ee280e48c7b5a6a0",
+            "7d6193d190ad6f7aa98a8b366474188800bb0c0a1b6ae10e7cc2d7201d82e9e4"),
+        2: ("01e9531e65fdc813879689f09134a5f8faeb2f9f20ea2ace4c3488a7d49df990",
+            "b921d6dd64160fa555ac49b54d344755a95ce548c7939cfa90593ebe6c808062"),
+        3: ("db923b494abf756b12c53c4dedb682cae60c20dcff4aa975dc166b720144a585",
+            "1ec692cd7a492b483fc752267309a8f10b2c01d124dfa73a14c7f1482ab78408"),
+        4: ("1ed436b7a110bcbe2a471248b26f5dd6aca1f5d9beab2a71e1fd781347f6d9ae",
+            "c8ae8fe65865a7a6d4fbab85605b997ebaf41744fd9070cbf5166bc8da5fce14"),
+        5: ("74cde60000ace706951156cb23ce50aa11734b08303ed65f16428da8fdc3c564",
+            "717eb66c548cbd44cba35712a864b1d3734028b311be439080f3cf2d375abfba"),
+        6: ("8be84497d6a8b404094128e66fbdebd5f6e72f73b179f130e4befe80bbb6acdd",
+            "2fa3895ffdb3be576c05b094fde1cc79e4c7ca512df979c6febfd54c3acdc71c"),
+    }
+
+    @pytest.mark.parametrize("level", sorted(DIGESTS))
+    def test_bit_identical_to_the_recorded_generator(self, level):
+        mesh = gen_sphere(level)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in (mesh.vertices, mesh.triangles))
+        assert digests == self.DIGESTS[level]
 
 
 def _max_edge(mesh):
@@ -276,3 +304,18 @@ class TestWriters:
         assert lines[0] == "OFF"
         assert lines[1] == "12 20 0"
         assert len(lines) == 2 + 12 + 20
+
+    @pytest.mark.parametrize("level", [2, 4])  # level 4 has more triangles than a block
+    def test_off_matches_per_row_formatting(self, tmp_path, level):
+        # the reference is the per-row f-string writer the whole-array one replaced
+        mesh = gen_sphere(level)
+        rows = ["OFF\n", f"{mesh.num_vertices} {mesh.num_triangles} 0\n"]
+        rows += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in mesh.vertices]
+        rows += [f"3 {t[0]} {t[1]} {t[2]}\n" for t in mesh.triangles]
+        path = tmp_path / "sphere.off"
+        write_off(mesh, path)
+        data = path.read_bytes()
+        assert data == "".join(rows).encode()
+        if level == 2:
+            assert hashlib.sha256(data).hexdigest() == (
+                "b49e2524b4d7e897cc95af23e3f7657a01094f952d90b332e08b8d416b6f9011")
