@@ -73,6 +73,9 @@ def coefficient_field(mesh: SurfaceMesh, a=1.0, b=0.0) -> CoefficientField:
     """Build a CoefficientField from scalars, per-vertex arrays, or callables of x."""
     av = _vertex_values(mesh, a)
     bv = _vertex_values(mesh, b)
+    for name, vals in (("diffusion coefficient a", av), ("reaction coefficient b", bv)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} must be finite")
     if av.min() <= 0.0:
         raise ValueError(f"diffusion coefficient must be positive, min is {av.min()}")
     if bv.min() < 0.0:
@@ -90,7 +93,7 @@ def _vertex_values(mesh: SurfaceMesh, f) -> np.ndarray:
     else:
         vals = np.asarray(f, dtype=float).copy()
     if vals.shape != (mesh.num_vertices,):
-        raise ValueError("coefficient values must be one scalar per vertex")
+        raise ValueError(f"expected one value per vertex, got shape {vals.shape}")
     return vals
 
 
@@ -167,7 +170,7 @@ def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> Assemble
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     M, S = _accumulate(rows, cols, n, mass_el.ravel(), (stiff_el + react_el).ravel())
-    _check_assembled(mesh, M, S, mode)
+    _check_assembled(mesh, area, M, S, mode)
 
     if mode == MODE_DIRICHLET:
         free = np.nonzero(~mesh.boundary_vertices)[0]
@@ -234,14 +237,13 @@ def _check_mode(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_assembled(mesh, M, S, mode) -> None:
+def _check_assembled(mesh, area, M, S, mode) -> None:
     # checks run on the full matrices, before any Dirichlet elimination
     for name, A in (("mass", M), ("stiffness", S)):
         gap = abs(A - A.T).max()
         if gap > 1e-13 * abs(A).max():
             raise AssertionError(f"{name} matrix not symmetric (gap {gap:.3e})")
     # partition of unity: row sums of M equal the third of the adjacent areas
-    area = mesh.triangle_areas()
     thirds = np.zeros(mesh.num_vertices)
     np.add.at(thirds, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
     row_sums = np.asarray(M.sum(axis=1)).ravel()
@@ -257,16 +259,15 @@ def _check_assembled(mesh, M, S, mode) -> None:
 def build_rhs(mesh: SurfaceMesh, f, op: AssembledOperator, method: str = "l2_project") -> np.ndarray:
     """Discrete right-hand side on the free dofs, by interpolation or L2 projection.
 
-    f is a callable on (k,3) point arrays or a per-vertex array. l2_project
-    integrates f against each basis function with the degree-5 rule and solves
-    the mass system; rough f near a jump is flagged but the rule is still
-    applied. In zero-mean mode the result is deflated so its M-weighted mean
-    vanishes.
+    f is a callable on (k,3) point arrays, a per-vertex array, or a scalar (a
+    constant). l2_project integrates f against each basis function with the
+    degree-5 rule and solves the mass system; rough f near a jump is flagged
+    but the rule is still applied. In zero-mean mode the result is deflated so
+    its M-weighted mean vanishes.
     """
     log.info("building rhs by %s", method)
     if method == "interpolate":
-        vals = _vertex_values_rhs(mesh, f)
-        fh = vals[op.free_dofs]
+        fh = _vertex_values(mesh, f)[op.free_dofs]
     elif method == "l2_project":
         b = _moment_vector(mesh, f)[op.free_dofs]
         from .solver import pcg
@@ -279,17 +280,8 @@ def build_rhs(mesh: SurfaceMesh, f, op: AssembledOperator, method: str = "l2_pro
     return fh
 
 
-def _vertex_values_rhs(mesh, f) -> np.ndarray:
-    if callable(f):
-        return np.asarray(f(mesh.vertices), dtype=float)
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != (mesh.num_vertices,):
-        raise ValueError("per-vertex data must have one value per vertex")
-    return vals
-
-
 def _moment_vector(mesh, f) -> np.ndarray:
-    vertex_vals = None if callable(f) else _vertex_values_rhs(mesh, f)
+    vertex_vals = None if callable(f) else _vertex_values(mesh, f)
     area = mesh.triangle_areas()
     tris = mesh.triangles
     p = [mesh.vertices[tris[:, k]] for k in range(3)]

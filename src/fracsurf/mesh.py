@@ -49,101 +49,99 @@ class SurfaceMesh:
         return len(self.triangles)
 
     def euler_characteristic(self) -> int:
-        edges = np.sort(_directed_edges(self.triangles), axis=1)
-        n_edges = len(np.unique(_edge_keys(edges, self.num_vertices)))
-        return self.num_vertices - n_edges + self.num_triangles
+        keys, _, _ = _edge_incidence(self.num_vertices, self.triangles)
+        return self.num_vertices - len(keys) + self.num_triangles
 
     def is_closed(self) -> bool:
         return not bool(self.boundary_vertices.any())
 
     def triangle_areas(self) -> np.ndarray:
-        p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
-        return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+        return _triangle_areas(self.vertices, self.triangles)
 
 
-def _directed_edges(tris: np.ndarray) -> np.ndarray:
-    return np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    p0, p1, p2 = (vertices[triangles[:, k]] for k in range(3))
+    return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
 
 
-def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+def _edge_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     # encode a vertex pair as one integer so uniqueness scans stay fast on
     # million-edge meshes
-    return edges[:, 0].astype(np.int64) * n + edges[:, 1]
+    return i.astype(np.int64) * n + j
 
 
-def _boundary_mask(n: int, tris: np.ndarray) -> np.ndarray:
-    edges = np.sort(_directed_edges(tris), axis=1)
-    keys, counts = np.unique(_edge_keys(edges, n), return_counts=True)
-    single = keys[counts == 1]
-    mask = np.zeros(n, dtype=bool)
-    mask[single // n] = True
-    mask[single % n] = True
-    return mask
+def _edge_incidence(n: int, tris: np.ndarray):
+    """The sorted keys i*n + j (i < j) of the undirected edges, from one sort.
+
+    Also returns, per edge, how many triangles hold it and how many traverse it i -> j.
+    """
+    i, j = tris.ravel(), tris[:, [1, 2, 0]].ravel()  # each triangle's edges 01, 12, 20
+    keys, inverse, counts = np.unique(
+        _edge_keys(np.minimum(i, j), np.maximum(i, j), n), return_inverse=True, return_counts=True
+    )
+    forward = np.bincount(inverse[i < j], minlength=len(keys))
+    return keys, counts, forward
 
 
-def mesh_validate(mesh: SurfaceMesh) -> dict:
-    """Check all mesh invariants; return summary stats. Raises ValueError on violation."""
-    v, tris = mesh.vertices, mesh.triangles
-    n = len(v)
-    if v.ndim != 2 or v.shape[1] != 3:
+def _checked_boundary(vertices, triangles, mode_hint) -> np.ndarray:
+    """Check every mesh invariant but the mask; return the mask edge incidence gives."""
+    n = len(vertices)
+    if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise ValueError("vertices must be an (n, 3) array")
-    if tris.ndim != 2 or tris.shape[1] != 3:
+    if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError("triangles must be a (t, 3) index array")
-    if tris.min(initial=0) < 0 or tris.max(initial=-1) >= n:
+    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n:
         raise ValueError("triangle indices out of range")
-    if mesh.mode_hint not in MODES:
-        raise ValueError(f"unknown mode hint {mesh.mode_hint!r}")
+    if mode_hint not in MODES:
+        raise ValueError(f"unknown mode hint {mode_hint!r}")
 
-    diam = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
-    areas = mesh.triangle_areas()
+    diam = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+    areas = _triangle_areas(vertices, triangles)
     bad = np.nonzero(areas <= 1e-14 * diam * diam)[0]
     if bad.size:
         raise ValueError(f"degenerate triangle at index {bad[0]} (area {areas[bad[0]]:.3e})")
 
-    directed = _directed_edges(tris)
-    ukeys, counts = np.unique(_edge_keys(np.sort(directed, axis=1), n), return_counts=True)
+    keys, counts, forward = _edge_incidence(n, triangles)
     if np.any(counts > 2):
-        key = int(ukeys[np.argmax(counts > 2)])
+        key = int(keys[np.argmax(counts > 2)])
         raise ValueError(f"edge ({key // n}, {key % n}) shared by more than two triangles")
-    dkeys, dcounts = np.unique(_edge_keys(directed, n), return_counts=True)
-    if np.any(dcounts > 1):
-        key = int(dkeys[np.argmax(dcounts > 1)])
+    # the two triangles of an interior edge i < j traverse it once each way; if
+    # both go i -> j (or both j -> i) that directed edge repeats
+    bad = (counts == 2) & (forward != 1)
+    if bad.any():
+        i, j = np.divmod(keys[bad], n)
+        key = int(np.where(forward[bad] == 2, keys[bad], j * n + i).min())
         raise ValueError(
             f"inconsistent orientation: directed edge ({key // n}, {key % n}) repeated"
         )
 
-    single = ukeys[counts == 1]
-    expected_boundary = np.zeros(n, dtype=bool)
-    expected_boundary[single // n] = True
-    expected_boundary[single % n] = True
-    if not np.array_equal(expected_boundary, mesh.boundary_vertices):
+    single = keys[counts == 1]
+    boundary = np.zeros(n, dtype=bool)
+    boundary[single // n] = True
+    boundary[single % n] = True
+    return boundary
+
+
+def mesh_validate(mesh: SurfaceMesh) -> None:
+    """Check all mesh invariants, the boundary mask included. Raises ValueError on violation."""
+    boundary = _checked_boundary(mesh.vertices, mesh.triangles, mesh.mode_hint)
+    if not np.array_equal(boundary, mesh.boundary_vertices):
         raise ValueError("boundary_vertices mask does not match edge incidence")
 
-    ei, ej = ukeys // n, ukeys % n
-    return {
-        "vertices": n,
-        "edges": len(ukeys),
-        "triangles": len(tris),
-        "boundary_vertices": int(expected_boundary.sum()),
-        "euler_characteristic": n - len(ukeys) + len(tris),
-        "max_edge": float(np.max(np.linalg.norm(v[ei] - v[ej], axis=1))),
-        "min_area": float(areas.min()),
-    }
 
-
-def _finalize(vertices, triangles, mode_hint) -> SurfaceMesh:
+def _finalize(vertices, triangles, closed_mode=MODE_ZERO_MEAN) -> SurfaceMesh:
+    """The validated, read-only mesh; its mode hint is dirichlet if it has a boundary."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    mesh = SurfaceMesh(
+    boundary = _checked_boundary(vertices, triangles, closed_mode)
+    for arr in (vertices, triangles, boundary):
+        arr.setflags(write=False)
+    return SurfaceMesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_vertices=_boundary_mask(len(vertices), triangles),
-        mode_hint=mode_hint,
+        boundary_vertices=boundary,
+        mode_hint=MODE_DIRICHLET if boundary.any() else closed_mode,
     )
-    mesh_validate(mesh)
-    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_vertices):
-        arr.setflags(write=False)
-    return mesh
 
 
 # icosahedron with consistently outward-oriented faces
@@ -178,7 +176,7 @@ def gen_sphere(refinement_level: int) -> SurfaceMesh:
         # the first face edge that reaches it
         edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         _, first, inverse = np.unique(
-            _edge_keys(edges, n), return_index=True, return_inverse=True
+            _edge_keys(edges[:, 0], edges[:, 1], n), return_index=True, return_inverse=True
         )
         order = np.argsort(first)
         rank = np.empty_like(order)
@@ -193,7 +191,7 @@ def gen_sphere(refinement_level: int) -> SurfaceMesh:
         ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    return _finalize(verts, faces, MODE_ZERO_MEAN)
+    return _finalize(verts, faces)
 
 
 def gen_torus(R: float, r: float, n1: int, n2: int) -> SurfaceMesh:
@@ -271,7 +269,7 @@ def _tensor_square(axis: np.ndarray) -> SurfaceMesh:
     tris = np.concatenate(
         [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])]
     )
-    return _finalize(verts, tris, MODE_DIRICHLET)
+    return _finalize(verts, tris)
 
 
 # sections the reader uses; others (such as $NodeData, which may repeat) are skipped
@@ -294,7 +292,9 @@ def read_gmsh(path) -> SurfaceMesh:
         raise ValueError(f"line {line}: not a text file") from None
     del raw
     sections: dict[str, tuple[int, int]] = {}
-    marks = [(i, t) for i, t in enumerate(ln.strip() for ln in lines) if t.startswith("$")]
+    # the `in` test is the cheap filter; only lines holding a "$" are stripped
+    marks = [(i, ln.strip()) for i, ln in enumerate(lines)
+             if "$" in ln and ln.lstrip().startswith("$")]
     k = 0
     while k < len(marks):
         i, token = marks[k]
@@ -330,9 +330,8 @@ def read_gmsh(path) -> SurfaceMesh:
     tris = read_elements(lines, el_start, el_end, tag_map)
     if len(tris) == 0:
         raise ValueError(f"line {el_start}: no triangle elements in $Elements")
-    mode = MODE_DIRICHLET if _boundary_mask(len(verts), tris).any() else MODE_ZERO_MEAN
     try:
-        return _finalize(verts, tris, mode)
+        return _finalize(verts, tris)
     except ValueError as exc:
         raise ValueError(f"lines {el_start + 1}-{el_end} ($Elements): {exc}") from None
 
@@ -394,26 +393,30 @@ def _check_end(lines, ln, end) -> None:
             raise ValueError(f"line {k + 1}: content after the declared entries")
 
 
-def _tag_map(tags: np.ndarray, tag_lines) -> dict[int, int]:
-    """Node tag -> vertex index; tag_lines[k] is the 0-based line of the k-th tag."""
-    tag_map = dict(zip(tags.tolist(), range(len(tags))))
-    if len(tag_map) < len(tags):
-        seen = set()
-        for k, t in enumerate(tags.tolist()):
-            if t in seen:
-                raise ValueError(f"line {tag_lines[k] + 1}: node tag {t} repeated")
-            seen.add(t)
-    return tag_map
+def _tag_map(tags: np.ndarray, tag_lines) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted node tags and their stable argsort (the vertex index of each).
+
+    tag_lines[k] is the 0-based line of the k-th tag; a repeat is named at its earliest line.
+    """
+    order = np.argsort(tags, kind="stable")
+    sorted_tags = tags[order]
+    repeat = sorted_tags[1:] == sorted_tags[:-1]
+    if repeat.any():
+        k = int(order[1:][repeat].min())
+        raise ValueError(f"line {tag_lines[k] + 1}: node tag {tags[k]} repeated")
+    return sorted_tags, order
 
 
 def _connectivity(conn: np.ndarray, tag_map, conn_lines) -> np.ndarray:
     """Vertex indices of (k, 3) node tags; conn_lines[k] is the 0-based line of row k."""
-    idx = np.array([tag_map.get(t, -1) for t in conn.ravel().tolist()], dtype=np.int64)
-    idx = idx.reshape(-1, 3)
-    if (idx < 0).any():
-        k, j = (int(a[0]) for a in np.nonzero(idx < 0))
+    sorted_tags, order = tag_map
+    pos = np.searchsorted(sorted_tags, conn)
+    known = pos < len(sorted_tags)
+    known[known] = sorted_tags[pos[known]] == conn[known]
+    if not known.all():
+        k, j = (int(a[0]) for a in np.nonzero(~known))
         raise ValueError(f"line {conn_lines[k] + 1}: element references unknown node {conn[k, j]}")
-    return idx
+    return order[pos]
 
 
 # nodes per element of the types a surface file may hold

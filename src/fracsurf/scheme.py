@@ -58,8 +58,10 @@ def build_time_grid(lambda_hat: float, lambda_max_bound: float) -> TimeGrid:
     """Nodes t_0=0 < t_1 < ... < t_{L+1}=1 with t_1 = lh/(Lam-lh), doubling steps, clip at 1."""
     lh = float(lambda_hat)
     lam = float(lambda_max_bound)
-    if lh <= 0.0:
-        raise ValueError("lambda_hat must be positive")
+    if not 0.0 < lh < math.inf:
+        raise ValueError(f"lambda_hat must be positive and finite, got {lh}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda_max_bound must be finite, got {lam}")
     if lam <= lh:
         raise ValueError(
             f"degenerate grid: lambda_max_bound={lam} must exceed lambda_hat={lh}"

@@ -84,8 +84,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lambda_hat) and self.lambda_hat > 0.0):
             raise ValueError(f"lambda_hat must be positive and finite, got {self.lambda_hat}")
-        if self.cg_rel_tol is not None and self.cg_rel_tol <= 0.0:
-            raise ValueError("cg_rel_tol must be positive")
+        if self.cg_rel_tol is not None and not 0.0 < self.cg_rel_tol < math.inf:
+            raise ValueError(f"cg_rel_tol must be positive and finite, got {self.cg_rel_tol}")
         if self.m < 1:
             raise ValueError("m must be positive")
         if self.cg_max_iter is not None and self.cg_max_iter < 1:

@@ -1,8 +1,9 @@
 """Regenerate the reference-value fixtures under tests/fixtures/.
 
-Run from the repository root:
+Run from the repository root (the PYTHONPATH is not needed when fracsurf is
+installed):
 
-    python tests/generate_fixtures.py
+    PYTHONPATH=src python tests/generate_fixtures.py
 
 The sphere-series references are computed from the plain (unwindowed)
 alternating series with repeated averaging of the partial sums, a method
@@ -57,7 +58,7 @@ def main() -> None:
         for alpha, x3, value in rows:
             fh.write(f"{alpha:.17g},{x3:.17g},{value:.17g}\n")
     manifest = {
-        "generator": "python tests/generate_fixtures.py",
+        "generator": "PYTHONPATH=src python tests/generate_fixtures.py",
         "method": "plain alternating series, repeated averaging of partial sums",
         "terms": TERMS,
         "averaging_rounds": ROUNDS,

@@ -200,6 +200,16 @@ class TestModeChecks:
         with pytest.raises(ValueError, match="non-negative"):
             coefficient_field(mesh, b=-1.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"a": math.nan}, "diffusion coefficient a"),
+        ({"a": math.inf}, "diffusion coefficient a"),
+        ({"b": math.nan}, "reaction coefficient b"),
+    ], ids=["a-nan", "a-inf", "b-nan"])
+    def test_non_finite_coefficient_rejected(self, kwargs, name):
+        mesh = gen_sphere(0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            coefficient_field(mesh, **kwargs)
+
 
 class TestRhs:
     def test_interpolate_ones_dirichlet(self):
@@ -232,6 +242,21 @@ class TestRhs:
         vals = np.sign(sphere2.vertices[:, 2])
         fh = build_rhs(sphere2, vals, sphere2_op, method="l2_project")
         assert np.all(np.isfinite(fh))
+
+    @pytest.mark.parametrize("method", ["interpolate", "l2_project"])
+    def test_scalar_source_is_a_constant(self, method):
+        # zero-mean mode deflates a constant to zero, so compare on a square
+        mesh = gen_unit_square(4)
+        op = assemble(mesh, coefficient_field(mesh), "dirichlet")
+        fh = build_rhs(mesh, 2.5, op, method=method)
+        expected = build_rhs(mesh, np.full(mesh.num_vertices, 2.5), op, method=method)
+        np.testing.assert_array_equal(fh, expected)
+
+    @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: np.ones(len(x) - 1)],
+                             ids=["scalar", "short"])
+    def test_source_of_the_wrong_shape_rejected(self, sphere2, sphere2_op, f):
+        with pytest.raises(ValueError, match="one value per vertex"):
+            build_rhs(sphere2, f, sphere2_op, method="interpolate")
 
     def test_unknown_method(self, sphere2, sphere2_op):
         with pytest.raises(ValueError, match="rhs method"):

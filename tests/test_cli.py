@@ -129,6 +129,22 @@ class TestSolve:
                          "--cg-max-iter", cap]) == 2
             assert "cg_max_iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, name", [
+        (["solve", "--builtin", "sphere:2", "--cg-tol", "inf"], "cg_rel_tol"),
+        (["solve", "--builtin", "sphere:2", "--cg-tol", "nan"], "cg_rel_tol"),
+        (["sphere-convergence", "--levels", "1,2", "--alpha", "0.5", "--cg-tol", "inf"],
+         "cg_rel_tol"),
+        (["scalar-error", "--lambda-max", "inf"], "lambda_max_bound"),
+        (["scalar-error", "--lambda-max", "nan"], "lambda_max_bound"),
+        (["scalar-error", "--lambda-hat", "nan"], "lambda_hat"),
+    ], ids=["solve-tol-inf", "solve-tol-nan", "convergence-tol-inf", "lambda-max-inf",
+            "lambda-max-nan", "lambda-hat-nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, args, name):
+        out = tmp_path / "o"
+        assert main(["--out", str(out)] + args) == 2
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("args", [
         ["solve", "--builtin", "sphere:2", "--alpha", ","],
         ["pade-table", "--m", ","],

@@ -45,31 +45,132 @@ class TestSphere:
         with pytest.raises(ValueError):
             gen_sphere(8)
 
-    # SHA-256 of vertices.tobytes() and triangles.tobytes(), recorded from the
-    # generator that normalised each new vertex with np.linalg.norm in a Python loop
+    # SHA-256 of vertices.tobytes(), triangles.tobytes() and boundary_vertices.tobytes(),
+    # and the mode hint. The sphere's vertices and triangles were recorded from the
+    # generator that normalised each new vertex with np.linalg.norm in a Python loop,
+    # the rest from the validation that sorted each mesh's edge keys three times.
+    # "gmsh22-sphere2" is gen_sphere(2) written as Gmsh 2.2 and read back.
     DIGESTS = {
-        0: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
-            "186f818fb6c23400f1d3c93cbaf4b6794e32a02afd1df1ab1289a7edf7c36f5f"),
-        1: ("06c7f0252260d8fc7aee150c52687730f6e6b5155419da81ee280e48c7b5a6a0",
-            "7d6193d190ad6f7aa98a8b366474188800bb0c0a1b6ae10e7cc2d7201d82e9e4"),
-        2: ("01e9531e65fdc813879689f09134a5f8faeb2f9f20ea2ace4c3488a7d49df990",
-            "b921d6dd64160fa555ac49b54d344755a95ce548c7939cfa90593ebe6c808062"),
-        3: ("db923b494abf756b12c53c4dedb682cae60c20dcff4aa975dc166b720144a585",
-            "1ec692cd7a492b483fc752267309a8f10b2c01d124dfa73a14c7f1482ab78408"),
-        4: ("1ed436b7a110bcbe2a471248b26f5dd6aca1f5d9beab2a71e1fd781347f6d9ae",
-            "c8ae8fe65865a7a6d4fbab85605b997ebaf41744fd9070cbf5166bc8da5fce14"),
-        5: ("74cde60000ace706951156cb23ce50aa11734b08303ed65f16428da8fdc3c564",
-            "717eb66c548cbd44cba35712a864b1d3734028b311be439080f3cf2d375abfba"),
-        6: ("8be84497d6a8b404094128e66fbdebd5f6e72f73b179f130e4befe80bbb6acdd",
-            "2fa3895ffdb3be576c05b094fde1cc79e4c7ca512df979c6febfd54c3acdc71c"),
+        0: (
+            "25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+            "186f818fb6c23400f1d3c93cbaf4b6794e32a02afd1df1ab1289a7edf7c36f5f",
+            "15ec7bf0b50732b49f8228e07d24365338f9e3ab994b00af08e5a3bffe55fd8b",
+            "zero-mean",
+        ),
+        1: (
+            "06c7f0252260d8fc7aee150c52687730f6e6b5155419da81ee280e48c7b5a6a0",
+            "7d6193d190ad6f7aa98a8b366474188800bb0c0a1b6ae10e7cc2d7201d82e9e4",
+            "094c4931fdb2f2af417c9e0322a9716006e8211fe9017f671ac6e3251300acca",
+            "zero-mean",
+        ),
+        2: (
+            "01e9531e65fdc813879689f09134a5f8faeb2f9f20ea2ace4c3488a7d49df990",
+            "b921d6dd64160fa555ac49b54d344755a95ce548c7939cfa90593ebe6c808062",
+            "7b3bae54e7a2931a1957c1ca23189cdf913f567e92af15089f033b99e33351f1",
+            "zero-mean",
+        ),
+        3: (
+            "db923b494abf756b12c53c4dedb682cae60c20dcff4aa975dc166b720144a585",
+            "1ec692cd7a492b483fc752267309a8f10b2c01d124dfa73a14c7f1482ab78408",
+            "e94ac27227c8a25c3f8ede219fd80ace01e7176a12111125b31ae1dcddd487ae",
+            "zero-mean",
+        ),
+        4: (
+            "1ed436b7a110bcbe2a471248b26f5dd6aca1f5d9beab2a71e1fd781347f6d9ae",
+            "c8ae8fe65865a7a6d4fbab85605b997ebaf41744fd9070cbf5166bc8da5fce14",
+            "f7c9ad6c88cbb5a368d5fa696e474051c1a1d29a8f9d9cf077a9fde2ebbe78d7",
+            "zero-mean",
+        ),
+        5: (
+            "74cde60000ace706951156cb23ce50aa11734b08303ed65f16428da8fdc3c564",
+            "717eb66c548cbd44cba35712a864b1d3734028b311be439080f3cf2d375abfba",
+            "c49bbff21d0e556df442d1a14659eda46c5b63b544b36cfee8f5fd6f4b39260a",
+            "zero-mean",
+        ),
+        6: (
+            "8be84497d6a8b404094128e66fbdebd5f6e72f73b179f130e4befe80bbb6acdd",
+            "2fa3895ffdb3be576c05b094fde1cc79e4c7ca512df979c6febfd54c3acdc71c",
+            "97453091de75367a712a44a17c03fd84183dc3a5ef218c9ef697fd42f12b7961",
+            "zero-mean",
+        ),
+        7: (
+            "626dc73a845d898682c9804ce6822e31e9abfb500c563de827325940f9e6f050",
+            "fe5d1441f3b78837b52e9b70545cda0bc9395162d5b43cb1c52f4a4364d9ae62",
+            "5e0b053c05f09c752bfd9a4c6a15bf2ef4a021aeb11e25ad176370ea360ebb55",
+            "zero-mean",
+        ),
+        "torus": (
+            "a2bfa3dfffa08bf6cb73c7d5ae7ac8ec56293ff7de87d73fe0c06223fc6c421f",
+            "6ebf9957d9bfb436accc4166fa02cb20c7ab497aa5dc839cbeb29c99a24dd27d",
+            "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+            "positive-reaction",
+        ),
+        "graded-25_12": (
+            "050d1265bb1e9a388ff78f18631500266fe688d8e97a123ea1c53d6987bf6506",
+            "306d1e930c7ebb3bbcbcb3de63428de4c93b62cb842560e1b78da7609452a31f",
+            "c565e376adb1301b375683bb5606683f55d21ebed290f09a87017e63d9bad0de",
+            "dirichlet",
+        ),
+        "graded-12_4": (
+            "1b81c53d020e17a454f96433273c48b5a85bf0946218f03282c4486671dee7a6",
+            "8be12a7914cdfbc8304202da6be2bab975e1d0bd58cc88a1a5717a97ca5fe3cb",
+            "72647e24bb44d26c0c8552ccec7dcb90210968246b5de4fea00c301bff15eca3",
+            "dirichlet",
+        ),
+        "unit-16": (
+            "b94e8ed53eb5601acbf7cc979143af22d326e74c866ab20b54e79a8474b7ee6c",
+            "0a4613d3a34433de9d6d51ec3c9523f093a2e71f3a8a5792d0e5ee3640d86bf9",
+            "063693bed57c0c27956140afbdf2199f13ea340ae04f84832b9797a2037cc19b",
+            "dirichlet",
+        ),
+        "gmsh22-sphere2": (
+            "01e9531e65fdc813879689f09134a5f8faeb2f9f20ea2ace4c3488a7d49df990",
+            "b921d6dd64160fa555ac49b54d344755a95ce548c7939cfa90593ebe6c808062",
+            "7b3bae54e7a2931a1957c1ca23189cdf913f567e92af15089f033b99e33351f1",
+            "zero-mean",
+        ),
+        "gmsh41-sphere2": (
+            "01e9531e65fdc813879689f09134a5f8faeb2f9f20ea2ace4c3488a7d49df990",
+            "b921d6dd64160fa555ac49b54d344755a95ce548c7939cfa90593ebe6c808062",
+            "7b3bae54e7a2931a1957c1ca23189cdf913f567e92af15089f033b99e33351f1",
+            "zero-mean",
+        ),
+        "gmsh22-graded4_1": (
+            "698c53ad44b701333c508957b6a4f4d8f1cf5dd3bdd907d6b687210de5f48fb6",
+            "c1bffee7ae2dcd9415e807e84acc32b3a034e8011b4f73d6dc407cf5eb72f244",
+            "b04276045fa1d85933a8b5598f348428866a249e9da64145f65ae3e550836260",
+            "dirichlet",
+        ),
+        "gmsh41-graded4_1": (
+            "698c53ad44b701333c508957b6a4f4d8f1cf5dd3bdd907d6b687210de5f48fb6",
+            "c1bffee7ae2dcd9415e807e84acc32b3a034e8011b4f73d6dc407cf5eb72f244",
+            "b04276045fa1d85933a8b5598f348428866a249e9da64145f65ae3e550836260",
+            "dirichlet",
+        ),
     }
 
-    @pytest.mark.parametrize("level", sorted(DIGESTS))
-    def test_bit_identical_to_the_recorded_generator(self, level):
-        mesh = gen_sphere(level)
+    @pytest.mark.parametrize("key", list(DIGESTS))
+    def test_bit_identical_to_the_recorded_generator(self, key, tmp_path):
+        mesh = _recorded_mesh(key, tmp_path)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
-                        for a in (mesh.vertices, mesh.triangles))
-        assert digests == self.DIGESTS[level]
+                        for a in (mesh.vertices, mesh.triangles, mesh.boundary_vertices))
+        assert digests + (mesh.mode_hint,) == self.DIGESTS[key]
+
+
+def _recorded_mesh(key, tmp_path):
+    if isinstance(key, int):
+        return gen_sphere(key)
+    kind, _, arg = key.partition("-")
+    if kind == "torus":
+        return gen_torus(1, 0.3, 32, 16)
+    if kind == "graded":
+        return gen_graded_square(*map(int, arg.split("_")))
+    if kind == "unit":
+        return gen_unit_square(int(arg))
+    source = gen_sphere(2) if arg == "sphere2" else gen_graded_square(4, 1)
+    path = tmp_path / f"{key}.msh"
+    (write_msh22 if kind == "gmsh22" else write_msh41)(path, source.vertices, source.triangles)
+    return read_gmsh(path)
 
 
 def _max_edge(mesh):
@@ -151,6 +252,10 @@ class TestUnitSquare:
 
 
 class TestValidation:
+    def test_valid_meshes_pass(self):
+        for mesh in (gen_sphere(1), gen_torus(0.5, 0.2, 8, 6), gen_graded_square(2, 1)):
+            assert mesh_validate(mesh) is None
+
     def test_degenerate_triangle(self):
         v = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], dtype=float)
         t = np.array([[0, 1, 2], [0, 1, 3]])
@@ -166,12 +271,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="orientation"):
             mesh_validate(mesh)
 
+    def test_orientation_names_the_smallest_repeated_edge(self):
+        # two flipped cells repeat the directed edges (7, 2), (8, 9), (9, 13) and
+        # (13, 8); the smallest, 7 -> 2, runs from the larger vertex to the smaller
+        square = gen_unit_square(3)
+        t = square.triangles.copy()
+        t[[11, 15]] = t[[11, 15]][:, [0, 2, 1]]
+        mesh = SurfaceMesh(square.vertices, t, square.boundary_vertices, "dirichlet")
+        with pytest.raises(ValueError) as info:
+            mesh_validate(mesh)
+        assert str(info.value) == "inconsistent orientation: directed edge (7, 2) repeated"
+
     def test_overshared_edge(self):
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]], dtype=float)
         t = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])
         mesh = SurfaceMesh(v, t, np.ones(5, dtype=bool), "dirichlet")
-        with pytest.raises(ValueError, match="more than two"):
+        with pytest.raises(ValueError) as info:
             mesh_validate(mesh)
+        assert str(info.value) == "edge (0, 1) shared by more than two triangles"
 
     def test_wrong_boundary_mask(self):
         v, t = two_triangle_patch()
@@ -239,6 +356,19 @@ class TestGmshReader:
         path.write_text(text)
         with pytest.raises(ValueError, match=r"line \d+.*unknown node 99"):
             read_gmsh(path)
+
+    def test_repeated_tag_named_at_its_earliest_repeat(self, tmp_path):
+        # tags 5, 3, 5, 3: tag 5 repeats first in the file (line 8), though 3 sorts first
+        v, t = two_triangle_patch()
+        path = tmp_path / "repeat.msh"
+        with open(path, "w") as fh:
+            fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n4\n")
+            for tag, vv in zip((5, 3, 5, 3), v):
+                fh.write(f"{tag} {vv[0]} {vv[1]} {vv[2]}\n")
+            fh.write("$EndNodes\n$Elements\n1\n1 2 2 0 1 5 3 5\n$EndElements\n")
+        with pytest.raises(ValueError) as info:
+            read_gmsh(path)
+        assert str(info.value) == "line 8: node tag 5 repeated"
 
     def test_skips_lines_and_points(self, tmp_path):
         v, t = two_triangle_patch()

@@ -33,6 +33,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             build_time_grid(0.0, 2.0)
 
+    @pytest.mark.parametrize("lh, lam, name", [
+        (1.0, math.inf, "lambda_max_bound"),
+        (1.0, math.nan, "lambda_max_bound"),
+        (math.nan, 2.0, "lambda_hat"),
+        (math.inf, 2.0, "lambda_hat"),
+    ], ids=["lam-inf", "lam-nan", "lh-nan", "lh-inf"])
+    def test_non_finite_rejected(self, lh, lam, name):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            build_time_grid(lh, lam)
+
     @pytest.mark.parametrize("lh", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("lam", [1.5, 16.0, 1e4, 2.0**50])
     def test_invariants_sweep(self, lh, lam):

@@ -308,6 +308,11 @@ class TestErrorBudget:
             SolverConfig(cg_rel_tol=0.0)
         assert SolverConfig().cg_rel_tol is None
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="cg_rel_tol must be positive and finite"):
+            SolverConfig(cg_rel_tol=tol)
+
     def test_iteration_cap_must_be_positive(self):
         for bad in (0, -5):
             with pytest.raises(ValueError, match="cg_max_iter"):
