@@ -43,7 +43,6 @@ from .pade import (
     eval_rm,
     eval_rm_partial,
     jacobi_roots,
-    maclaurin_pade_oracle,
     pade_error_bound,
 )
 from .scheme import (
@@ -92,7 +91,6 @@ __all__ = [
     "gen_unit_square",
     "jacobi_roots",
     "l2_error_on_mesh",
-    "maclaurin_pade_oracle",
     "mesh_validate",
     "pade_error_bound",
     "pcg",

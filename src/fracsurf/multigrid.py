@@ -79,14 +79,17 @@ class ShiftedVCycle:
 
     Pre- and post-smoothing are the same damped-Jacobi step and the coarsest
     solve is exact, so the cycle is a symmetric positive definite operator and
-    may precondition conjugate gradients.
+    may precondition conjugate gradients. A fine A with a non-positive
+    diagonal entry is not SPD and raises ValueError.
     """
 
     def __init__(self, h: Hierarchy, c1: float, c2: float):
+        diagonals = [c1 * lv.mass_diagonal + c2 * lv.stiffness_diagonal for lv in h.levels]
+        if np.any(diagonals[0] <= 0.0):
+            raise ValueError("matrix has non-positive diagonal, not SPD")
         self._h = h
         self._ops = [level.shifted(c1, c2) for level in h.levels]
-        self._smoothers = [w / (c1 * level.mass_diagonal + c2 * level.stiffness_diagonal)
-                           for w, level in zip(h.jacobi_weights, h.levels)]
+        self._smoothers = [w / d for w, d in zip(h.jacobi_weights, diagonals)]
         self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
         self.matrix = self._ops[0]
 

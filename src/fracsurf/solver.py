@@ -8,8 +8,21 @@ use conjugate gradients preconditioned by one smoothed-aggregation multigrid
 V-cycle, from a hierarchy built once per call and shared by every shift (see
 `multigrid`); every A and every step's B = (1-t)*lh*M + t*S is a value array
 on the hierarchy's shared fine pattern.
-The m solves of a step are independent and combined in fixed index order so
-results are deterministic.
+The m solves of a step are combined in fixed index order so results are
+deterministic.
+
+Each term solves for its correction rather than for the solution of
+A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
+solves A y = (s - t_l) g with g = (S - lh*M) U, one matvec per step, and the
+step is U - sum_i beta_i y_i. The first term of a step starts from zero and
+every later term from the Galerkin projection of the solution onto the
+previous term's correction, x0 = (y.b / y.A y) y, which costs one matvec
+besides the start's residual and is skipped when y.A y = 0; its inner
+products use `dot`, like those of `pcg`. The true residual of the y system is minus that of
+the x system, so the relative test and the certificate below keep the meaning
+they have for A x = B U: the relative test divides by ||B_l U||, one more
+matvec per step, and `cg_rel_tol`, CG_REL_FLOOR and
+`SolveRecord.relative_residual` are all relative to it.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
 eps = a_priori_bound / 100 in the M-norm, and each stops once it has provably
@@ -98,21 +111,24 @@ class SolverConfig:
 
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-        residual=None):
+        residual=None, x0=None, ref_norm=None):
     """Preconditioned conjugate gradients for SPD A.
 
     `precond` maps a residual to the preconditioned residual and must be
     symmetric positive definite; without one the preconditioner is Jacobi,
     which serves `build_rhs`'s mass solve (the scheme's solves pass a V-cycle).
-    Iteration stops once ||r|| / ||b|| <= rel_tol for the residual r (not the
-    preconditioned one), or raises RuntimeError with the last five residuals
-    after `max_iter` iterations (default: `SolverConfig.max_iter`). With
-    `weight`, a positive vector w, it also stops once
-    sqrt(sum(w * r**2)) <= weighted_tol, if the true residual b - A x passes
-    the same test; that check costs one matvec and runs once, and after a
-    failed check only the relative test stops the iteration. `residual`, when
-    given, receives the true residual of the returned x. Updates are in place,
-    and inner products use `dot`, which calls no BLAS.
+    The iteration starts from `x0` (default zero) and stops once
+    ||r|| / ref_norm <= rel_tol for the residual r (not the preconditioned
+    one), where `ref_norm` defaults to ||b||; it raises RuntimeError with the
+    last five residuals after `max_iter` iterations (default:
+    `SolverConfig.max_iter`). With `weight`, a positive vector w, it also
+    stops once sqrt(sum(w * r**2)) <= weighted_tol, if the true residual
+    b - A x passes the same test; that check costs one matvec and runs once,
+    and after a failed check only the relative test stops the iteration. Both
+    tests also run on the start's residual, so a start that passes returns
+    after 0 iterations. `residual`, when given, receives the true residual of
+    the returned x. Updates are in place, and inner products use `dot`, which
+    calls no BLAS.
     Returns (x, iterations, final relative residual).
     """
     if max_iter is None:
@@ -122,20 +138,33 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         if residual is not None:
             residual[:] = b
         return np.zeros_like(b), 0, 0.0
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("matrix has non-positive diagonal, not SPD")
+    if ref_norm is None:
+        ref_norm = norm_b
     if precond is None:
+        diag = A.diagonal()
+        if np.any(diag <= 0.0):
+            raise ValueError("matrix has non-positive diagonal, not SPD")
+
         def precond(r):
             return r / diag
-    x = np.zeros_like(b)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+    # r is the true residual here, so a start that passes either test is returned as is
+    rel = math.sqrt(dot(r, r)) / ref_norm
+    weighted_sq = weighted_tol * weighted_tol
+    if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
+        if residual is not None:
+            residual[:] = r
+        return x, 0, rel
     z = precond(r)
     p = z.copy()
     rz = dot(r, z)
     step = np.empty_like(b)
     tail = deque(maxlen=5)
-    weighted_sq = weighted_tol * weighted_tol
     for it in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rz / dot(p, Ap)
@@ -143,7 +172,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         x += step
         Ap *= alpha
         r -= Ap
-        rel = math.sqrt(dot(r, r)) / norm_b
+        rel = math.sqrt(dot(r, r)) / ref_norm
         tail.append(rel)
         if rel <= rel_tol:
             if residual is not None:
@@ -235,10 +264,13 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     B_l = (1-t_l)*lh*M + t_l*S. This is the operator form of
     r(theta) = 1 - sum_i beta_i d_i theta / (1 + d_i theta), which leaves the
     lh-eigencomponent unchanged without relying on the weights summing to 1
-    in floating point. Zero-mean runs re-deflate after every step to
-    stop constant-mode drift from being amplified by lh^(-alpha). The solves
-    stop at `cfg.cg_rel_tol` when it is set, and by the error budget of the
-    module docstring otherwise.
+    in floating point. Each term solves for the correction
+    y_i = U - solve(A_li, B_l U) from A_li y_i = (s - t_l)(S - lh*M) U; term
+    i >= 1 starts from the Galerkin projection onto span{y_(i-1)}. Zero-mean
+    runs re-deflate after every step to stop constant-mode drift from being
+    amplified by lh^(-alpha). The solves stop at `cfg.cg_rel_tol` when it is
+    set, and by the error budget of the module docstring otherwise; either
+    relative test divides by ||B_l U||, as for a solve of A_li x = B_l U.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
@@ -284,22 +316,32 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     for l in range(grid.num_steps):
         t_l = nodes[l]
         tau = nodes[l + 1] - t_l
-        rhs = fine.shifted((1.0 - t_l) * lh, t_l) @ U
+        bu = fine.shifted((1.0 - t_l) * lh, t_l) @ U
+        ref_norm = math.sqrt(dot(bu, bu))
+        g = fine.shifted(-lh, 1.0) @ U
         dec = np.zeros_like(U)
+        y = None
         for i in range(cfg.m):
             s = t_l + p.den_roots[i] * tau
             if not 0.0 < s < 1.0:
                 raise AssertionError(f"solve weight s={s} outside (0,1) at step {l}, term {i}")
             vcycle = ShiftedVCycle(hierarchy, (1.0 - s) * lh, s)
+            A = vcycle.matrix
+            b = (s - t_l) * g
+            x0 = None
+            if y is not None:  # Galerkin start on span{y}, y the previous term's correction
+                yay = dot(y, A @ y)
+                if yay > 0.0:
+                    x0 = (dot(y, b) / yay) * y
             try:
-                x, iters, rel = pcg(vcycle.matrix, rhs, rel_tol=rel_tol, max_iter=n_iter_cap,
-                                    precond=vcycle, weight=weight, weighted_tol=share,
-                                    residual=residual)
+                y, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycle,
+                                    weight=weight, weighted_tol=share, residual=residual, x0=x0,
+                                    ref_norm=ref_norm)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
             records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
             cg_error += p.beta[i + 1] * math.sqrt(dot(inv_diag * residual, residual)) / lh
-            dec += p.beta[i + 1] * (U - x)
+            dec += p.beta[i + 1] * y
         U_next = U - dec
         if op.mode == MODE_ZERO_MEAN:
             U_next = deflate_mean(U_next, op)

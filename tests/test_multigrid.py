@@ -52,6 +52,11 @@ class TestVCycle:
                 # u.Vv itself can cancel to a small fraction of that
                 assert abs(u @ vcycle(v) - v @ vcycle(u)) <= 1e-12 * np.sqrt(uu * vv)
 
+    def test_non_positive_diagonal_rejected(self, sphere3_op):
+        h = build_hierarchy(sphere3_op.mass, sphere3_op.stiffness)
+        with pytest.raises(ValueError, match="matrix has non-positive diagonal, not SPD"):
+            ShiftedVCycle(h, -1.0, 0.0)
+
     def test_coarsest_solve_is_exact(self, sphere3_op):
         # with a single level the cycle is the eigenbasis solve itself
         op = sphere3_op
@@ -87,6 +92,18 @@ class TestSchemeSolves:
             most[level] = max(r.iterations for r in res.solve_log)
             assert res.mg_levels[0] == op.n and res.mg_levels[-1] <= MAX_COARSE
         assert most[5] <= 1.5 * most[3], most
+
+    def test_correction_form_saves_iterations(self):
+        # CG iterations in all, under the default budget / at cg_rel_tol 1e-8:
+        # 389 / 418 solving each term for its correction U - x from the
+        # Galerkin start on the previous term's correction; 494 / 523 solving
+        # for x from zero, 449 / 474 for the correction from zero, and
+        # 389 / 466 with the relative test against the correction's own
+        # right-hand side instead of ||B_l U||
+        op, f = _sphere_case(4)
+        for tol, alternative in ((None, 449), (1e-8, 466)):
+            res = fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=tol))
+            assert sum(r.iterations for r in res.solve_log) < alternative
 
     def test_repeat_calls_bit_identical(self, sphere3_op):
         mesh = gen_sphere(3)

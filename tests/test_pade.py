@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from fracsurf.pade import (
     eval_rm_partial,
     explicit_pq_coefficients,
     jacobi_roots,
-    maclaurin_pade_oracle,
     pade_error_bound,
     pade_from_roots,
 )
@@ -268,3 +268,82 @@ def _divide_series(num, den, count):
             acc -= den[j] * out[k - j]
         out[k] = acc
     return out
+
+
+def _maclaurin_coefficients(alpha: Fraction, count: int) -> list[Fraction]:
+    # series of (1+t)^(-alpha): c_j = (-1)^j (alpha)_j / j!
+    c = [Fraction(1)]
+    for j in range(1, count):
+        c.append(c[-1] * -(alpha + j - 1) / j)
+    return c
+
+
+def maclaurin_pade_oracle(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Independent (m,m) approximant from the series-matching linear system.
+
+    Solves the classical denominator system built from the Maclaurin
+    coefficients of (1+t)^(-alpha) in exact rational arithmetic, forms the
+    numerator by truncated multiplication, and cross-checks the result against
+    the closed-form coefficient products and against the root-product form of
+    build_pade on a t-grid. Returns (numerator, denominator) coefficient
+    arrays, constant terms first.
+    """
+    if not 1 <= m <= 10:
+        raise ValueError("oracle restricted to m <= 10")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    al = Fraction(float(alpha))
+    c = _maclaurin_coefficients(al, 2 * m + 1)
+
+    # rows i=1..m of: sum_j c_{m+i-j} q_j = -c_{m+i}, with c_k = 0 for k < 0
+    rows = []
+    rhs = []
+    for i in range(1, m + 1):
+        rows.append([c[m + i - j] if m + i - j >= 0 else Fraction(0) for j in range(1, m + 1)])
+        rhs.append(-c[m + i])
+    q = _solve_fraction_system(rows, rhs)
+    den = [Fraction(1)] + q
+    num = []
+    for j in range(m + 1):
+        num.append(sum(c[j - k] * den[k] for k in range(min(j, m) + 1) if j - k >= 0))
+
+    Pex, Qex = explicit_pq_coefficients(m, al)
+    worst = max(
+        max(abs(x - y) for x, y in zip(num, Pex)),
+        max(abs(x - y) for x, y in zip(den, Qex)),
+    )
+    if float(worst) > 1e-12:
+        raise RuntimeError(f"oracle self-check failed: coefficient gap {float(worst):.3e}")
+
+    num_f = np.array([float(x) for x in num])
+    den_f = np.array([float(x) for x in den])
+    ts = np.linspace(0.0, 1.0, 101)
+    vals_sys = np.polyval(num_f[::-1], ts) / np.polyval(den_f[::-1], ts)
+    vals_root = eval_rm(build_pade(m, alpha), ts)
+    gap = np.abs(vals_sys - vals_root) / np.abs(vals_root)
+    if gap.max() > 1e-9:
+        raise RuntimeError(
+            f"oracle disagrees with root-product form by {gap.max():.3e} relative"
+        )
+    return num_f, den_f
+
+
+def _solve_fraction_system(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    # Gaussian elimination with partial pivoting, exact rationals
+    n = len(rhs)
+    A = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
+        if A[piv][col] == 0:
+            raise RuntimeError("singular series-matching system")
+        A[col], A[piv] = A[piv], A[col]
+        for r in range(col + 1, n):
+            f = A[r][col] / A[col][col]
+            if f:
+                for k in range(col, n + 1):
+                    A[r][k] -= f * A[col][k]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        s = A[r][n] - sum(A[r][k] * x[k] for k in range(r + 1, n))
+        x[r] = s / A[r][r]
+    return x

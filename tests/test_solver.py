@@ -66,6 +66,55 @@ class TestPcg:
         assert iters == 1 and x == pytest.approx(inverse @ b, rel=1e-12)
         assert pcg(A, b, rel_tol=1e-13)[1] > 1
 
+    def test_non_positive_diagonal_rejected(self):
+        # the Jacobi default reads the diagonal; a supplied V-cycle checks its own
+        A = sp.diags([1.0, -1.0, 2.0]).tocsr()
+        with pytest.raises(ValueError, match="matrix has non-positive diagonal, not SPD"):
+            pcg(A, np.ones(3))
+
+    def test_exact_start_takes_no_iteration(self):
+        # a 1x1 system solved by its start: the first step would divide by p.Ap = 0
+        A = sp.csr_matrix([[4.0]])
+        b = np.array([2.0])
+        for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
+            residual = np.full(1, np.nan)
+            x, iters, rel = pcg(A, b, x0=np.array([0.5]), residual=residual, **kwargs)
+            assert iters == 0 and x[0] == 0.5 and rel == 0.0 and residual[0] == 0.0
+        # on a larger system the start's true residual is returned as is
+        n = 25
+        A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        b = np.sin(np.arange(1.0, n + 1))
+        x0 = np.linalg.solve(A.toarray(), b)
+        residual = np.empty(n)
+        x, iters, rel = pcg(A, b, rel_tol=1e-12, x0=x0, residual=residual)
+        assert iters == 0 and np.array_equal(x, x0) and x is not x0
+        np.testing.assert_array_equal(residual, b - A @ x0)
+        assert rel == pytest.approx(np.linalg.norm(residual) / np.linalg.norm(b), rel=1e-14)
+
+    def test_reference_norm_sets_the_relative_test(self):
+        n = 400
+        A = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        exact = np.sin(np.arange(1.0, n + 1))
+        b = A @ exact
+        x0 = exact + 1e-3 * np.cos(np.arange(1.0, n + 1))
+        start = np.linalg.norm(b - A @ x0)
+        norm_b = np.linalg.norm(b)
+        # a start within rel_tol * ref_norm passes before the first iteration
+        ref = 2.0 * start / 1e-6
+        x, iters, rel = pcg(A, b, rel_tol=1e-6, x0=x0, ref_norm=ref)
+        assert iters == 0 and rel == pytest.approx(start / ref, rel=1e-14)
+        assert start / norm_b > 1e-6
+        # later iterations divide by ref_norm too: the same iterates as the
+        # default reference at the tolerance scaled by ref_norm / ||b||
+        ref = 100.0 * norm_b
+        residual = np.empty(n)
+        x, iters, rel = pcg(A, b, rel_tol=1e-10, x0=x0, ref_norm=ref, residual=residual)
+        x_b, iters_b, rel_b = pcg(A, b, rel_tol=1e-10 * ref / norm_b, x0=x0)
+        assert 0 < iters == iters_b < pcg(A, b, rel_tol=1e-10, x0=x0)[1]
+        np.testing.assert_array_equal(x, x_b)
+        assert rel <= 1e-10 and rel == pytest.approx(rel_b * norm_b / ref, rel=1e-14)
+        assert np.linalg.norm(residual) / ref <= 2e-10
+
 
 class TestLambdaMax:
     def test_estimate_is_the_ceiling(self, sphere2_op, square16_op):
@@ -272,6 +321,34 @@ class TestErrorBudget:
             assert 0.0 < tight.cg_error_bound < res.cg_error_bound
             err = op.m_norm(res.solution - tight.solution)
             assert err <= res.cg_error_bound <= res.a_priori_bound / 100
+
+    @pytest.mark.parametrize("name", ["sphere2", "torus", "square16"])
+    def test_spectral_shadow_within_certificate(self, name, sphere2_op, sphere2_sign_rhs,
+                                                square16_op):
+        # the distance to the transfer function on the eigenbasis is the CG
+        # error alone, plus rounding: at cg_rel_tol 1e-14 it is at most 4.3e-14
+        # on these meshes, with ||f_h||_M between 0.38 and 3.4
+        if name == "sphere2":
+            op, f, lh = sphere2_op, sphere2_sign_rhs, 1.0
+        elif name == "torus":
+            op, f, lh = _budget_case(name)
+        else:
+            op, f, lh = square16_op, np.sin(np.arange(1.0, square16_op.n + 1)), 10.0
+        dec = dense_decompose(op)
+        lam = dec.eigenvalues.copy()
+        weights = dec.eigenvectors.T @ (op.mass @ f)
+        if op.mode == "zero-mean":
+            lam[0], weights[0] = 1.0, 0.0
+        rounding = 1e-12 * op.m_norm(f)
+        for alpha in (0.1, 0.5, 0.9):
+            for tol in (None, 1e-8):
+                res = fractional_apply(op, f, alpha,
+                                       SolverConfig(lambda_hat=lh, m=3, cg_rel_tol=tol))
+                mu = scalar_mu(build_pade(3, alpha), res.time_grid, lam)
+                shadow = dec.eigenvectors @ (mu * weights)
+                assert op.m_norm(res.solution - shadow) <= res.cg_error_bound + rounding
+                if tol is not None:
+                    assert all(r.relative_residual <= tol for r in res.solve_log)
 
     def test_explicit_tolerance_runs_no_weighted_test(self, sphere2_op, sphere2_sign_rhs,
                                                       monkeypatch):
