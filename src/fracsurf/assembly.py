@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,6 +106,11 @@ class AssembledOperator:
     lambda_max_ceiling is a rigorous upper bound on the largest generalized
     eigenvalue, from the per-element pencils. mass_diagonal_floor is a c with
     M >= c * diag(M) in the Loewner order (1/2 for the consistent P1 mass).
+    `prepared` holds what `fractional_apply` computes from the operator alone
+    (the multigrid hierarchy and the Ritz value checked per lambda_hat), so
+    that later calls reuse it; it starts empty, also after
+    `dataclasses.replace`, and dies with the operator. Concurrent first calls
+    may each compute an entry; they compute the same bits, and one is kept.
     """
 
     mass: sp.csr_matrix
@@ -115,6 +120,7 @@ class AssembledOperator:
     vertex_count: int
     lambda_max_ceiling: float
     mass_diagonal_floor: float
+    prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -137,10 +137,19 @@ def build_hierarchy(mass: sp.csr_matrix, stiffness: sp.csr_matrix) -> Hierarchy:
 def _pencil_level(M: sp.csr_matrix, S: sp.csr_matrix) -> PencilLevel:
     """Align M and S on the union of their patterns and the diagonal.
 
-    Galerkin products drop exact zeros, so the two patterns can differ; the
-    union is found once here, from the row-major keys i*n + j of the entries.
+    An assembled operator stores both on one canonical pattern that holds the
+    diagonal, and the level then takes their arrays as they are, with no copy.
+    Galerkin products drop exact zeros, so on coarse levels the two patterns
+    can differ; the union is found once here, from the row-major keys i*n + j
+    of the entries.
     """
     n = M.shape[0]
+    if (M.has_canonical_format and np.array_equal(M.indptr, S.indptr)
+            and np.array_equal(M.indices, S.indices)):
+        at_diag = np.flatnonzero(M.indices == np.repeat(np.arange(n), np.diff(M.indptr)))
+        if len(at_diag) == n:
+            return PencilLevel(M.indptr, M.indices, M.data, S.data, M.data[at_diag],
+                               S.data[at_diag])
     coo = [A.tocoo() for A in (M, S)]
     for A in coo:
         A.sum_duplicates()

@@ -5,23 +5,24 @@ matrices A = (1-s)*lh*M + s*S, s in (0,1), all symmetric positive definite
 even when S has the constant nullspace. The time grid spans [lh, Lambda],
 Lambda being the rigorous per-element ceiling that `assemble` computes. Solves
 use conjugate gradients preconditioned by one smoothed-aggregation multigrid
-V-cycle, from a hierarchy built once per call and shared by every shift (see
-`multigrid`); every A and every step's B = (1-t)*lh*M + t*S is a value array
-on the hierarchy's shared fine pattern.
+V-cycle, from a hierarchy shared by every shift (see `multigrid`); every A and
+every step's B = (1-t)*lh*M + t*S is a value array on the fine pattern, which
+is the operator's own.
 The m solves of a step are combined in fixed index order so results are
 deterministic.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
 solves A y = (s - t_l) g with g = (S - lh*M) U, one matvec per step, and the
-step is U - sum_i beta_i y_i. The first term of a step starts from zero and
-every later term from the Galerkin projection of the solution onto the
-previous term's correction, x0 = (y.b / y.A y) y, which costs one matvec
-besides the start's residual and is skipped when y.A y = 0; its inner
-products use `dot`, like those of `pcg`. The true residual of the y system is minus that of
-the x system, so the relative test and the certificate below keep the meaning
-they have for A x = B U: the relative test divides by ||B_l U||, one more
-matvec per step, and `cg_rel_tol`, CG_REL_FLOOR and
+step is U - sum_i beta_i y_i. The first term of a step is solved from zero.
+Every later term starts from the Galerkin projection of its solution onto the
+previous term's correction y, c*y with c = y.b / y.A y: it solves
+A z = b - c*A y from zero for the remainder and returns c*y + z, so the start
+costs the one matvec A y. The start is skipped when y.A y = 0; its inner
+products use `dot`, like those of `pcg`. The true residual of the y system is
+minus that of the x system, so the relative test and the certificate below
+keep the meaning they have for A x = B U: the relative test divides by
+||B_l U||, one more matvec per step, and `cg_rel_tol`, CG_REL_FLOOR and
 `SolveRecord.relative_residual` are all relative to it.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
@@ -49,9 +50,18 @@ beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals;
 the bound holds whatever rule stopped the solves, so it is also reported
 under an explicit `cg_rel_tol`.
 
-Every call checks lh <= lambda_min with `suggest_lambda_hat`, a LOBPCG Ritz
-value preconditioned on the call's own hierarchy, and rejects a larger lh. The
-check is a test, not a proof: a Ritz value only bounds lambda_min from above.
+Every call checks lh <= lambda_min against `suggest_lambda_hat`, a LOBPCG
+Ritz value theta preconditioned on the operator's hierarchy, and rejects a
+larger lh. The check is a test, not a proof: a Ritz value only bounds
+lambda_min from above.
+
+The hierarchy and theta depend on the operator alone (theta also on lh), so
+the first call on an operator computes them and keeps them in `op.prepared`,
+and later calls reuse them; the comparison of lh with theta still runs on
+every call. The hierarchy's fine level holds the operator's own mass and
+stiffness arrays. The check's only dense algebra is a 3x3 `eigh` per
+iteration, so, like the solves, it wakes no BLAS thread, and theta does not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg
+import scipy.linalg as la
 
 from .assembly import AssembledOperator, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
@@ -111,22 +121,23 @@ class SolverConfig:
 
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-        residual=None, x0=None, ref_norm=None):
+        residual=None, ref_norm=None):
     """Preconditioned conjugate gradients for SPD A.
 
     `precond` maps a residual to the preconditioned residual and must be
     symmetric positive definite; without one the preconditioner is Jacobi,
     which serves `build_rhs`'s mass solve (the scheme's solves pass a V-cycle).
-    The iteration starts from `x0` (default zero) and stops once
-    ||r|| / ref_norm <= rel_tol for the residual r (not the preconditioned
-    one), where `ref_norm` defaults to ||b||; it raises RuntimeError with the
-    last five residuals after `max_iter` iterations (default:
+    The iteration starts from zero and stops once ||r|| / ref_norm <= rel_tol
+    for the residual r (not the preconditioned one), where `ref_norm` defaults
+    to ||b||; a caller with a start x0 solves A z = b - A x0 for the remainder
+    and passes the reference norm of its own system. It raises RuntimeError
+    with the last five residuals after `max_iter` iterations (default:
     `SolverConfig.max_iter`). With `weight`, a positive vector w, it also
     stops once sqrt(sum(w * r**2)) <= weighted_tol, if the true residual
     b - A x passes the same test; that check costs one matvec and runs once,
     and after a failed check only the relative test stops the iteration. Both
-    tests also run on the start's residual, so a start that passes returns
-    after 0 iterations. `residual`, when given, receives the true residual of
+    tests also run on b, so a right-hand side that passes returns zero after
+    0 iterations. `residual`, when given, receives the true residual of
     the returned x. Updates are in place, and inner products use `dot`, which
     calls no BLAS.
     Returns (x, iterations, final relative residual).
@@ -147,13 +158,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
 
         def precond(r):
             return r / diag
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x
-    # r is the true residual here, so a start that passes either test is returned as is
+    x = np.zeros_like(b)
+    r = b.copy()
     rel = math.sqrt(dot(r, r)) / ref_norm
     weighted_sq = weighted_tol * weighted_tol
     if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
@@ -208,25 +214,77 @@ def suggest_lambda_hat(op: AssembledOperator, hierarchy: Hierarchy, lambda_hat: 
     """Ritz value theta of the smallest eigenvalue of (S, M), the ceiling for lambda_hat.
 
     One LOBPCG vector (Knyazev 2001) from a deterministic start, preconditioned
-    by the V-cycle of lambda_hat*M + S on `hierarchy`; a zero-mean operator
-    keeps it M-orthogonal to the constants. theta is a Rayleigh quotient, an
-    upper estimate of lambda_min, so theta itself is not a certified
-    lambda_hat: a lambda_hat above theta is certainly too large, one below it
-    has passed a test. LOBPCG stops at the residual norm
-    PROBE_TOL * lambda_hat * sqrt(mean(diag M)), which scales with the mesh and
-    the coefficients as the residual does; theta is then within 2e-5 of
-    lambda_min, relatively, on small meshes of the four families.
+    by the V-cycle of lambda_hat*M + S on `hierarchy`: each iteration is a
+    Rayleigh-Ritz step on span{x, w, p}, with x the current vector, w its
+    preconditioned residual made M-orthogonal to x and p the last update, each
+    of M-norm 1. When the 3x3 Gram matrix of M is not positive definite the
+    step restarts on span{x, w}. A zero-mean operator keeps x and w
+    M-orthogonal to the constants by an M-orthogonal projection, and measures
+    the residual after the transposed projection, the part that the
+    constrained problem sees. Inner products use `dot` and the Rayleigh-Ritz
+    step is a 3x3 `eigh`, so no BLAS thread runs and theta does not depend on
+    the thread count.
+
+    theta is a Rayleigh quotient, an upper estimate of lambda_min, so theta
+    itself is not a certified lambda_hat: a lambda_hat above theta is
+    certainly too large, one below it has passed a test. The iteration stops
+    at the residual norm PROBE_TOL * lambda_hat * sqrt(mean(diag M)), which
+    scales with the mesh and the coefficients as the residual does, or after
+    PROBE_MAX_ITER iterations; theta is then within 2e-5 of lambda_min,
+    relatively, on small meshes of the four families.
     """
-    n = op.n
-    constraint = np.ones((n, 1)) if op.mode == MODE_ZERO_MEAN else None
-    if constraint is not None and n < 6:  # lobpcg's dense path for n - 1 < 5 takes no constraint
-        raise ValueError(f"zero-mean operator with {n} unknowns is too small to check lambda_hat")
+    S, M = op.stiffness, op.mass
     vcycle = ShiftedVCycle(hierarchy, lambda_hat, 1.0)
-    start = np.sin(np.arange(1, n + 1, dtype=float))[:, None]
-    tol = PROBE_TOL * lambda_hat * math.sqrt(float(np.mean(op.mass.diagonal())))
-    theta, _ = lobpcg(op.stiffness, start, B=op.mass, M=lambda R: vcycle(R[:, 0])[:, None],
-                      Y=constraint, tol=tol, maxiter=PROBE_MAX_ITER, largest=False)
-    return float(theta[0])
+    m_ones = M @ np.ones(op.n) if op.mode == MODE_ZERO_MEAN else None
+
+    def constrained(v):  # the M-orthogonal projection off the constants
+        if m_ones is not None:
+            v -= dot(m_ones, v) / float(m_ones.sum())
+        return v
+
+    def residual(r):  # its transpose, which keeps what the constrained problem sees
+        if m_ones is not None:
+            r -= (r.sum() / float(m_ones.sum())) * m_ones
+        return r
+
+    def unit(v):  # (v, S v, M v) scaled to M-norm 1
+        scale = 1.0 / math.sqrt(dot(v[0], v[2]))
+        return tuple(scale * u for u in v)
+
+    x = constrained(np.sin(np.arange(1, op.n + 1, dtype=float)))
+    x = unit((x, S @ x, M @ x))
+    theta = dot(x[0], x[1])
+    tol = PROBE_TOL * lambda_hat * math.sqrt(float(np.mean(M.diagonal())))
+    p = None
+    for _ in range(PROBE_MAX_ITER):
+        r = residual(x[1] - theta * x[2])
+        if math.sqrt(dot(r, r)) <= tol:
+            break
+        w = constrained(vcycle(r))
+        w -= dot(x[2], w) * x[0]
+        basis = [x, unit((w, S @ w, M @ w))]
+        if p is not None and dot(p[0], p[2]) > 0.0:
+            basis.append(unit(p))
+        try:
+            theta, c = _ritz_pair(basis)
+        except np.linalg.LinAlgError:
+            basis = basis[:2]
+            theta, c = _ritz_pair(basis)
+        p = tuple(sum(ck * v[k] for ck, v in zip(c[1:], basis[1:])) for k in range(3))
+        x = tuple(c[0] * x[k] + p[k] for k in range(3))
+    return theta
+
+
+def _ritz_pair(basis) -> tuple[float, np.ndarray]:
+    """Smallest Ritz value of (S, M) on the span of `basis`, a list of (v, S v, M v).
+
+    Returns the value and its coordinates in `basis`, of unit norm in the Gram
+    matrix of M.
+    """
+    gram_s = np.array([[dot(u[0], v[1]) for v in basis] for u in basis])
+    gram_m = np.array([[dot(u[0], v[2]) for v in basis] for u in basis])
+    values, vectors = la.eigh(0.5 * (gram_s + gram_s.T), 0.5 * (gram_m + gram_m.T))
+    return float(values[0]), vectors[:, 0]
 
 
 @dataclass(frozen=True)
@@ -296,8 +354,13 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     grid = build_time_grid(lh, lam_max)
     nodes = grid.nodes
     n_iter_cap = cfg.max_iter(op.n)
-    hierarchy = build_hierarchy(op.mass, op.stiffness)
-    theta = suggest_lambda_hat(op, hierarchy, lh)
+    prepared = op.prepared  # operator-only work, done on the first call (module docstring)
+    if "hierarchy" not in prepared:
+        prepared["hierarchy"] = build_hierarchy(op.mass, op.stiffness)
+    hierarchy = prepared["hierarchy"]
+    theta = prepared.get(("theta", lh))
+    if theta is None:
+        theta = prepared[("theta", lh)] = suggest_lambda_hat(op, hierarchy, lh)
     if lh > theta * (1.0 + PROBE_ROUNDING):
         raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
                          "smallest eigenvalue; choose lambda_hat <= lambda_min")
@@ -328,17 +391,22 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             vcycle = ShiftedVCycle(hierarchy, (1.0 - s) * lh, s)
             A = vcycle.matrix
             b = (s - t_l) * g
-            x0 = None
-            if y is not None:  # Galerkin start on span{y}, y the previous term's correction
-                yay = dot(y, A @ y)
+            start = None
+            if y is not None:  # Galerkin start c*y, y the previous term's correction
+                ay = A @ y
+                yay = dot(y, ay)
                 if yay > 0.0:
-                    x0 = (dot(y, b) / yay) * y
+                    c = dot(y, b) / yay
+                    start = c * y
+                    b -= c * ay  # the remainder z = y_i - c*y solves A z = b - c*A y
             try:
                 y, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycle,
-                                    weight=weight, weighted_tol=share, residual=residual, x0=x0,
+                                    weight=weight, weighted_tol=share, residual=residual,
                                     ref_norm=ref_norm)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
+            if start is not None:
+                y += start
             records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
             cg_error += p.beta[i + 1] * math.sqrt(dot(inv_diag * residual, residual)) / lh
             dec += p.beta[i + 1] * y

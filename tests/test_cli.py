@@ -215,14 +215,18 @@ class TestLambdaHatCheck:
         assert main(["--out", str(tmp_path), "solve", "--builtin", "torus:1,0.3,32,16"]) == 0
 
     def test_tiny_closed_mesh_exits_2(self, tmp_path, capsys):
+        # four unknowns are checked like any other size: the tetrahedron's
+        # least eigenvalue off the constants is 2, so 1 passes and 3 does not
         from util import write_msh22
 
         vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
         triangles = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
         msh = tmp_path / "tetrahedron.msh"
         write_msh22(msh, vertices, triangles)
-        assert main(["--out", str(tmp_path), "solve", "--mesh", str(msh)]) == 2
-        assert "too small" in capsys.readouterr().err
+        assert main(["--out", str(tmp_path), "solve", "--mesh", str(msh)]) == 0
+        assert main(["--out", str(tmp_path), "solve", "--mesh", str(msh),
+                     "--lambda-hat", "3"]) == 2
+        assert "Ritz estimate" in capsys.readouterr().err
 
 
 class TestCsvSource:

@@ -26,6 +26,12 @@ def torus_op():
     return assemble(mesh, coefficient_field(mesh, a=1.0, b=1.0), "positive-reaction")
 
 
+@pytest.fixture(scope="module")
+def graded_op():
+    mesh = gen_graded_square(12, 4)
+    return assemble(mesh, coefficient_field(mesh), "dirichlet")
+
+
 def _sphere_case(level):
     mesh = gen_sphere(level)
     op = assemble(mesh, coefficient_field(mesh), "zero-mean")
@@ -182,3 +188,30 @@ class TestSharedPattern:
                 np.testing.assert_array_equal(
                     c1 * level.mass_diagonal + c2 * level.stiffness_diagonal, expected.diagonal())
         assert patterns_differ == (name == "lumped_square")
+
+    @pytest.mark.parametrize("name", ["sphere3_op", "torus_op", "square16_op", "graded_op"])
+    def test_fine_level_is_the_operators_own(self, name, request):
+        # an assembled operator stores mass and stiffness on one canonical
+        # pattern with the diagonal, which the fine level takes without a copy
+        op = request.getfixturevalue(name)
+        fine = build_hierarchy(op.mass, op.stiffness).levels[0]
+        assert np.shares_memory(fine.mass, op.mass.data)
+        assert np.shares_memory(fine.stiffness, op.stiffness.data)
+        assert np.shares_memory(fine.indices, op.mass.indices)
+        np.testing.assert_array_equal(fine.mass_diagonal, op.mass.diagonal())
+        np.testing.assert_array_equal(fine.stiffness_diagonal, op.stiffness.diagonal())
+
+    def test_different_patterns_take_the_union(self, square16_op):
+        # the unit square's Dirichlet stiffness stores exact zeros; without
+        # them its pattern differs from the mass's, and the union of the two
+        # rebuilds the level the shared pattern gives
+        op = square16_op
+        S = op.stiffness.copy()
+        S.eliminate_zeros()
+        assert S.nnz < op.stiffness.nnz
+        shared = build_hierarchy(op.mass, op.stiffness).levels[0]
+        union = build_hierarchy(op.mass, S).levels[0]
+        assert not np.shares_memory(union.stiffness, S.data)
+        for name in ("indptr", "indices", "mass", "stiffness", "mass_diagonal",
+                     "stiffness_diagonal"):
+            np.testing.assert_array_equal(getattr(union, name), getattr(shared, name))

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from fracsurf.solver import (
     suggest_lambda_hat,
 )
 from util import diagonal_op
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestPcg:
@@ -73,21 +78,25 @@ class TestPcg:
             pcg(A, np.ones(3))
 
     def test_exact_start_takes_no_iteration(self):
-        # a 1x1 system solved by its start: the first step would divide by p.Ap = 0
+        # a start x0 is passed as the remainder system A z = b - A x0, solved
+        # from zero; a 1x1 system solved by its start: the first step would
+        # divide by p.Ap = 0
         A = sp.csr_matrix([[4.0]])
         b = np.array([2.0])
+        x0 = np.array([0.5])
         for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
             residual = np.full(1, np.nan)
-            x, iters, rel = pcg(A, b, x0=np.array([0.5]), residual=residual, **kwargs)
-            assert iters == 0 and x[0] == 0.5 and rel == 0.0 and residual[0] == 0.0
+            z, iters, rel = pcg(A, b - A @ x0, residual=residual, ref_norm=2.0, **kwargs)
+            assert iters == 0 and (x0 + z)[0] == 0.5 and rel == 0.0 and residual[0] == 0.0
         # on a larger system the start's true residual is returned as is
         n = 25
         A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         b = np.sin(np.arange(1.0, n + 1))
         x0 = np.linalg.solve(A.toarray(), b)
         residual = np.empty(n)
-        x, iters, rel = pcg(A, b, rel_tol=1e-12, x0=x0, residual=residual)
-        assert iters == 0 and np.array_equal(x, x0) and x is not x0
+        z, iters, rel = pcg(A, b - A @ x0, rel_tol=1e-12, residual=residual,
+                            ref_norm=np.linalg.norm(b))
+        assert iters == 0 and np.array_equal(x0 + z, x0) and not z.any()
         np.testing.assert_array_equal(residual, b - A @ x0)
         assert rel == pytest.approx(np.linalg.norm(residual) / np.linalg.norm(b), rel=1e-14)
 
@@ -97,22 +106,23 @@ class TestPcg:
         exact = np.sin(np.arange(1.0, n + 1))
         b = A @ exact
         x0 = exact + 1e-3 * np.cos(np.arange(1.0, n + 1))
-        start = np.linalg.norm(b - A @ x0)
+        remainder = b - A @ x0  # the system of the start x0, solved from zero
+        start = np.linalg.norm(remainder)
         norm_b = np.linalg.norm(b)
         # a start within rel_tol * ref_norm passes before the first iteration
         ref = 2.0 * start / 1e-6
-        x, iters, rel = pcg(A, b, rel_tol=1e-6, x0=x0, ref_norm=ref)
+        z, iters, rel = pcg(A, remainder, rel_tol=1e-6, ref_norm=ref)
         assert iters == 0 and rel == pytest.approx(start / ref, rel=1e-14)
         assert start / norm_b > 1e-6
         # later iterations divide by ref_norm too: the same iterates as the
-        # default reference at the tolerance scaled by ref_norm / ||b||
+        # default reference, ||remainder||, at the tolerance scaled by ref_norm / ||remainder||
         ref = 100.0 * norm_b
         residual = np.empty(n)
-        x, iters, rel = pcg(A, b, rel_tol=1e-10, x0=x0, ref_norm=ref, residual=residual)
-        x_b, iters_b, rel_b = pcg(A, b, rel_tol=1e-10 * ref / norm_b, x0=x0)
-        assert 0 < iters == iters_b < pcg(A, b, rel_tol=1e-10, x0=x0)[1]
-        np.testing.assert_array_equal(x, x_b)
-        assert rel <= 1e-10 and rel == pytest.approx(rel_b * norm_b / ref, rel=1e-14)
+        z, iters, rel = pcg(A, remainder, rel_tol=1e-10, ref_norm=ref, residual=residual)
+        z_b, iters_b, rel_b = pcg(A, remainder, rel_tol=1e-10 * ref / start)
+        assert 0 < iters == iters_b < pcg(A, remainder, rel_tol=1e-10, ref_norm=norm_b)[1]
+        np.testing.assert_array_equal(z, z_b)
+        assert rel <= 1e-10 and rel == pytest.approx(rel_b * start / ref, rel=1e-14)
         assert np.linalg.norm(residual) / ref <= 2e-10
 
 
@@ -167,8 +177,9 @@ class TestLambdaHatProbe:
         with pytest.raises(ValueError, match="lambda_hat"):
             fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
 
-    def test_every_call_probes_its_own_hierarchy(self, sphere2_op, sphere2_sign_rhs,
-                                                 monkeypatch):
+    def test_operator_prepared_once(self, sphere2_op, sphere2_sign_rhs, monkeypatch):
+        # the hierarchy is built on the first call on an operator, and theta
+        # checked once per lambda_hat; a copy of the operator starts afresh
         built, probed = [], []
 
         def recording_build(*args):
@@ -176,30 +187,74 @@ class TestLambdaHatProbe:
             return built[-1]
 
         def recording_probe(op, hierarchy, lambda_hat):
-            probed.append(hierarchy)
+            probed.append((hierarchy, lambda_hat))
             return suggest_lambda_hat(op, hierarchy, lambda_hat)
 
         monkeypatch.setattr(solver, "build_hierarchy", recording_build)
         monkeypatch.setattr(solver, "suggest_lambda_hat", recording_probe)
-        for _ in range(2):
-            fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=1.0, m=2))
-        assert len(probed) == 2 and all(p is b for p, b in zip(probed, built))
+        op = dataclasses.replace(sphere2_op)
+        cfg = SolverConfig(lambda_hat=1.0, m=2)
+        first, later = (fractional_apply(op, sphere2_sign_rhs, 0.5, cfg) for _ in range(2))
+        assert len(built) == 1 and len(probed) == 1
+        assert probed[0][0] is built[0] and probed[0][1] == 1.0
+        fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=0.5, m=2))
+        assert len(built) == 1 and len(probed) == 2
+        assert probed[1][0] is built[0] and probed[1][1] == 0.5
+        fractional_apply(dataclasses.replace(op), sphere2_sign_rhs, 0.5, cfg)
+        assert len(built) == 2 and len(probed) == 3 and probed[2][0] is built[1]
+        # a later call gives what the first gave, bit for bit
+        np.testing.assert_array_equal(first.solution, later.solution)
+        assert first.solve_log == later.solve_log
+        assert first.cg_error_bound == later.cg_error_bound
+
+    def test_bad_shift_rejected_on_a_used_operator(self, sphere2_op, sphere2_sign_rhs):
+        op = dataclasses.replace(sphere2_op)
+        fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=1.0, m=2))
+        for _ in range(2):  # the second time against the kept theta
+            with pytest.raises(ValueError, match="Ritz estimate"):
+                fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=50.0, m=2))
 
     def test_rounding_allowance(self, sphere2_op, sphere2_sign_rhs, monkeypatch):
-        # a Ritz value one ulp below lambda_hat passes; one a millionth below does not
+        # a Ritz value one ulp below lambda_hat passes; one a millionth below
+        # does not; each on a fresh operator, which has no theta kept
         for theta, passes in ((np.nextafter(1.0, 0.0), True), (1.0 - 1e-6, False)):
             monkeypatch.setattr(solver, "suggest_lambda_hat", lambda *args, _t=theta: _t)
+            op = dataclasses.replace(sphere2_op)
             cfg = SolverConfig(lambda_hat=1.0, m=2)
             if passes:
-                fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
+                fractional_apply(op, sphere2_sign_rhs, 0.5, cfg)
             else:
                 with pytest.raises(ValueError, match="Ritz estimate"):
-                    fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
+                    fractional_apply(op, sphere2_sign_rhs, 0.5, cfg)
 
-    def test_tiny_zero_mean_operator_rejected(self):
+    def test_tiny_zero_mean_operator_checked(self):
+        # five unknowns, constrained to the four-dimensional complement of the
+        # constants: theta is near the least eigenvalue there, 0.35557
         op = diagonal_op([1.0] * 5, [0.0, 1.0, 2.0, 3.0, 4.0], mode="zero-mean")
-        with pytest.raises(ValueError, match="too small"):
-            suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)
+        basis = np.linalg.qr(np.column_stack([np.ones(5), np.eye(5)[:, :4]]))[0][:, 1:]
+        lam1 = np.linalg.eigvalsh(basis.T @ op.stiffness.toarray() @ basis)[0]
+        theta = suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)
+        assert lam1 <= theta <= lam1 * (1.0 + 1e-4)
+
+    def test_theta_independent_of_blas_threads(self):
+        # at n = 10242 scipy's lobpcg gave 2.000723465840881 at one BLAS
+        # thread and ...884 at two; at sphere level 3 it agreed with itself
+        script = (
+            "from fracsurf import assemble, coefficient_field, gen_sphere\n"
+            "from fracsurf.multigrid import build_hierarchy\n"
+            "from fracsurf.solver import suggest_lambda_hat\n"
+            "mesh = gen_sphere(5)\n"
+            "op = assemble(mesh, coefficient_field(mesh), 'zero-mean')\n"
+            "print(repr(suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)))\n"
+        )
+        thetas = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            thetas.append(out.stdout.strip())
+        assert thetas[0] == thetas[1]
 
 
 class TestFractionalApply:
@@ -209,14 +264,12 @@ class TestFractionalApply:
         assert np.all(res.solution == 0.0)
 
     def test_scalar_shadow_one_by_one(self):
-        # a 1x1 pencil must reproduce the scalar transfer function; lobpcg checks
-        # lambda_hat on so small a problem with its dense path, which warns
+        # a 1x1 pencil must reproduce the scalar transfer function
         lam = 37.0
         op = dataclasses.replace(diagonal_op([1.0], [lam]), lambda_max_ceiling=64.0)
         for alpha in (0.1, 0.5, 0.9):
             cfg = SolverConfig(lambda_hat=1.0, m=4)
-            with pytest.warns(UserWarning, match="dense eigensolver"):
-                res = fractional_apply(op, np.array([1.0]), alpha, cfg)
+            res = fractional_apply(op, np.array([1.0]), alpha, cfg)
             grid = build_time_grid(1.0, 64.0)
             mu = scalar_mu(build_pade(4, alpha), grid, lam)
             assert res.solution[0] == pytest.approx(mu, rel=1e-14)
@@ -427,19 +480,28 @@ class TestStability:
 class TestConcurrency:
     def test_concurrent_solves_share_operator(self, sphere2_op, sphere2_sign_rhs):
         # independent solves on one operator from several threads agree with
-        # the sequential results bit for bit
+        # the sequential results bit for bit, also when they race to prepare a
+        # fresh operator, with thread switches forced often
         from concurrent.futures import ThreadPoolExecutor
 
-        def run(alpha):
+        def run(op, alpha):
             cfg = SolverConfig(lambda_hat=1.0, m=2)
-            return fractional_apply(sphere2_op, sphere2_sign_rhs, alpha, cfg).solution
+            return fractional_apply(op, sphere2_sign_rhs, alpha, cfg).solution
 
         alphas = [0.2, 0.4, 0.6, 0.8]
-        sequential = [run(a) for a in alphas]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(run, alphas))
-        for seq, thr in zip(sequential, threaded):
+        sequential = [run(sphere2_op, a) for a in alphas]
+        fresh = dataclasses.replace(sphere2_op)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, op, a) for op in (sphere2_op, fresh) for a in alphas]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seq, thr in zip(sequential * 2, threaded):
             assert np.array_equal(seq, thr)
+        assert np.array_equal(run(fresh, alphas[0]), sequential[0])
 
 
 class TestAprioriBound:
