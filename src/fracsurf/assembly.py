@@ -7,6 +7,12 @@ matrix use the 3-point edge-midpoint rule (exact for quadratics, so the mass
 matrix is the exact consistent mass; the cubic b-term integrand is a committed
 quadrature choice). Dirichlet constraints are removed by row/column
 elimination so the reduced pencil stays symmetric.
+
+Assembly works on whole arrays of per-triangle entries, six per triangle and
+matrix (three diagonal, three edge), with no element matrices: the stiffness
+entries come from edge dot products, and the sums keep the order of the
+element-matrix assembly that the tests keep as a reference, so the mass
+matrix and the L2 right-hand side are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MODE_DIRICHLET, MODE_REACTION, MODE_ZERO_MEAN, SurfaceMesh
+from .mesh import (
+    MODE_DIRICHLET,
+    MODE_REACTION,
+    MODE_ZERO_MEAN,
+    SurfaceMesh,
+    _triangle_sides,
+)
 
 log = logging.getLogger(__name__)
 
@@ -136,46 +148,36 @@ class AssembledOperator:
         return full
 
 
-def _element_geometry(mesh: SurfaceMesh):
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    e1 = p2 - p1
-    e2 = p0 - p2
-    e3 = p1 - p0
-    normal = np.cross(e3, -e2)
-    double_area = np.linalg.norm(normal, axis=1)
-    nhat = normal / double_area[:, None]
-    # grad phi_i = (nhat x e_i) / (2A), e_i the edge opposite vertex i
-    grads = np.stack(
-        [np.cross(nhat, e1), np.cross(nhat, e2), np.cross(nhat, e3)], axis=1
-    ) / double_area[:, None, None]
-    return 0.5 * double_area, grads
-
-
-# phi values at the three edge midpoints (rows: midpoint of edges 01, 12, 20)
-_MID_PHI = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-
-
 def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> AssembledOperator:
     """Assemble the (mass, stiffness) pencil for the given problem mode."""
     _check_mode(mesh, coeffs, mode)
-    area, grads = _element_geometry(mesh)
     tris = mesh.triangles
-
-    a_bar = coeffs.a[tris].mean(axis=1)
-    stiff_el = (a_bar * area)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-
-    mass_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mass_el = area[:, None, None] * mass_local
-
-    b_mid = coeffs.b[tris] @ _MID_PHI.T  # linear b at the edge midpoints
-    react_el = np.einsum("tq,qi,qj->tij", b_mid, _MID_PHI, _MID_PHI) * (area / 3.0)[:, None, None]
-
     n = mesh.num_vertices
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    M, S = _accumulate(rows, cols, n, mass_el.ravel(), (stiff_el + react_el).ravel())
+    u, v, double_area = _triangle_sides(mesh.vertices, tris)
+    edges = (v - u, -v, u)  # edges[k] lies opposite vertex k
+    area = 0.5 * double_area
+    a = coeffs.a
+    a_bar = (a[tris[:, 0]] + a[tris[:, 1]] + a[tris[:, 2]]) / 3.0
+    # grad phi_k = (nhat x edges[k]) / (2A), so the stiffness entry
+    # a_bar A grad phi_i . grad phi_j is a_bar (edges[i] . edges[j]) / (4A)
+    scale = a_bar / (2.0 * double_area)
+    sq = [_dot3(e, e) for e in edges]
+    # local entries, one column per vertex k and one per local edge (k, k+1)
+    stiff_diag = np.column_stack([scale * s for s in sq])
+    stiff_off = np.column_stack([scale * _dot3(edges[k], edges[(k + 1) % 3]) for k in range(3)])
+
+    b_top = 0.0
+    if coeffs.b.any():  # the b-term, by the edge-midpoint rule
+        bt = coeffs.b[tris]
+        b_mid = 0.5 * (bt + np.roll(bt, -1, axis=1))  # b on the midpoint of edge (k, k+1)
+        third = (area / 3.0)[:, None]
+        stiff_diag += (0.25 * (b_mid + np.roll(b_mid, 1, axis=1))) * third
+        stiff_off += (0.25 * b_mid) * third
+        b_top = float(b_mid.max())
+
+    mass_diag = np.repeat(area * (2.0 / 12.0), 3)
+    mass_off = np.repeat(area * (1.0 / 12.0), 3)
+    M, S = _accumulate(tris, n, (mass_diag, mass_off), (stiff_diag.ravel(), stiff_off.ravel()))
     _check_assembled(mesh, area, M, S, mode)
 
     if mode == MODE_DIRICHLET:
@@ -188,11 +190,14 @@ def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> Assemble
     # rigorous pencil ceiling: the element stiffness has zero row sums, so its
     # generalized maximum against the consistent element mass (area/12)(I+J) is
     # lambda_max(S_K) * 12/area; the reaction part is dominated by the largest
-    # b at the quadrature points, since it shares the mass quadrature
-    tr = np.trace(stiff_el, axis1=1, axis2=2)
-    minor_sum = 0.5 * (tr**2 - np.einsum("tij,tji->t", stiff_el, stiff_el))
-    top = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4.0 * minor_sum, 0.0)))
-    ceiling = float(np.max(top * 12.0 / area)) + float(b_mid.max(initial=0.0))
+    # b at the quadrature points, since it shares the mass quadrature. S_K is
+    # `scale` times the Gram matrix of the edges, whose nonzero eigenvalues
+    # have sum sum_k l_k and product 3 (2A)^2 for the squared lengths l_k;
+    # Heron's formula turns the discriminant into 2 sum_(i<j) (l_i - l_j)^2,
+    # a sum of squares that cannot cancel
+    spread = np.sqrt(2.0 * ((sq[0] - sq[1]) ** 2 + (sq[1] - sq[2]) ** 2 + (sq[2] - sq[0]) ** 2))
+    top = 0.5 * scale * (sq[0] + sq[1] + sq[2] + spread)
+    ceiling = float(np.max(top * 12.0 / area)) + b_top
 
     return AssembledOperator(
         mass=M,
@@ -208,20 +213,40 @@ def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> Assemble
     )
 
 
-def _accumulate(rows, cols, n, *vals) -> list[sp.csr_matrix]:
-    # canonical summation order: entries sorted by (row, col) before reduction,
-    # so assembly is independent of triangle ordering to machine precision; a
-    # stable sort of the key row*n + col is that order, found once for every
-    # value array
-    keys = rows.astype(np.int64) * n + cols
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    boundary = np.ones(len(k), dtype=bool)
-    boundary[1:] = k[1:] != k[:-1]
-    starts = np.nonzero(boundary)[0]
-    r, c = np.divmod(k[starts], n)
-    return [sp.csr_matrix((np.add.reduceat(v[order], starts), (r, c)), shape=(n, n))
-            for v in vals]
+def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _accumulate(tris, n, *local) -> list[sp.csr_matrix]:
+    """Sum per-triangle entries into CSR matrices that share one pattern.
+
+    Each element of `local` is a pair of triangle-major arrays: the entries
+    (k, k) and those of the local edges (k, k+1), for k = 0, 1, 2. An edge
+    entry goes to both (i, j) and (j, i). An off-diagonal sum has at most two
+    addends, whose order cannot change it. A diagonal sum adds the entries of
+    the vertex's triangles in triangle order, then the first triangle's entry:
+    the order of the sorted element-matrix assembly kept in the tests as a
+    reference, which summed with `np.add.reduceat`, for a vertex in up to nine
+    triangles. The COO conversion sums duplicates and keeps explicit zeros, so
+    the matrices share the pattern, as the multigrid hierarchy requires.
+    """
+    flat = tris.ravel()
+    nxt = tris[:, [1, 2, 0]].ravel()
+    first = np.full(n, len(flat))
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    used = first < len(flat)  # a vertex in no triangle gets no entry
+    first = first[used]
+    diag = np.flatnonzero(used)
+    rows = np.concatenate([flat, nxt, diag])
+    cols = np.concatenate([nxt, flat, diag])
+    out = []
+    for on_diag, on_edge in local:
+        rest = on_diag.copy()
+        rest[first] = 0.0
+        summed = np.bincount(flat, rest, minlength=n)[used] + on_diag[first]
+        out.append(sp.csr_matrix((np.concatenate([on_edge, on_edge, summed]), (rows, cols)),
+                                 shape=(n, n)))
+    return out
 
 
 def _check_mode(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> None:
@@ -246,19 +271,21 @@ def _check_mode(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> None:
 def _check_assembled(mesh, area, M, S, mode) -> None:
     # checks run on the full matrices, before any Dirichlet elimination
     for name, A in (("mass", M), ("stiffness", S)):
-        gap = abs(A - A.T).max()
-        if gap > 1e-13 * abs(A).max():
+        At = A.T.tocsr()  # sorted indices, like A's
+        if not (np.array_equal(At.indptr, A.indptr) and np.array_equal(At.indices, A.indices)):
+            raise AssertionError(f"{name} matrix pattern not symmetric")
+        gap = np.abs(A.data - At.data).max(initial=0.0)
+        if gap > 1e-13 * np.abs(A.data).max(initial=0.0):
             raise AssertionError(f"{name} matrix not symmetric (gap {gap:.3e})")
     # partition of unity: row sums of M equal the third of the adjacent areas
-    thirds = np.zeros(mesh.num_vertices)
-    np.add.at(thirds, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
-    row_sums = np.asarray(M.sum(axis=1)).ravel()
-    gap = np.abs(row_sums - thirds).max()
+    thirds = np.bincount(mesh.triangles.ravel(), np.repeat(area / 3.0, 3),
+                         minlength=mesh.num_vertices)
+    gap = np.abs(M @ np.ones(M.shape[0]) - thirds).max()
     if gap > 1e-12 * thirds.max():
         raise AssertionError(f"mass row sums off by {gap:.3e}")
     if mode == MODE_ZERO_MEAN:
         drift = np.abs(S @ np.ones(S.shape[0])).max()
-        if drift > 1e-12 * abs(S).max():
+        if drift > 1e-12 * np.abs(S.data).max():
             raise AssertionError(f"stiffness does not annihilate constants (drift {drift:.3e})")
 
 
@@ -290,19 +317,23 @@ def _moment_vector(mesh, f) -> np.ndarray:
     vertex_vals = None if callable(f) else _vertex_values(mesh, f)
     area = mesh.triangle_areas()
     tris = mesh.triangles
-    p = [mesh.vertices[tris[:, k]] for k in range(3)]
-    b = np.zeros(mesh.num_vertices)
+    n = mesh.num_vertices
+    values = mesh.vertices if vertex_vals is None else vertex_vals
+    corners = [np.take(values, tris[:, k], axis=0) for k in range(3)]
     fq_all = np.empty((len(TRI_QUAD_WEIGHTS), len(tris)))
+    for q, bc in enumerate(TRI_QUAD_POINTS):
+        # f at the quadrature point, or the P1 interpolant of vertex data there
+        x = bc[0] * corners[0] + bc[1] * corners[1] + bc[2] * corners[2]
+        fq_all[q] = x if vertex_vals is not None else np.asarray(f(x), dtype=float)
+    # b adds its terms quadrature point by point, then basis function by basis
+    # function, then triangle by triangle: the order of the np.add.at loop the
+    # tests keep as a reference. Each bincount carries on from the sums so
+    # far, which it is given as its first n terms.
+    index = np.concatenate([np.arange(n), tris.T.ravel()])
+    b = np.zeros(n)
     for q, (bc, w) in enumerate(zip(TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS)):
-        if vertex_vals is None:
-            x = bc[0] * p[0] + bc[1] * p[1] + bc[2] * p[2]
-            fq = np.asarray(f(x), dtype=float)
-        else:  # P1 interpolant of vertex data at the quadrature point
-            fq = bc[0] * vertex_vals[tris[:, 0]] + bc[1] * vertex_vals[tris[:, 1]] \
-                + bc[2] * vertex_vals[tris[:, 2]]
-        fq_all[q] = fq
-        for k in range(3):
-            np.add.at(b, tris[:, k], area * w * fq * bc[k])
+        terms = (area * w * fq_all[q]) * bc[:, None]
+        b = np.bincount(index, np.concatenate([b, terms.ravel()]), minlength=n)
     local_range = fq_all.max(axis=0) - fq_all.min(axis=0)
     global_range = fq_all.max() - fq_all.min()
     if global_range > 0:

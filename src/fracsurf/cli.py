@@ -115,18 +115,24 @@ def _source_field(name: str, mesh: SurfaceMesh, builtin: str | None):
     raise ValueError(f"unknown source field {name!r}")
 
 
-def _problem(config: dict, mesh: SurfaceMesh, builtin: str | None):
+def _problem(config: dict, mesh: SurfaceMesh, builtin: str | None, setup: dict):
     """Assemble the problem the mesh's topology selects and its right-hand side.
 
     The reaction coefficient is 1 in positive-reaction mode and 0 otherwise;
-    the resolved source name is recorded in `config["f_resolved"]`.
+    the resolved source name is recorded in `config["f_resolved"]`, and the
+    seconds spent in `assemble` and `build_rhs` in `setup`.
     """
     mode = mesh.mode_hint
     b_coeff = 1.0 if mode == MODE_REACTION else 0.0
+    t0 = time.perf_counter()
     op = assemble(mesh, coefficient_field(mesh, a=1.0, b=b_coeff), mode)
+    t1 = time.perf_counter()
     name, f = _source_field(config["f"], mesh, builtin)
     config["f_resolved"] = name
-    return op, build_rhs(mesh, f, op, method=config["rhs"])
+    f_h = build_rhs(mesh, f, op, method=config["rhs"])
+    setup["assemble_s"] = t1 - t0
+    setup["rhs_s"] = time.perf_counter() - t1
+    return op, f_h
 
 
 def _manifest(out_dir: str, subcommand: str, config: dict, outputs: list[str],
@@ -266,11 +272,14 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
         raise ValueError("manifest sets lambda_max; Lambda is always the assembled ceiling")
     if bool(config["mesh_path"]) == bool(config["builtin"]):
         raise ValueError("give exactly one of --mesh or --builtin")
+    t0 = time.perf_counter()
     if config["mesh_path"]:
         mesh = read_gmsh(config["mesh_path"])
     else:
         mesh = _load_builtin(config["builtin"])
-    op, f_h = _problem(config, mesh, config["builtin"])
+    setup = {"mesh_s": time.perf_counter() - t0}
+    op, f_h = _problem(config, mesh, config["builtin"], setup)
+    config["setup_seconds"] = setup
     cfg = SolverConfig(
         lambda_hat=config["lambda_hat"],
         m=config["m"],
@@ -303,6 +312,7 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
                 "cg_iters_max": max((r.iterations for r in result.solve_log), default=0),
                 "mg_levels": list(result.mg_levels),
                 "seconds": wall,
+                "stages": result.stages,
             }
         )
         print(
@@ -316,7 +326,7 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
 
 def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
     mesh = _load_builtin(config["builtin"])
-    op, f_h = _problem(config, mesh, config["builtin"])
+    op, f_h = _problem(config, mesh, config["builtin"], {})
     if op.n > 2000:
         raise ValueError(f"compare-oracle limited to 2000 dofs, mesh has {op.n}")
     fnorm = op.m_norm(f_h)
@@ -418,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _LIST_KINDS = {"alpha_list": float, "m_list": int, "levels": int}
 _NOT_CONFIG = ("subcommand", "from_manifest", "out", "verbose")
-_WRITTEN_KEYS = {"runs", "L_plus_1", "f_resolved"}  # keys a runner adds to its config
+_WRITTEN_KEYS = {"runs", "L_plus_1", "f_resolved", "setup_seconds"}  # keys a runner adds
 
 
 def _config_from_args(args) -> dict:
@@ -495,8 +505,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown subcommand {subcommand!r}")
             config = manifest["config"]
             _check_replayed(subcommand, config)
-            config.pop("runs", None)  # regenerated on replay
-            config.pop("L_plus_1", None)
+            for key in ("runs", "L_plus_1", "setup_seconds"):  # regenerated on replay
+                config.pop(key, None)
         else:
             subcommand = args.subcommand
             if subcommand is None:

@@ -56,12 +56,22 @@ class SurfaceMesh:
         return not bool(self.boundary_vertices.any())
 
     def triangle_areas(self) -> np.ndarray:
-        return _triangle_areas(self.vertices, self.triangles)
+        return 0.5 * _triangle_sides(self.vertices, self.triangles)[2]
 
 
-def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p0, p1, p2 = (vertices[triangles[:, k]] for k in range(3))
-    return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+def _triangle_sides(vertices: np.ndarray, triangles: np.ndarray):
+    """(u, v, twice the area) of each triangle (p0, p1, p2), with u = p1 - p0, v = p2 - p0.
+
+    u and v are (3, t) component arrays. Twice the area is the length of u x v,
+    its squared components summed in order.
+    """
+    vt = np.ascontiguousarray(vertices.T)
+    p0, p1, p2 = (np.take(vt, triangles[:, k], axis=1) for k in range(3))
+    u, v = p1 - p0, p2 - p0
+    c0 = u[1] * v[2] - u[2] * v[1]
+    c1 = u[2] * v[0] - u[0] * v[2]
+    c2 = u[0] * v[1] - u[1] * v[0]
+    return u, v, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 def _edge_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -96,7 +106,7 @@ def _checked_boundary(vertices, triangles, mode_hint) -> np.ndarray:
         raise ValueError(f"unknown mode hint {mode_hint!r}")
 
     diam = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
-    areas = _triangle_areas(vertices, triangles)
+    areas = 0.5 * _triangle_sides(vertices, triangles)[2]
     bad = np.nonzero(areas <= 1e-14 * diam * diam)[0]
     if bad.size:
         raise ValueError(f"degenerate triangle at index {bad[0]} (area {areas[bad[0]]:.3e})")

@@ -67,6 +67,7 @@ depend on the BLAS thread count.
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -84,6 +85,7 @@ CG_BUDGET_FRACTION = 0.01  # share of the a-priori bound the CG solves may add
 PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
 PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
 PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
+WEIGHTED_GATE_MARGIN = 1e-8  # relative allowance for rounding in pcg's weighted-test gate
 
 __all__ = [
     "SolverConfig",
@@ -135,7 +137,9 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     `SolverConfig.max_iter`). With `weight`, a positive vector w, it also
     stops once sqrt(sum(w * r**2)) <= weighted_tol, if the true residual
     b - A x passes the same test; that check costs one matvec and runs once,
-    and after a failed check only the relative test stops the iteration. Both
+    and after a failed check only the relative test stops the iteration. The
+    weighted sum is formed only when min(w) * ||r||^2 passes the same test,
+    up to a rounding margin, since the sum cannot pass otherwise. Both
     tests also run on b, so a right-hand side that passes returns zero after
     0 iterations. `residual`, when given, receives the true residual of
     the returned x. Updates are in place, and inner products use `dot`, which
@@ -160,9 +164,17 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
             return r / diag
     x = np.zeros_like(b)
     r = b.copy()
-    rel = math.sqrt(dot(r, r)) / ref_norm
+    rr = dot(r, r)
+    rel = math.sqrt(rr) / ref_norm
     weighted_sq = weighted_tol * weighted_tol
-    if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
+    if weight is not None:
+        # r^T W r >= min(W) r^T r, so the weighted sum is formed only once
+        # min(W) r^T r passes the test; the margin covers the rounding of the
+        # two sums, below (n + 1) 2^-53 relative each, for n up to 4e7
+        w_min = float(weight.min())
+        gate = weighted_sq * (1.0 + WEIGHTED_GATE_MARGIN)
+    if rel <= rel_tol or (weight is not None and w_min * rr <= gate
+                          and dot(weight * r, r) <= weighted_sq):
         if residual is not None:
             residual[:] = r
         return x, 0, rel
@@ -178,13 +190,14 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         x += step
         Ap *= alpha
         r -= Ap
-        rel = math.sqrt(dot(r, r)) / ref_norm
+        rr = dot(r, r)
+        rel = math.sqrt(rr) / ref_norm
         tail.append(rel)
         if rel <= rel_tol:
             if residual is not None:
                 np.subtract(b, A @ x, out=residual)
             return x, it, rel
-        if weight is not None and dot(weight * r, r) <= weighted_sq:
+        if weight is not None and w_min * rr <= gate and dot(weight * r, r) <= weighted_sq:
             true_r = b - A @ x
             if dot(weight * true_r, true_r) <= weighted_sq:
                 if residual is not None:
@@ -306,6 +319,11 @@ class FracSolveResult:
     mg_levels: tuple[int, ...] = ()  # unknowns per multigrid level, finest first
     # certified bound on the M-norm error the CG solves add (module docstring)
     cg_error_bound: float = math.nan
+    # wall-clock seconds (time.perf_counter) of the call's stages: "hierarchy_s"
+    # (the multigrid build) and "lambda_hat_check_s" (the Ritz value), each
+    # about 0 on a prepared operator; "steps_s", one per time step; and
+    # "pcg_s", the summed pcg calls, which the steps include
+    stages: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def max_residual(self) -> float:
@@ -355,12 +373,16 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     nodes = grid.nodes
     n_iter_cap = cfg.max_iter(op.n)
     prepared = op.prepared  # operator-only work, done on the first call (module docstring)
+    t0 = time.perf_counter()
     if "hierarchy" not in prepared:
         prepared["hierarchy"] = build_hierarchy(op.mass, op.stiffness)
     hierarchy = prepared["hierarchy"]
+    t1 = time.perf_counter()
     theta = prepared.get(("theta", lh))
     if theta is None:
         theta = prepared[("theta", lh)] = suggest_lambda_hat(op, hierarchy, lh)
+    stages = {"hierarchy_s": t1 - t0, "lambda_hat_check_s": time.perf_counter() - t1,
+              "steps_s": [], "pcg_s": 0.0}
     if lh > theta * (1.0 + PROBE_ROUNDING):
         raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
                          "smallest eigenvalue; choose lambda_hat <= lambda_min")
@@ -377,6 +399,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
     for l in range(grid.num_steps):
+        t_step = time.perf_counter()
         t_l = nodes[l]
         tau = nodes[l + 1] - t_l
         bu = fine.shifted((1.0 - t_l) * lh, t_l) @ U
@@ -399,12 +422,14 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                     c = dot(y, b) / yay
                     start = c * y
                     b -= c * ay  # the remainder z = y_i - c*y solves A z = b - c*A y
+            t_pcg = time.perf_counter()
             try:
                 y, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycle,
                                     weight=weight, weighted_tol=share, residual=residual,
                                     ref_norm=ref_norm)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
+            stages["pcg_s"] += time.perf_counter() - t_pcg
             if start is not None:
                 y += start
             records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
@@ -414,6 +439,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         if op.mode == MODE_ZERO_MEAN:
             U_next = deflate_mean(U_next, op)
         U = U_next
+        stages["steps_s"].append(time.perf_counter() - t_step)
 
     total = grid.num_steps * cfg.m
     if len(records) != total:
@@ -427,6 +453,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         lambda_max_used=lam_max,
         mg_levels=hierarchy.sizes,
         cg_error_bound=float(cg_error),
+        stages=stages,
     )
 
 

@@ -3,18 +3,31 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from fracsurf import assembly
-from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean
+from fracsurf.assembly import (
+    TRI_QUAD_POINTS,
+    TRI_QUAD_WEIGHTS,
+    AssembledOperator,
+    _check_mode,
+    assemble,
+    build_rhs,
+    coefficient_field,
+    deflate_mean,
+)
 from fracsurf.mesh import (
+    MODE_DIRICHLET,
     SurfaceMesh,
     gen_graded_square,
     gen_sphere,
     gen_torus,
     gen_unit_square,
+    read_gmsh,
 )
+from fracsurf.scheme import build_time_grid
+from util import write_msh41
 
 
 def _single_right_triangle():
@@ -24,17 +37,31 @@ def _single_right_triangle():
     return mesh
 
 
-class TestElementMatrices:
-    def test_unit_right_triangle_stiffness(self):
-        # classical P1 element matrix for the unit right triangle
-        mesh = _single_right_triangle()
-        op = assemble(mesh, coefficient_field(mesh), "dirichlet")
-        from fracsurf.assembly import _element_geometry
+def _full_pencil(monkeypatch, mesh, mode):
+    """The mass and stiffness matrices of `assemble`, before any Dirichlet elimination."""
+    seen = {}
+    check = assembly._check_assembled
 
-        area, grads = _element_geometry(mesh)
-        S_el = area[0] * grads[0] @ grads[0].T
-        expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        assert S_el == pytest.approx(expected, abs=1e-14)
+    def capture(mesh_, area, M, S, mode_):
+        seen.update(M=M, S=S)
+        check(mesh_, area, M, S, mode_)
+
+    monkeypatch.setattr(assembly, "_check_assembled", capture)
+    op = assemble(mesh, coefficient_field(mesh), mode)
+    return op, seen["M"], seen["S"]
+
+
+class TestElementMatrices:
+    def test_unit_right_triangle_stiffness(self, monkeypatch):
+        # two classical P1 right-triangle elements [[1, -1/2, -1/2], [-1/2, 1/2, 0],
+        # [-1/2, 0, 1/2]] (right angle first) make up the unit square; the zero
+        # entry of the diagonal edge stays in the pattern, which the mass shares
+        mesh = _single_right_triangle()
+        op, M, S = _full_pencil(monkeypatch, mesh, "dirichlet")
+        expected = np.array([[1.0, -0.5, -0.5, 0.0], [-0.5, 1.0, 0.0, -0.5],
+                             [-0.5, 0.0, 1.0, -0.5], [0.0, -0.5, -0.5, 1.0]])
+        assert S.toarray() == pytest.approx(expected, abs=1e-15)
+        assert S.nnz == M.nnz == 14
         assert op.n == 0  # every vertex is on the boundary here
 
     def test_mass_row_sums_are_area_thirds(self):
@@ -47,29 +74,19 @@ class TestElementMatrices:
         assert row_sums == pytest.approx(thirds, rel=1e-13)
 
     def test_patch_test_flat(self):
-        # stiffness annihilates linear coordinate functions on a flat mesh
+        # stiffness annihilates linear coordinate functions on a flat mesh, on
+        # the rows of free vertices with no constrained neighbour
         mesh = gen_unit_square(8)
         op = assemble(mesh, coefficient_field(mesh), "dirichlet")
+        tris = mesh.triangles
+        near = np.zeros(mesh.num_vertices, dtype=bool)
+        near[tris[mesh.boundary_vertices[tris].any(axis=1)].ravel()] = True
+        rows = ~near[op.free_dofs]
+        assert rows.sum() == 25
         norm = abs(op.stiffness).max()
         for comp in range(2):
-            # interior rows only: rows of free dofs not adjacent to the boundary
-            full = mesh.vertices[:, comp]
-            residual_full = np.zeros(mesh.num_vertices)
-            from fracsurf.assembly import _element_geometry
-
-            area, grads = _element_geometry(mesh)
-            tris = mesh.triangles
-            s_el = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-            vals = np.einsum("tij,tj->ti", s_el, full[tris])
-            np.add.at(residual_full, tris.ravel(), vals.ravel())
-            interior = ~mesh.boundary_vertices
-            neighbor_of_boundary = np.zeros(mesh.num_vertices, dtype=bool)
-            for k in range(3):
-                for j in range(3):
-                    sel = mesh.boundary_vertices[tris[:, j]]
-                    neighbor_of_boundary[tris[sel, k]] = True
-            rows = interior & ~neighbor_of_boundary
-            assert np.abs(residual_full[rows]).max() <= 1e-12 * norm
+            residual = op.stiffness @ mesh.vertices[op.free_dofs, comp]
+            assert np.abs(residual[rows]).max() <= 1e-12 * norm
 
 
 class TestSpectra:
@@ -146,30 +163,108 @@ class TestDeterminism:
         assert gap_m <= 1e-15 * abs(op1.mass).max()
 
 
-    @pytest.mark.parametrize("case", ["sphere3", "square12_4"])
-    def test_one_sort_matches_two_lexsorts(self, case, monkeypatch):
-        # the shared sort of the combined key is the permutation lexsort gave
-        # each matrix, so both matrices are bit-identical to the per-matrix path
-        def lexsort_accumulate(rows, cols, n, *vals):
-            out = []
-            for v in vals:
-                order = np.lexsort((cols, rows))
-                r, c, w = rows[order], cols[order], v[order]
-                boundary = np.ones(len(r), dtype=bool)
-                boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-                starts = np.nonzero(boundary)[0]
-                out.append(sp.csr_matrix((np.add.reduceat(w, starts), (r[starts], c[starts])),
-                                         shape=(n, n)))
-            return out
+    @pytest.mark.parametrize("case", ["sphere3", "torus_b", "square12_4", "gmsh_permuted"])
+    def test_matches_element_matrix_reference(self, case, tmp_path, monkeypatch):
+        # against the element-matrix assembly and the np.add.at moment vector
+        # below: the mass, the free dofs and both moment vectors are bit-identical,
+        # and so is the L2 right-hand side; the stiffness and the ceiling come
+        # from edge dot products in place of gradient cross products; here they
+        # differ by at most 4.9e-16 and 4.4e-16 relative to the largest entry
+        # and to the ceiling, which leaves L+1 unchanged, and the ceiling still
+        # bounds the largest eigenvalue
+        mesh, coeffs, mode, f, lh = _reference_case(case, tmp_path)
+        op = assemble(mesh, coeffs, mode)
+        ref = reference_assemble(mesh, coeffs, mode)
+        _assert_same_csr(op.mass, ref.mass)
+        np.testing.assert_array_equal(op.stiffness.indptr, ref.stiffness.indptr)
+        np.testing.assert_array_equal(op.stiffness.indices, ref.stiffness.indices)
+        gap = np.abs(op.stiffness.data - ref.stiffness.data).max()
+        assert gap <= 1e-15 * np.abs(ref.stiffness.data).max()
+        assert op.lambda_max_ceiling == pytest.approx(ref.lambda_max_ceiling, rel=1e-15, abs=0)
+        np.testing.assert_array_equal(op.free_dofs, ref.free_dofs)
+        assert (build_time_grid(lh, op.lambda_max_ceiling).num_steps
+                == build_time_grid(lh, ref.lambda_max_ceiling).num_steps)
+        top = eigsh(op.stiffness, k=1, M=op.mass, which="LM", return_eigenvectors=False)[0]
+        assert top <= op.lambda_max_ceiling
 
-        mesh, mode = ((gen_sphere(3), "zero-mean") if case == "sphere3"
-                      else (gen_graded_square(12, 4), "dirichlet"))
-        op = assemble(mesh, coefficient_field(mesh), mode)
-        monkeypatch.setattr(assembly, "_accumulate", lexsort_accumulate)
-        ref = assemble(mesh, coefficient_field(mesh), mode)
-        for A, B in ((op.mass, ref.mass), (op.stiffness, ref.stiffness)):
-            for attr in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
+        vertex_data = np.sin(np.arange(mesh.num_vertices, dtype=float))
+        for source in (f, vertex_data):
+            np.testing.assert_array_equal(assembly._moment_vector(mesh, source),
+                                          reference_moment_vector(mesh, source))
+        fh = build_rhs(mesh, f, op, method="l2_project")
+        monkeypatch.setattr(assembly, "_moment_vector", reference_moment_vector)
+        np.testing.assert_array_equal(fh, build_rhs(mesh, f, ref, method="l2_project"))
+
+    def test_vertex_in_no_triangle(self):
+        # a vertex no triangle uses (a stray Gmsh node, say) gets no entry, as
+        # in the reference; the solve then rejects the zero diagonal
+        base = gen_sphere(1)
+        n = base.num_vertices
+        mesh = SurfaceMesh(np.vstack([base.vertices, [[2.0, 0.0, 0.0]]]), base.triangles,
+                           np.zeros(n + 1, dtype=bool), "zero-mean")
+        op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+        ref = reference_assemble(mesh, coefficient_field(mesh), "zero-mean")
+        _assert_same_csr(op.mass, ref.mass)
+        np.testing.assert_array_equal(op.stiffness.indices, ref.stiffness.indices)
+        assert op.mass.indptr[n] == op.mass.indptr[n + 1] == op.mass.nnz
+
+
+def _assert_same_csr(A, B):
+    for attr in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
+
+
+def _reference_case(name, tmp_path):
+    """(mesh, coefficients, mode, source, lambda_hat) of one reference comparison."""
+    if name == "sphere3":
+        mesh = gen_sphere(3)
+        return mesh, coefficient_field(mesh), "zero-mean", lambda x: np.sign(x[:, 2]), 1.0
+    if name == "torus_b":
+        mesh = gen_torus(1.0, 0.3, 32, 16)
+        coeffs = coefficient_field(mesh, a=lambda x: 1.0 + 0.5 * x[:, 2],
+                                   b=lambda x: 1.0 + x[:, 0] ** 2)
+        return (mesh, coeffs, "positive-reaction",
+                lambda x: np.cos(3.0 * np.arctan2(x[:, 1], x[:, 0])), 0.9)
+    if name == "square12_4":
+        mesh = gen_graded_square(12, 4)
+        return (mesh, coefficient_field(mesh), "dirichlet",
+                lambda x: np.sign(x[:, 0] * x[:, 1]), 4.0)
+    base = gen_sphere(2)
+    perm = np.argsort(np.sin(np.arange(base.num_triangles, dtype=float) + 12345.0))
+    path = tmp_path / "permuted.msh"
+    write_msh41(path, base.vertices, base.triangles[perm])
+    mesh = read_gmsh(path)
+    coeffs = coefficient_field(mesh, a=lambda x: 2.0 + x[:, 0])
+    return mesh, coeffs, "zero-mean", lambda x: np.sign(x[:, 2]), 1.0
+
+
+class TestAssembledChecks:
+    def test_each_check_fires(self, monkeypatch):
+        # the checks on the full matrices catch an asymmetric value, an
+        # asymmetric pattern, a mass off the partition of unity and a
+        # stiffness that does not annihilate the constants
+        mesh = gen_sphere(1)
+        _, M, S = _full_pencil(monkeypatch, mesh, "zero-mean")
+        monkeypatch.undo()
+        area = mesh.triangle_areas()
+        check = assembly._check_assembled
+        check(mesh, area, M, S, "zero-mean")
+        bent = S.copy()
+        bent.data[1] *= 1.0 + 1e-9
+        with pytest.raises(AssertionError, match="stiffness matrix not symmetric"):
+            check(mesh, area, M, bent, "zero-mean")
+        coo = M.tocoo()
+        j = int(np.flatnonzero(M.toarray()[0] == 0.0)[0])  # (0, j) and (j, 0) not stored
+        lopsided = sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, 0),
+                                                            np.append(coo.col, j))), M.shape)
+        assert lopsided.nnz == M.nnz + 1
+        with pytest.raises(AssertionError, match="mass matrix pattern not symmetric"):
+            check(mesh, area, lopsided, S, "zero-mean")
+        with pytest.raises(AssertionError, match="mass row sums"):
+            check(mesh, area, M * (1.0 + 1e-9), S, "zero-mean")
+        shifted = (S + 1e-9 * abs(S).max() * sp.eye(S.shape[0])).tocsr()
+        with pytest.raises(AssertionError, match="annihilate constants"):
+            check(mesh, area, M, shifted, "zero-mean")
 
 
 class TestModeChecks:
@@ -283,3 +378,93 @@ class TestDeflation:
     def test_wrong_mode(self, square16_op):
         with pytest.raises(ValueError):
             deflate_mean(np.ones(square16_op.n), square16_op)
+
+
+# ----------------------------------------------------------------- references
+# The element-matrix assembly and the np.add.at moment vector that `assemble`
+# and `build_rhs` used before they became whole-array code. They are kept as
+# the references the library is compared with above.
+
+# phi values at the three edge midpoints (rows: midpoint of edges 01, 12, 20)
+_MID_PHI = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
+
+def _element_geometry(mesh):
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    p1 = mesh.vertices[mesh.triangles[:, 1]]
+    p2 = mesh.vertices[mesh.triangles[:, 2]]
+    e1 = p2 - p1
+    e2 = p0 - p2
+    e3 = p1 - p0
+    normal = np.cross(e3, -e2)
+    double_area = np.linalg.norm(normal, axis=1)
+    nhat = normal / double_area[:, None]
+    # grad phi_i = (nhat x e_i) / (2A), e_i the edge opposite vertex i
+    grads = np.stack(
+        [np.cross(nhat, e1), np.cross(nhat, e2), np.cross(nhat, e3)], axis=1
+    ) / double_area[:, None, None]
+    return 0.5 * double_area, grads
+
+
+def _reference_accumulate(rows, cols, n, *vals):
+    # entries sorted by (row, col) before reduction, by one stable sort
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    boundary = np.ones(len(k), dtype=bool)
+    boundary[1:] = k[1:] != k[:-1]
+    starts = np.nonzero(boundary)[0]
+    r, c = np.divmod(k[starts], n)
+    return [sp.csr_matrix((np.add.reduceat(v[order], starts), (r, c)), shape=(n, n))
+            for v in vals]
+
+
+def reference_assemble(mesh, coeffs, mode) -> AssembledOperator:
+    """The (mass, stiffness) pencil from (t, 3, 3) element matrices."""
+    _check_mode(mesh, coeffs, mode)
+    area, grads = _element_geometry(mesh)
+    tris = mesh.triangles
+
+    a_bar = coeffs.a[tris].mean(axis=1)
+    stiff_el = (a_bar * area)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    mass_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    mass_el = area[:, None, None] * mass_local
+    b_mid = coeffs.b[tris] @ _MID_PHI.T  # linear b at the edge midpoints
+    react_el = np.einsum("tq,qi,qj->tij", b_mid, _MID_PHI, _MID_PHI) * (area / 3.0)[:, None, None]
+
+    n = mesh.num_vertices
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    M, S = _reference_accumulate(rows, cols, n, mass_el.ravel(), (stiff_el + react_el).ravel())
+    if mode == MODE_DIRICHLET:
+        free = np.nonzero(~mesh.boundary_vertices)[0]
+        M = M[free][:, free].tocsr()
+        S = S[free][:, free].tocsr()
+    else:
+        free = np.arange(n)
+
+    tr = np.trace(stiff_el, axis1=1, axis2=2)
+    minor_sum = 0.5 * (tr**2 - np.einsum("tij,tji->t", stiff_el, stiff_el))
+    top = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4.0 * minor_sum, 0.0)))
+    ceiling = float(np.max(top * 12.0 / area)) + float(b_mid.max(initial=0.0))
+    return AssembledOperator(mass=M, stiffness=S, mode=mode, free_dofs=free, vertex_count=n,
+                             lambda_max_ceiling=ceiling, mass_diagonal_floor=0.5)
+
+
+def reference_moment_vector(mesh, f) -> np.ndarray:
+    """Integrals of f against each basis function by the degree-5 rule, by np.add.at."""
+    vertex_vals = None if callable(f) else assembly._vertex_values(mesh, f)
+    tris = mesh.triangles
+    p = [mesh.vertices[tris[:, k]] for k in range(3)]
+    area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
+    b = np.zeros(mesh.num_vertices)
+    for bc, w in zip(TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS):
+        if vertex_vals is None:
+            x = bc[0] * p[0] + bc[1] * p[1] + bc[2] * p[2]
+            fq = np.asarray(f(x), dtype=float)
+        else:  # P1 interpolant of vertex data at the quadrature point
+            fq = bc[0] * vertex_vals[tris[:, 0]] + bc[1] * vertex_vals[tris[:, 1]] \
+                + bc[2] * vertex_vals[tris[:, 2]]
+        for k in range(3):
+            np.add.at(b, tris[:, k], area * w * fq * bc[k])
+    return b

@@ -407,7 +407,16 @@ class TestDeterminismAndManifest:
         assert main(["--out", str(out), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0
         manifest = json.loads((out / "manifest_solve.json").read_text())
         assert manifest["timing_seconds"] >= 0.0
-        assert manifest["config"]["runs"][0]["seconds"] >= 0.0
+        run = manifest["config"]["runs"][0]
+        assert run["seconds"] >= 0.0
+        # the set-up spans and the stages of each run are measured on the same clock
+        setup = manifest["config"]["setup_seconds"]
+        assert sorted(setup) == ["assemble_s", "mesh_s", "rhs_s"]
+        assert min(setup.values()) >= 0.0
+        stages = run["stages"]
+        assert sorted(stages) == ["hierarchy_s", "lambda_hat_check_s", "pcg_s", "steps_s"]
+        assert len(stages["steps_s"]) == run["L_plus_1"]
+        assert 0.0 <= stages["pcg_s"] <= sum(stages["steps_s"]) <= run["seconds"]
 
     def test_manifest_without_mesh_exits_2(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from fracsurf import solver
-from fracsurf.assembly import assemble, build_rhs, coefficient_field
+from fracsurf.assembly import assemble, build_rhs, coefficient_field, dot
 from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus, gen_unit_square
 from fracsurf.multigrid import build_hierarchy
 from fracsurf.oracle import dense_decompose, dense_fractional
@@ -124,6 +124,61 @@ class TestPcg:
         np.testing.assert_array_equal(z, z_b)
         assert rel <= 1e-10 and rel == pytest.approx(rel_b * start / ref, rel=1e-14)
         assert np.linalg.norm(residual) / ref <= 2e-10
+
+
+class TestPcgGate:
+    @pytest.mark.parametrize("name", ["sphere", "torus", "square"])
+    def test_gated_test_matches_ungated_loop(self, name, monkeypatch):
+        # every solve of a default-budget run returns the iterations, x, the
+        # relative residual and the true residual of a loop that forms the
+        # weighted sum on every iteration, bit for bit
+        op, f, lh = _budget_case(name)
+        weighted = []
+
+        def checked_pcg(A, b, **kwargs):
+            ref_residual = np.empty_like(b)
+            ref = ungated_pcg(A, b, **{**kwargs, "residual": ref_residual})
+            x, iters, rel = pcg(A, b, **kwargs)
+            assert iters == ref[1] and rel == ref[2]
+            np.testing.assert_array_equal(x, ref[0])
+            np.testing.assert_array_equal(kwargs["residual"], ref_residual)
+            weighted.append(kwargs["weight"] is not None)
+            return x, iters, rel
+
+        monkeypatch.setattr(solver, "pcg", checked_pcg)
+        for alpha in (0.1, 0.9):
+            res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=3))
+        assert len(weighted) == 2 * res.total_solves and all(weighted)
+
+    def test_gate_inside_its_rounding_margin(self):
+        # with a constant weight c, c * ||r||^2 and the weighted sum differ by
+        # rounding alone; a target between them, at the first iterate whose
+        # weighted sum is the smaller, passes the gate only by its margin,
+        # and the weighted test then passes, as in the ungated loop
+        n, c = 300, 0.7
+        A = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        b = np.sin(np.arange(1.0, n + 1))
+        weight = np.full(n, c)
+        history = []
+        ungated_pcg(A, b, rel_tol=1e-12, history=history)
+        for r in history[1:]:  # residuals the loop tests, after an iteration
+            weighted, gated = dot(weight * r, r), c * dot(r, r)
+            tol = math.sqrt(weighted)
+            while tol * tol < weighted:
+                tol = math.nextafter(tol, math.inf)
+            if tol * tol < gated:
+                break
+        else:
+            pytest.fail("no residual whose weighted sum rounds below c * ||r||^2")
+        assert tol * tol < gated <= tol * tol * (1.0 + solver.WEIGHTED_GATE_MARGIN)
+        ref_residual, residual = np.empty(n), np.empty(n)
+        ref = ungated_pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol,
+                          residual=ref_residual)
+        x, iters, rel = pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol,
+                            residual=residual)
+        assert iters == ref[1] and rel == ref[2]
+        np.testing.assert_array_equal(x, ref[0])
+        np.testing.assert_array_equal(residual, ref_residual)
 
 
 class TestLambdaMax:
@@ -320,6 +375,19 @@ class TestFractionalApply:
             errs.append(sphere2_op.m_norm(res.solution - exact))
         assert np.all(np.diff(errs) < 0)
 
+    def test_stages_recorded(self, sphere2_op, sphere2_sign_rhs):
+        # first and later calls on one operator report the same stages; the
+        # steps hold the pcg calls, and the call holds the steps
+        op = dataclasses.replace(sphere2_op)
+        for _ in range(2):
+            res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=1.0, m=2))
+            stages = res.stages
+            assert sorted(stages) == ["hierarchy_s", "lambda_hat_check_s", "pcg_s", "steps_s"]
+            assert len(stages["steps_s"]) == res.time_grid.num_steps
+            assert min(stages["hierarchy_s"], stages["lambda_hat_check_s"],
+                       *stages["steps_s"]) >= 0.0
+            assert 0.0 < stages["pcg_s"] <= sum(stages["steps_s"])
+
     def test_undeflated_input_rejected(self, sphere2_op):
         cfg = SolverConfig(lambda_hat=1.0, m=2)
         with pytest.raises(ValueError, match="deflated"):
@@ -514,3 +582,67 @@ class TestAprioriBound:
         assert apriori_bound(2, 0.4, 1.0, 1e4, 3.0) == pytest.approx(
             3.0 * scheme_error_bound(2, 0.4, 1.0, 1e4), rel=1e-14
         )
+
+
+def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
+                residual=None, ref_norm=None, history=None):
+    """`pcg` as it was before the gate: the weighted sum is formed on every iteration.
+
+    `history`, when given, receives a copy of the recurrence residual before
+    the first iteration and after each one.
+    """
+    if max_iter is None:
+        max_iter = SolverConfig().max_iter(len(b))
+    norm_b = math.sqrt(dot(b, b))
+    if norm_b == 0.0:
+        if residual is not None:
+            residual[:] = b
+        return np.zeros_like(b), 0, 0.0
+    if ref_norm is None:
+        ref_norm = norm_b
+    if precond is None:
+        diag = A.diagonal()
+
+        def precond(r):
+            return r / diag
+    x = np.zeros_like(b)
+    r = b.copy()
+    if history is not None:
+        history.append(r.copy())
+    rel = math.sqrt(dot(r, r)) / ref_norm
+    weighted_sq = weighted_tol * weighted_tol
+    if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
+        if residual is not None:
+            residual[:] = r
+        return x, 0, rel
+    z = precond(r)
+    p = z.copy()
+    rz = dot(r, z)
+    step = np.empty_like(b)
+    for it in range(1, max_iter + 1):
+        Ap = A @ p
+        alpha = rz / dot(p, Ap)
+        np.multiply(p, alpha, out=step)
+        x += step
+        Ap *= alpha
+        r -= Ap
+        if history is not None:
+            history.append(r.copy())
+        rel = math.sqrt(dot(r, r)) / ref_norm
+        if rel <= rel_tol:
+            if residual is not None:
+                np.subtract(b, A @ x, out=residual)
+            return x, it, rel
+        if weight is not None and dot(weight * r, r) <= weighted_sq:
+            true_r = b - A @ x
+            if dot(weight * true_r, true_r) <= weighted_sq:
+                if residual is not None:
+                    residual[:] = true_r
+                return x, it, rel
+            weight = None
+        z = precond(r)
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    raise RuntimeError(f"CG failed to reach {rel_tol:.1e} in {max_iter} iterations")
