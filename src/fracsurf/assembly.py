@@ -40,6 +40,7 @@ __all__ = [
     "coefficient_field",
     "assemble",
     "build_rhs",
+    "constant_mode",
     "deflate_mean",
     "dot",
     "TRI_QUAD_POINTS",
@@ -118,11 +119,12 @@ class AssembledOperator:
     lambda_max_ceiling is a rigorous upper bound on the largest generalized
     eigenvalue, from the per-element pencils. mass_diagonal_floor is a c with
     M >= c * diag(M) in the Loewner order (1/2 for the consistent P1 mass).
-    `prepared` holds what `fractional_apply` computes from the operator alone
-    (the multigrid hierarchy and the Ritz value checked per lambda_hat), so
-    that later calls reuse it; it starts empty, also after
-    `dataclasses.replace`, and dies with the operator. Concurrent first calls
-    may each compute an entry; they compute the same bits, and one is kept.
+    `prepared` holds what is computed from the operator alone (the multigrid
+    hierarchy, the Ritz value checked per lambda_hat, and M*1 with its sum
+    from `constant_mode`), so that later calls reuse it; it starts empty, also
+    after `dataclasses.replace`, and dies with the operator. Concurrent first
+    calls may each compute an entry; they compute the same bits, and one is
+    kept.
     """
 
     mass: sp.csr_matrix
@@ -346,9 +348,19 @@ def _moment_vector(mesh, f) -> np.ndarray:
     return b
 
 
+def constant_mode(op: AssembledOperator) -> tuple[np.ndarray, float]:
+    """M*1 and its sum 1^T M 1, computed on the first call on `op` and kept in `op.prepared`."""
+    pair = op.prepared.get("constant_mode")
+    if pair is None:
+        m_ones = op.mass @ np.ones(op.n)
+        m_ones.setflags(write=False)
+        pair = op.prepared["constant_mode"] = (m_ones, float(m_ones.sum()))
+    return pair
+
+
 def deflate_mean(v: np.ndarray, op: AssembledOperator) -> np.ndarray:
     """Remove the M-weighted mean (the constant-mode component); idempotent."""
     if op.mode != MODE_ZERO_MEAN:
         raise ValueError("deflation only applies in zero-mean mode")
-    m_ones = op.mass @ np.ones(op.n)
-    return v - dot(m_ones, v) / float(m_ones.sum())
+    m_ones, total = constant_mode(op)
+    return v - dot(m_ones, v) / total

@@ -1,10 +1,10 @@
 """Triangulated 2-d surfaces embedded in R^3: generators, a Gmsh reader, validation.
 
-A mesh is valid when every triangle is non-degenerate, every edge is shared by
-at most two triangles (exactly one marks a boundary edge), and the two
-triangles of an interior edge traverse it in opposite directions (consistent
-orientation). Boundary vertices are always detected from edge incidence, never
-taken from file tags.
+A mesh is valid when every vertex belongs to a triangle, every triangle is
+non-degenerate, every edge is shared by at most two triangles (exactly one
+marks a boundary edge), and the two triangles of an interior edge traverse it
+in opposite directions (consistent orientation). Boundary vertices are always
+detected from edge incidence, never taken from file tags.
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ def _checked_boundary(vertices, triangles, mode_hint) -> np.ndarray:
         raise ValueError("triangles must be a (t, 3) index array")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n:
         raise ValueError("triangle indices out of range")
+    unused = np.flatnonzero(np.bincount(triangles.ravel(), minlength=n) == 0)
+    if unused.size:
+        raise ValueError(f"vertex {unused[0]} belongs to no triangle")
     if mode_hint not in MODES:
         raise ValueError(f"unknown mode hint {mode_hint!r}")
 

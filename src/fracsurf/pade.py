@@ -1,9 +1,10 @@
 """Rational approximation of (1+t)^(-alpha) by matched-series (m,m) approximants.
 
 The approximant is built from the roots of two Jacobi polynomial families and
-evaluated either as a product of first-order factors or as a sum of partial
-fractions. Both forms are exposed, together with a sharp a-priori error bound
-and the closed-form coefficients of numerator and denominator.
+evaluated as a sum of partial fractions, the form the operator solver mirrors.
+`build_pade` checks that form against the product of first-order factors,
+computed there as the reference. The module also gives a sharp a-priori error
+bound and the closed-form coefficients of numerator and denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "PadeApproximant",
     "jacobi_roots",
     "build_pade",
-    "eval_rm",
     "eval_rm_partial",
     "rm_partial",
     "pade_from_roots",
@@ -87,7 +87,8 @@ def build_pade(m: int, alpha: float) -> PadeApproximant:
     p = pade_from_roots(alpha, jacobi_roots(m, alpha, -alpha), jacobi_roots(m, -alpha, alpha))
 
     ts = np.linspace(0.0, 1.0, 33)
-    gap = np.abs(eval_rm(p, ts) - eval_rm_partial(p, ts))
+    factors = (1.0 + np.outer(p.num_roots, ts)) / (1.0 + np.outer(p.den_roots, ts))
+    gap = np.abs(np.prod(factors, axis=0) - rm_partial(p, ts))
     if gap.max() > 1e-12:
         raise ValueError(f"product and partial-fraction forms disagree by {gap.max():.3e}")
     return p
@@ -130,17 +131,6 @@ def _check_interlacing(a: np.ndarray, b: np.ndarray) -> None:
     bad = np.nonzero(np.diff(merged) <= 0.0)[0]
     if bad.size:
         raise ValueError(f"interlacing violated at merged index {bad[0]}")
-
-
-def eval_rm(p: PadeApproximant, t):
-    """Product-form evaluation; value in (0,1], strictly decreasing in t."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
-    out = np.ones_like(t)
-    for i in range(p.m):
-        out *= (1.0 + p.num_roots[i] * t) / (1.0 + p.den_roots[i] * t)
-    return out if out.ndim else float(out)
 
 
 def eval_rm_partial(p: PadeApproximant, t):

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .assembly import AssembledOperator, deflate_mean, dot
+from .assembly import AssembledOperator, constant_mode, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
 from .multigrid import Hierarchy, ShiftedVCycle, build_hierarchy
 from .pade import build_pade
@@ -248,16 +248,15 @@ def suggest_lambda_hat(op: AssembledOperator, hierarchy: Hierarchy, lambda_hat: 
     """
     S, M = op.stiffness, op.mass
     vcycle = ShiftedVCycle(hierarchy, lambda_hat, 1.0)
-    m_ones = M @ np.ones(op.n) if op.mode == MODE_ZERO_MEAN else None
+    zero_mean = op.mode == MODE_ZERO_MEAN
 
     def constrained(v):  # the M-orthogonal projection off the constants
-        if m_ones is not None:
-            v -= dot(m_ones, v) / float(m_ones.sum())
-        return v
+        return deflate_mean(v, op) if zero_mean else v
 
     def residual(r):  # its transpose, which keeps what the constrained problem sees
-        if m_ones is not None:
-            r -= (r.sum() / float(m_ones.sum())) * m_ones
+        if zero_mean:
+            m_ones, total = constant_mode(op)
+            r -= (r.sum() / total) * m_ones
         return r
 
     def unit(v):  # (v, S v, M v) scaled to M-norm 1
@@ -312,10 +311,8 @@ class SolveRecord:
 class FracSolveResult:
     solution: np.ndarray
     time_grid: TimeGrid
-    total_solves: int
     solve_log: list[SolveRecord] = field(repr=False)
     a_priori_bound: float = math.nan
-    lambda_max_used: float = math.nan
     mg_levels: tuple[int, ...] = ()  # unknowns per multigrid level, finest first
     # certified bound on the M-norm error the CG solves add (module docstring)
     cg_error_bound: float = math.nan
@@ -324,6 +321,14 @@ class FracSolveResult:
     # about 0 on a prepared operator; "steps_s", one per time step; and
     # "pcg_s", the summed pcg calls, which the steps include
     stages: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def total_solves(self) -> int:
+        return len(self.solve_log)
+
+    @property
+    def lambda_max_used(self) -> float:
+        return self.time_grid.lambda_max_bound
 
     @property
     def max_residual(self) -> float:
@@ -358,9 +363,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     lh = cfg.lambda_hat
 
     if op.mode == MODE_ZERO_MEAN:
-        m_ones = op.mass @ np.ones(op.n)
+        m_ones, total = constant_mode(op)
         drift = abs(dot(m_ones, f_h))
-        scale = op.m_norm(f_h) * math.sqrt(float(m_ones.sum()))
+        scale = op.m_norm(f_h) * math.sqrt(total)
         if scale > 0 and drift > 1e-10 * scale:
             raise ValueError(
                 "zero-mean mode requires a deflated right-hand side "
@@ -441,16 +446,13 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         U = U_next
         stages["steps_s"].append(time.perf_counter() - t_step)
 
-    total = grid.num_steps * cfg.m
-    if len(records) != total:
+    if len(records) != grid.num_steps * cfg.m:
         raise AssertionError("solve count mismatch")
     return FracSolveResult(
         solution=U,
         time_grid=grid,
-        total_solves=total,
         solve_log=records,
         a_priori_bound=bound,
-        lambda_max_used=lam_max,
         mg_levels=hierarchy.sizes,
         cg_error_bound=float(cg_error),
         stages=stages,

@@ -26,9 +26,10 @@ from fracsurf.oracle import (
     rm_minus_power_exact,
     sphere_series_solution,
 )
-from fracsurf.pade import build_pade, eval_rm, pade_error_bound
+from fracsurf.pade import build_pade, pade_error_bound
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
 from fracsurf.solver import SolverConfig, fractional_apply
+from util import eval_rm
 
 
 def _report(num, text):

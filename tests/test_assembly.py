@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fracsurf.assembly import (
     build_rhs,
     coefficient_field,
     deflate_mean,
+    dot,
 )
 from fracsurf.mesh import (
     MODE_DIRICHLET,
@@ -27,7 +29,7 @@ from fracsurf.mesh import (
     read_gmsh,
 )
 from fracsurf.scheme import build_time_grid
-from util import write_msh41
+from util import diagonal_op, write_msh41
 
 
 def _single_right_triangle():
@@ -378,6 +380,17 @@ class TestDeflation:
     def test_wrong_mode(self, square16_op):
         with pytest.raises(ValueError):
             deflate_mean(np.ones(square16_op.n), square16_op)
+
+    def test_same_bits_as_the_uncached_formula(self, sphere2_op):
+        # M*1 and its sum are kept on the operator; the projection is still
+        # v - (M 1).v / 1^T M 1, bit for bit, on the first call and later ones
+        tiny = diagonal_op([1.0, 2.0, 0.5, 3.0, 1.5], [0.0, 1.0, 2.0, 3.0, 4.0], mode="zero-mean")
+        for op in (dataclasses.replace(sphere2_op), tiny):
+            v = np.cos(np.arange(op.n, dtype=float)) + 2.0
+            m_ones = op.mass @ np.ones(op.n)
+            expected = v - dot(m_ones, v) / float(m_ones.sum())
+            for _ in range(2):
+                np.testing.assert_array_equal(deflate_mean(v, op), expected)
 
 
 # ----------------------------------------------------------------- references

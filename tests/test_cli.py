@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracsurf.cli import main
+from util import write_msh22, write_msh41
 
 
 def _read_csv(path):
@@ -25,6 +26,21 @@ class TestPadeTable:
         t0 = data[np.isclose(data[:, 2], 0.0)][0]
         assert t0[3] == 0.0 and t0[4] == 0.0
         assert np.all(data[:, 3] <= 1.5 * data[:, 4] + 1e-15)
+
+    def test_actual_err_against_the_product_form(self, tmp_path):
+        # the table evaluates r in partial fractions; the product form agrees
+        # with it up to rounding
+        from util import eval_rm
+
+        from fracsurf.pade import build_pade
+
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "pade-table", "--m", "1,3,6", "--alpha", "0.3,0.9"]) == 0
+        _, data = _read_csv(out / "pade_table.csv")
+        assert len(data) == 6 * 101
+        for m, alpha, t, actual, _ in data:
+            product = eval_rm(build_pade(int(m), alpha), t) - (1.0 + t) ** (-alpha)
+            assert abs(actual - product) <= 1e-15, (m, alpha, t)
 
     def test_bad_range_exit_code(self, tmp_path):
         assert main(["--out", str(tmp_path), "pade-table", "--m", "0"]) == 2
@@ -86,8 +102,6 @@ class TestSolve:
         assert np.all(data[:, 4] == 0.0)
 
     def test_gmsh_mesh_input(self, tmp_path):
-        from util import write_msh22
-
         from fracsurf.mesh import gen_unit_square
 
         mesh = gen_unit_square(4)  # small mesh with interior vertices
@@ -99,6 +113,19 @@ class TestSolve:
              "--m", "2", "--lambda-hat", "1.0", "--f", "ones"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("writer", [write_msh22, write_msh41])
+    @pytest.mark.parametrize("rhs", ["interpolate", "l2_project"])
+    def test_stray_node_exits_2(self, tmp_path, capsys, writer, rhs):
+        from fracsurf.mesh import gen_sphere
+
+        sphere = gen_sphere(1)
+        msh = tmp_path / "stray.msh"
+        writer(msh, np.vstack([sphere.vertices, [[2.0, 0.0, 0.0]]]), sphere.triangles)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--mesh", str(msh), "--rhs", rhs]) == 2
+        assert "vertex 42 belongs to no triangle" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_both_mesh_and_builtin_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--mesh", "x.msh",
@@ -158,8 +185,6 @@ class TestSolve:
 
     def test_mesh_built_once_per_solve(self, tmp_path, monkeypatch):
         # the manifest's mesh block comes from the mesh the solve used, not a rebuild
-        from util import write_msh22
-
         from fracsurf import cli
         from fracsurf.mesh import gen_unit_square, read_gmsh
 
@@ -217,8 +242,6 @@ class TestLambdaHatCheck:
     def test_tiny_closed_mesh_exits_2(self, tmp_path, capsys):
         # four unknowns are checked like any other size: the tetrahedron's
         # least eigenvalue off the constants is 2, so 1 passes and 3 does not
-        from util import write_msh22
-
         vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
         triangles = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
         msh = tmp_path / "tetrahedron.msh"

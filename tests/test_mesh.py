@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,14 @@ class TestValidation:
             mesh_validate(mesh)
         assert str(info.value) == "edge (0, 1) shared by more than two triangles"
 
+    def test_vertex_in_no_triangle(self):
+        v, t = two_triangle_patch()
+        v = np.vstack([v, [[2.0, 2.0, 0.0]]])
+        mesh = SurfaceMesh(v, t, np.array([True] * 4 + [False]), "dirichlet")
+        with pytest.raises(ValueError) as info:
+            mesh_validate(mesh)
+        assert str(info.value) == "vertex 4 belongs to no triangle"
+
     def test_wrong_boundary_mask(self):
         v, t = two_triangle_patch()
         mesh = SurfaceMesh(v, t, np.zeros(4, dtype=bool), "dirichlet")
@@ -356,6 +365,17 @@ class TestGmshReader:
         path.write_text(text)
         with pytest.raises(ValueError, match=r"line \d+.*unknown node 99"):
             read_gmsh(path)
+
+    @pytest.mark.parametrize("writer", [write_msh22, write_msh41])
+    def test_stray_node_named(self, tmp_path, writer):
+        # a node that no triangle uses would give a zero row in the pencil
+        sphere = gen_sphere(1)
+        path = tmp_path / "stray.msh"
+        writer(path, np.vstack([sphere.vertices, [[2.0, 0.0, 0.0]]]), sphere.triangles)
+        with pytest.raises(ValueError) as info:
+            read_gmsh(path)
+        assert re.fullmatch(r"lines \d+-\d+ \(\$Elements\): vertex 42 belongs to no triangle",
+                            str(info.value))
 
     def test_repeated_tag_named_at_its_earliest_repeat(self, tmp_path):
         # tags 5, 3, 5, 3: tag 5 repeats first in the file (line 8), though 3 sorts first

@@ -16,9 +16,9 @@ from fracsurf.oracle import (
     torus_fields,
     torus_mean_curvature,
 )
-from fracsurf.pade import build_pade, eval_rm, pade_error_bound
+from fracsurf.pade import build_pade, pade_error_bound
 from fracsurf.solver import pcg
-from util import diagonal_op
+from util import diagonal_op, eval_rm
 
 
 class TestDenseFractional:

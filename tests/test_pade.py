@@ -6,13 +6,13 @@ import pytest
 
 from fracsurf.pade import (
     build_pade,
-    eval_rm,
     eval_rm_partial,
     explicit_pq_coefficients,
     jacobi_roots,
     pade_error_bound,
     pade_from_roots,
 )
+from util import eval_rm
 
 
 class TestJacobiRoots:

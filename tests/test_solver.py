@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from fracsurf import solver
-from fracsurf.assembly import assemble, build_rhs, coefficient_field, dot
+from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean, dot
 from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus, gen_unit_square
 from fracsurf.multigrid import build_hierarchy
 from fracsurf.oracle import dense_decompose, dense_fractional
@@ -261,6 +261,19 @@ class TestLambdaHatProbe:
         np.testing.assert_array_equal(first.solution, later.solution)
         assert first.solve_log == later.solve_log
         assert first.cg_error_bound == later.cg_error_bound
+
+    def test_constant_mode_computed_once(self, sphere2_op, sphere2_sign_rhs):
+        # deflate_mean, the input check and the Ritz value all read the one
+        # (M*1, sum) pair kept on the operator; a copy starts without it
+        op = dataclasses.replace(sphere2_op)
+        assert "constant_mode" not in op.prepared
+        deflate_mean(sphere2_sign_rhs, op)
+        pair = op.prepared["constant_mode"]
+        assert pair[1] == float(pair[0].sum())
+        fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=1.0, m=2))
+        deflate_mean(sphere2_sign_rhs, op)
+        assert op.prepared["constant_mode"] is pair
+        assert "constant_mode" not in dataclasses.replace(op).prepared
 
     def test_bad_shift_rejected_on_a_used_operator(self, sphere2_op, sphere2_sign_rhs):
         op = dataclasses.replace(sphere2_op)

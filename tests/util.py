@@ -1,4 +1,6 @@
-"""Shared test helpers: fixture writers for Gmsh files, small meshes and pencils."""
+"""Shared test helpers: fixture writers for Gmsh files, small meshes and pencils,
+and the product form of the rational factor, the independent check of the
+partial-fraction form that the library evaluates."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,3 +85,14 @@ def diagonal_op(m_diag, s_diag, mode="positive-reaction"):
         lambda_max_ceiling=float(np.max(s_diag / m_diag)),
         mass_diagonal_floor=1.0,
     )
+
+
+def eval_rm(p, t):
+    """Product-form evaluation of r; value in (0,1], strictly decreasing in t."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be non-negative")
+    out = np.ones_like(t)
+    for i in range(p.m):
+        out *= (1.0 + p.num_roots[i] * t) / (1.0 + p.den_roots[i] * t)
+    return out if out.ndim else float(out)
