@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .mesh import (
     MODE_DIRICHLET,
@@ -41,6 +42,7 @@ __all__ = [
     "assemble",
     "build_rhs",
     "constant_mode",
+    "csr_matvec_into",
     "deflate_mean",
     "dot",
     "TRI_QUAD_POINTS",
@@ -72,6 +74,25 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     threads: at the sizes of a solve their hand-off costs more than the sum.
     """
     return float(np.einsum("i,i->", a, b))
+
+
+def csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ x for a CSR matrix A, written into `out` (which must not share memory with x).
+
+    It zeroes `out` and calls `scipy.sparse._sparsetools.csr_matvec`, the
+    compiled kernel that scipy's own `A @ x` calls after allocating a zero
+    result (verified on scipy 1.17.1): the kernel adds each row's products to
+    `out` in stored order, so the result has the bits of `A @ x`, without the
+    operator dispatch and the fresh result. The kernel checks no length, so
+    the shapes are checked here. Returns `out`.
+    """
+    n_row, n_col = A.shape
+    if A.format != "csr" or x.shape != (n_col,) or out.shape != (n_row,):
+        raise ValueError(f"expected a CSR matrix, x of shape ({n_col},) and out of shape "
+                         f"({n_row},); got {A.format}, {x.shape} and {out.shape}")
+    out.fill(0.0)
+    _sparsetools.csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ its diagonal is c1*dm + c2*ds: no shift runs a sparse add. The coarsest
 pencil is diagonalised once, S_c V = M_c V diag(lam) with V^T M_c V = I, after
 which a coarse solve with any shift is V diag(1/(c1 + c2 lam)) V^T: no solve
 factorises anything.
+
+The hierarchy is read-only. A `ShiftedVCycle` is the mutable part: a
+workspace that holds every level's matrix, smoother and vectors, shifted in
+place, and that each solving call builds once and owns. Its products write
+into its own vectors through `assembly.csr_matvec_into`, which calls scipy's
+internal compiled kernel `scipy.sparse._sparsetools.csr_matvec` (verified on
+scipy 1.17.1), the kernel and summation order of `A @ x`.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .assembly import dot
+from .assembly import csr_matvec_into, dot
 
 __all__ = ["Hierarchy", "PencilLevel", "ShiftedVCycle", "build_hierarchy"]
 
@@ -75,36 +82,96 @@ class Hierarchy:
 
 
 class ShiftedVCycle:
-    """Symmetric V(1,1)-cycle for A = c1*M + c2*S (c1 > 0, c2 >= 0); `matrix` is the fine A.
+    """Workspace for the symmetric V(1,1)-cycle of A = c1*M + c2*S (c1 > 0, c2 >= 0).
 
     Pre- and post-smoothing are the same damped-Jacobi step and the coarsest
     solve is exact, so the cycle is a symmetric positive definite operator and
     may precondition conjugate gradients. A fine A with a non-positive
     diagonal entry is not SPD and raises ValueError.
+
+    The workspace holds, per level, one CSR matrix on the level's pattern,
+    the Jacobi smoother and the cycle's vectors, all allocated here once;
+    `shift` refills them in place, and `matrix` is the fine A. Each call that
+    solves owns its workspace (`fractional_apply` and `suggest_lambda_hat`
+    build one per call), so the hierarchy stays read-only and may be shared
+    between threads, but one workspace may not. Every product goes through
+    `assembly.csr_matvec_into`, which writes into a workspace vector by
+    calling `scipy.sparse._sparsetools.csr_matvec`, the kernel of scipy's own
+    `A @ x` (verified on scipy 1.17.1), so the cycle has the bits of one that
+    allocates its matrices and vectors afresh.
     """
 
     def __init__(self, h: Hierarchy, c1: float, c2: float):
-        diagonals = [c1 * lv.mass_diagonal + c2 * lv.stiffness_diagonal for lv in h.levels]
-        if np.any(diagonals[0] <= 0.0):
-            raise ValueError("matrix has non-positive diagonal, not SPD")
         self._h = h
-        self._ops = [level.shifted(c1, c2) for level in h.levels]
-        self._smoothers = [w / d for w, d in zip(h.jacobi_weights, diagonals)]
-        self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
+        self._ops = [sp.csr_matrix((np.empty(len(lv.indices)), lv.indices, lv.indptr),
+                                   shape=(lv.n, lv.n)) for lv in h.levels]
+        self._diagonal = np.empty(h.levels[0].n)
+        self._smoothers = [np.empty(lv.n) for lv in h.levels[:len(h.jacobi_weights)]]
+        self._residuals = [np.empty(lv.n) for lv in h.levels[:-1]]
+        # restricted residual and correction of each coarser level
+        self._coarse = [(np.empty(lv.n), np.empty(lv.n)) for lv in h.levels[1:]]
+        self._coarse_work = np.empty(len(h.coarse_values))
+        self._scratch = np.empty(max(len(lv.indices) for lv in h.levels))
         self.matrix = self._ops[0]
+        self.shift(c1, c2)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._cycle(0, r)
+    def shift(self, c1: float, c2: float) -> None:
+        """Refill every level for A = c1*M + c2*S, with the bits of `PencilLevel.shifted`.
 
-    def _cycle(self, k: int, r: np.ndarray) -> np.ndarray:
+        A rejected shift leaves the workspace as it was.
+        """
+        h, scratch = self._h, self._scratch
+        fine = h.levels[0]
+        diagonal = _combine(c1, fine.mass_diagonal, c2, fine.stiffness_diagonal,
+                            self._diagonal, scratch)
+        if np.any(diagonal <= 0.0):
+            raise ValueError("matrix has non-positive diagonal, not SPD")
+        for lv, A in zip(h.levels, self._ops):
+            _combine(c1, lv.mass, c2, lv.stiffness, A.data, scratch)
+        for k, (lv, w, smoother) in enumerate(zip(h.levels, h.jacobi_weights, self._smoothers)):
+            if k:
+                diagonal = _combine(c1, lv.mass_diagonal, c2, lv.stiffness_diagonal, smoother,
+                                    scratch)
+            np.divide(w, diagonal, out=smoother)
+        self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
+
+    def product(self, c1: float, c2: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(c1*M + c2*S) x on the fine level, written into `out`, for any c1 and c2.
+
+        It refills `matrix` and leaves the rest alone, so the cycle needs a
+        `shift` before its next use.
+        """
+        fine = self._h.levels[0]
+        _combine(c1, fine.mass, c2, fine.stiffness, self.matrix.data, self._scratch)
+        return csr_matvec_into(self.matrix, x, out)
+
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The cycle applied to r, written into `out` (not r itself) or a fresh array."""
+        return self._cycle(0, r, np.empty_like(r) if out is None else out)
+
+    def _cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        h = self._h
         if k == len(self._smoothers):
-            V = self._h.coarse_vectors
-            return np.einsum("ij,j->i", V, self._coarse_scale * np.einsum("ij,i->j", V, r))
-        A, d, h = self._ops[k], self._smoothers[k], self._h
-        x = d * r
-        x += h.prolong[k] @ self._cycle(k + 1, h.restrict[k] @ (r - A @ x))
-        x += d * (r - A @ x)
+            V, work = h.coarse_vectors, self._coarse_work
+            np.multiply(self._coarse_scale, np.einsum("ij,i->j", V, r, out=work), out=work)
+            return np.einsum("ij,j->i", V, work, out=x)
+        A, d, res = self._ops[k], self._smoothers[k], self._residuals[k]
+        coarse_r, coarse_x = self._coarse[k]
+        np.multiply(d, r, out=x)
+        np.subtract(r, csr_matvec_into(A, x, res), out=res)
+        self._cycle(k + 1, csr_matvec_into(h.restrict[k], res, coarse_r), coarse_x)
+        x += csr_matvec_into(h.prolong[k], coarse_x, res)
+        np.subtract(r, csr_matvec_into(A, x, res), out=res)
+        res *= d
+        x += res
         return x
+
+
+def _combine(c1: float, a: np.ndarray, c2: float, b: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """c1*a + c2*b written into `out`, rounded as that expression is; c2*b goes to `scratch`."""
+    np.multiply(a, c1, out=out)
+    return np.add(out, np.multiply(b, c2, out=scratch[:len(b)]), out=out)
 
 
 def build_hierarchy(mass: sp.csr_matrix, stiffness: sp.csr_matrix) -> Hierarchy:

@@ -7,7 +7,9 @@ Lambda being the rigorous per-element ceiling that `assemble` computes. Solves
 use conjugate gradients preconditioned by one smoothed-aggregation multigrid
 V-cycle, from a hierarchy shared by every shift (see `multigrid`); every A and
 every step's B = (1-t)*lh*M + t*S is a value array on the fine pattern, which
-is the operator's own.
+is the operator's own. Each call builds one `ShiftedVCycle` workspace and
+shifts it in place for every solve; the workspace is the call's own and is
+not kept with the operator.
 The m solves of a step are combined in fixed index order so results are
 deterministic.
 
@@ -74,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .assembly import AssembledOperator, constant_mode, deflate_mean, dot
+from .assembly import AssembledOperator, constant_mode, csr_matvec_into, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
 from .multigrid import Hierarchy, ShiftedVCycle, build_hierarchy
 from .pade import build_pade
@@ -124,11 +126,13 @@ class SolverConfig:
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
         residual=None, ref_norm=None):
-    """Preconditioned conjugate gradients for SPD A.
+    """Preconditioned conjugate gradients for a CSR matrix A, SPD.
 
-    `precond` maps a residual to the preconditioned residual and must be
-    symmetric positive definite; without one the preconditioner is Jacobi,
-    which serves `build_rhs`'s mass solve (the scheme's solves pass a V-cycle).
+    `precond(r, out)` writes the preconditioned residual into `out`, pcg's
+    own vector, and must be symmetric positive definite; without one the
+    preconditioner is Jacobi, which serves `build_rhs`'s mass solve (the
+    scheme's solves pass a V-cycle, a workspace that the calling
+    `fractional_apply` owns).
     The iteration starts from zero and stops once ||r|| / ref_norm <= rel_tol
     for the residual r (not the preconditioned one), where `ref_norm` defaults
     to ||b||; a caller with a start x0 solves A z = b - A x0 for the remainder
@@ -142,8 +146,11 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     up to a rounding margin, since the sum cannot pass otherwise. Both
     tests also run on b, so a right-hand side that passes returns zero after
     0 iterations. `residual`, when given, receives the true residual of
-    the returned x. Updates are in place, and inner products use `dot`, which
-    calls no BLAS.
+    the returned x. Updates are in place, inner products use `dot`, which
+    calls no BLAS, and the products A p and A x go through `csr_matvec_into`
+    into a vector the call allocates once; it calls scipy's compiled kernel
+    `scipy.sparse._sparsetools.csr_matvec`, the one `A @ p` runs (verified on
+    scipy 1.17.1), so the iterates have the bits of `A @ p`.
     Returns (x, iterations, final relative residual).
     """
     if max_iter is None:
@@ -160,8 +167,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         if np.any(diag <= 0.0):
             raise ValueError("matrix has non-positive diagonal, not SPD")
 
-        def precond(r):
-            return r / diag
+        def precond(r, out):
+            return np.divide(r, diag, out=out)
     x = np.zeros_like(b)
     r = b.copy()
     rr = dot(r, r)
@@ -178,13 +185,14 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         if residual is not None:
             residual[:] = r
         return x, 0, rel
-    z = precond(r)
+    z = np.empty_like(b)
+    precond(r, z)
     p = z.copy()
     rz = dot(r, z)
-    step = np.empty_like(b)
+    step, Ap = np.empty_like(b), np.empty_like(b)
     tail = deque(maxlen=5)
     for it in range(1, max_iter + 1):
-        Ap = A @ p
+        csr_matvec_into(A, p, Ap)
         alpha = rz / dot(p, Ap)
         np.multiply(p, alpha, out=step)
         x += step
@@ -195,16 +203,16 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         tail.append(rel)
         if rel <= rel_tol:
             if residual is not None:
-                np.subtract(b, A @ x, out=residual)
+                np.subtract(b, csr_matvec_into(A, x, Ap), out=residual)
             return x, it, rel
         if weight is not None and w_min * rr <= gate and dot(weight * r, r) <= weighted_sq:
-            true_r = b - A @ x
+            true_r = np.subtract(b, csr_matvec_into(A, x, Ap), out=Ap)
             if dot(weight * true_r, true_r) <= weighted_sq:
                 if residual is not None:
                     residual[:] = true_r
                 return x, it, rel
             weight = None
-        z = precond(r)
+        precond(r, z)
         rz_new = dot(r, z)
         p *= rz_new / rz
         p += z
@@ -360,6 +368,12 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         raise ValueError(f"f_h has shape {f_h.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(f_h)):
         raise ValueError("f_h has non-finite entries")
+    mass_diagonal = op.mass.diagonal()
+    not_positive = np.flatnonzero(~(mass_diagonal > 0.0))
+    if len(not_positive):  # a vertex in no triangle has an empty row
+        k = int(not_positive[0])
+        raise ValueError(f"free dof {k} (vertex {int(op.free_dofs[k])}) has mass diagonal "
+                         f"{mass_diagonal[k]:.6g}, not positive: is it in no triangle?")
     lh = cfg.lambda_hat
 
     if op.mode == MODE_ZERO_MEAN:
@@ -391,14 +405,15 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     if lh > theta * (1.0 + PROBE_ROUNDING):
         raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
                          "smallest eigenvalue; choose lambda_hat <= lambda_min")
-    fine = hierarchy.levels[0]
     bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
 
     rel_tol = CG_REL_FLOOR if cfg.cg_rel_tol is None else cfg.cg_rel_tol
-    inv_diag = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())
+    inv_diag = 1.0 / (op.mass_diagonal_floor * mass_diagonal)
     weight = inv_diag if cfg.cg_rel_tol is None else None
     share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
-    residual = np.empty(op.n)
+    # the call's workspace: shifted in place for each solve, never kept in op.prepared
+    vcycle = ShiftedVCycle(hierarchy, lh, 1.0)
+    bu, g, ay, residual = (np.empty(op.n) for _ in range(4))
     cg_error = 0.0
 
     U = lh ** (-alpha) * f_h
@@ -407,21 +422,21 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         t_step = time.perf_counter()
         t_l = nodes[l]
         tau = nodes[l + 1] - t_l
-        bu = fine.shifted((1.0 - t_l) * lh, t_l) @ U
+        vcycle.product((1.0 - t_l) * lh, t_l, U, bu)
         ref_norm = math.sqrt(dot(bu, bu))
-        g = fine.shifted(-lh, 1.0) @ U
+        vcycle.product(-lh, 1.0, U, g)
         dec = np.zeros_like(U)
         y = None
         for i in range(cfg.m):
             s = t_l + p.den_roots[i] * tau
             if not 0.0 < s < 1.0:
                 raise AssertionError(f"solve weight s={s} outside (0,1) at step {l}, term {i}")
-            vcycle = ShiftedVCycle(hierarchy, (1.0 - s) * lh, s)
+            vcycle.shift((1.0 - s) * lh, s)
             A = vcycle.matrix
             b = (s - t_l) * g
             start = None
             if y is not None:  # Galerkin start c*y, y the previous term's correction
-                ay = A @ y
+                csr_matvec_into(A, y, ay)
                 yay = dot(y, ay)
                 if yay > 0.0:
                     c = dot(y, b) / yay

@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import scipy.sparse as sp
+
 import fracsurf
 import fracsurf.cli
 import fracsurf.solver
@@ -44,3 +46,22 @@ def test_names_the_workloads_read(sphere2_op, sphere2_sign_rhs):
     assert result.lambda_max_used == result.time_grid.lambda_max_bound
     for name in ("apriori_bound", "deflate_mean"):
         assert name in fracsurf.__all__ and callable(getattr(fracsurf, name))
+
+
+def test_pcg_receives_a_csr_matrix(sphere2_op, sphere2_sign_rhs, monkeypatch):
+    # the tracer's pcg hook reads shape, nnz, data, indices and indptr of the
+    # matrix that fractional_apply passes
+    matrices = []
+    pcg = fracsurf.solver.pcg
+
+    def recording_pcg(A, b, **kwargs):
+        matrices.append(A)
+        return pcg(A, b, **kwargs)
+
+    monkeypatch.setattr(fracsurf.solver, "pcg", recording_pcg)
+    result = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, SolverConfig(m=1))
+    assert len(matrices) == result.total_solves
+    for A in matrices:
+        assert sp.issparse(A) and A.format == "csr"
+        assert A.shape == (sphere2_op.n, sphere2_op.n) and A.nnz == len(A.data)
+        assert len(A.indices) == A.nnz and len(A.indptr) == sphere2_op.n + 1

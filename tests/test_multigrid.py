@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from fracsurf import (
     gen_sphere,
     gen_torus,
 )
+from fracsurf import solver
+from fracsurf.assembly import csr_matvec_into
 from fracsurf.multigrid import MAX_COARSE, ShiftedVCycle, build_hierarchy
 from fracsurf.solver import SolverConfig, fractional_apply
 
@@ -36,6 +39,54 @@ def _sphere_case(level):
     mesh = gen_sphere(level)
     op = assemble(mesh, coefficient_field(mesh), "zero-mean")
     return op, build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project")
+
+
+class ReferenceVCycle:
+    """The allocating V-cycle that the workspace replaced, kept as its reference.
+
+    Each shift builds fresh matrices with `PencilLevel.shifted` and each cycle
+    allocates its vectors and multiplies with `A @ x`; `shift` and `product`
+    give it the workspace's interface, so that it can stand in for it.
+    """
+
+    def __init__(self, h, c1, c2):
+        self._h = h
+        self.shift(c1, c2)
+
+    def shift(self, c1, c2):
+        h = self._h
+        diagonals = [c1 * lv.mass_diagonal + c2 * lv.stiffness_diagonal for lv in h.levels]
+        if np.any(diagonals[0] <= 0.0):
+            raise ValueError("matrix has non-positive diagonal, not SPD")
+        self._ops = [level.shifted(c1, c2) for level in h.levels]
+        self._smoothers = [w / d for w, d in zip(h.jacobi_weights, diagonals)]
+        self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
+        self.matrix = self._ops[0]
+
+    def product(self, c1, c2, x, out):
+        out[:] = self._h.levels[0].shifted(c1, c2) @ x
+        return out
+
+    def __call__(self, r, out=None):
+        if out is None:
+            return self._cycle(0, r)
+        out[:] = self._cycle(0, r)
+        return out
+
+    def _cycle(self, k, r):
+        if k == len(self._smoothers):
+            V = self._h.coarse_vectors
+            return np.einsum("ij,j->i", V, self._coarse_scale * np.einsum("ij,i->j", V, r))
+        A, d, h = self._ops[k], self._smoothers[k], self._h
+        x = d * r
+        x += h.prolong[k] @ self._cycle(k + 1, h.restrict[k] @ (r - A @ x))
+        x += d * (r - A @ x)
+        return x
+
+
+def _reference_matvec_into(A, x, out):
+    out[:] = A @ x
+    return out
 
 
 class TestVCycle:
@@ -87,6 +138,109 @@ class TestVCycle:
         S = (op.stiffness + 1e3 * sp.diags(op.stiffness.diagonal())).tocsr()
         h = build_hierarchy(op.mass, S)
         assert h.sizes[0] == op.n and h.sizes[-1] <= MAX_COARSE
+
+
+class TestCsrMatvecInto:
+    @pytest.mark.parametrize("name", ["sphere3_op", "torus_op", "square16_op", "graded_op"])
+    def test_bits_of_the_operator_product(self, name, request):
+        # every level operator, prolongator and restriction, into a buffer
+        # that holds stale values
+        op = request.getfixturevalue(name)
+        h = build_hierarchy(op.mass, op.stiffness)
+        matrices = [lv.shifted(c1, c2) for lv in h.levels for c1, c2 in TestVCycle.SHIFTS]
+        for A in matrices + h.prolong + h.restrict:
+            x = np.sin(np.arange(1.0, A.shape[1] + 1))
+            out = np.full(A.shape[0], np.nan)
+            assert csr_matvec_into(A, x, out) is out
+            np.testing.assert_array_equal(out, A @ x)
+
+    def test_int64_indices(self, sphere3_op):
+        A = sphere3_op.stiffness
+        wide = A.copy()  # scipy narrows indices on construction, so widen them afterwards
+        wide.indices, wide.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        x = np.cos(np.arange(A.shape[0]))
+        np.testing.assert_array_equal(csr_matvec_into(wide, x, np.empty(A.shape[0])), A @ x)
+
+    def test_shapes_and_format_checked(self):
+        # the compiled kernel reads and writes by the matrix's shape alone
+        A = sp.csr_matrix(np.arange(6.0).reshape(2, 3))
+        for x, out in ((np.ones(2), np.empty(2)), (np.ones(3), np.empty(3))):
+            with pytest.raises(ValueError, match="expected a CSR matrix"):
+                csr_matvec_into(A, x, out)
+        with pytest.raises(ValueError, match="expected a CSR matrix"):
+            csr_matvec_into(A.tocsc(), np.ones(3), np.empty(2))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("name", ["sphere3_op", "torus_op", "graded_op"])
+    def test_shifted_twice_equals_fresh_and_reference(self, name, request):
+        op = request.getfixturevalue(name)
+        h = build_hierarchy(op.mass, op.stiffness)
+        workspace = ShiftedVCycle(h, 1.0, 1.0)
+        r = np.sin(np.arange(1.0, op.n + 1))
+        for c1, c2 in TestVCycle.SHIFTS:
+            workspace.product(-1.0, 2.0, r, np.empty(op.n))  # refills the fine matrix only
+            workspace.shift(c1, c2)
+            before = workspace(r)
+            with pytest.raises(ValueError, match="non-positive diagonal"):
+                workspace.shift(-1.0, 0.0)
+            np.testing.assert_array_equal(workspace(r), before)  # a rejected shift changes nothing
+            fresh, reference = ShiftedVCycle(h, c1, c2), ReferenceVCycle(h, c1, c2)
+            for level, A in zip(h.levels, workspace._ops):
+                np.testing.assert_array_equal(A.data, level.shifted(c1, c2).data)
+            for out in (None, np.full(op.n, np.nan)):
+                result = workspace(r, out)
+                assert out is None or result is out
+                np.testing.assert_array_equal(result, fresh(r))
+                np.testing.assert_array_equal(result, reference(r))
+
+    def test_results_stay_independent(self, sphere3_op):
+        # a result is the caller's array, never a workspace buffer: two held
+        # at once keep their values, and a result the caller edits changes
+        # nothing the next call reads
+        h = build_hierarchy(sphere3_op.mass, sphere3_op.stiffness)
+        workspace, reference = ShiftedVCycle(h, 0.5, 0.5), ReferenceVCycle(h, 0.5, 0.5)
+        r1, r2 = (np.sin(k * np.arange(1.0, sphere3_op.n + 1)) for k in (1.0, 2.0))
+        first = workspace(r1)
+        first *= 0.5
+        second = workspace(r2)
+        np.testing.assert_array_equal(first, 0.5 * reference(r1))
+        np.testing.assert_array_equal(second, reference(r2))
+        assert not np.shares_memory(first, second)
+        product = workspace.product(1.0, 0.0, r1, np.empty(sphere3_op.n))
+        np.testing.assert_array_equal(product, sphere3_op.mass @ r1)
+
+    @pytest.mark.parametrize("name", ["sphere3", "sphere6", "torus", "graded"])
+    def test_fractional_apply_equals_the_allocating_path(self, name, torus_op, monkeypatch):
+        # solutions, solve logs, cg_error_bound and theta equal those of the
+        # allocating cycle with `A @ x` products, bit for bit; the workspace is
+        # not kept with the operator
+        if name.startswith("sphere"):
+            op, f = _sphere_case(int(name[6:]))
+            lh = 1.0
+        elif name == "torus":
+            op, lh = torus_op, 0.9
+            f = np.sin(np.arange(1.0, op.n + 1))
+        else:
+            mesh = gen_graded_square(25, 12)
+            op = assemble(mesh, coefficient_field(mesh), "dirichlet")
+            f, lh = np.sin(np.arange(1.0, op.n + 1)), 4.0
+        cfg = SolverConfig(lambda_hat=lh, m=3)
+        results = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(solver, "ShiftedVCycle", ReferenceVCycle)
+                monkeypatch.setattr(solver, "csr_matvec_into", _reference_matvec_into)
+            fresh = dataclasses.replace(op)
+            res = fractional_apply(fresh, f, 0.5, cfg)
+            assert not any(isinstance(v, (ShiftedVCycle, ReferenceVCycle))
+                           for v in fresh.prepared.values())
+            results.append((res, fresh.prepared[("theta", lh)]))
+        (new, theta), (ref, ref_theta) = results
+        np.testing.assert_array_equal(new.solution, ref.solution)
+        assert new.solve_log == ref.solve_log
+        assert new.cg_error_bound == ref.cg_error_bound and theta == ref_theta
 
 
 class TestSchemeSolves:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 
 from fracsurf import solver
 from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean, dot
-from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus, gen_unit_square
+from fracsurf.mesh import SurfaceMesh, gen_graded_square, gen_sphere, gen_torus, gen_unit_square
 from fracsurf.multigrid import build_hierarchy
 from fracsurf.oracle import dense_decompose, dense_fractional
 from fracsurf.pade import build_pade
@@ -67,7 +68,8 @@ class TestPcg:
         A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         inverse = np.linalg.inv(A.toarray())
         b = np.sin(np.arange(1.0, n + 1))
-        x, iters, rel = pcg(A, b, rel_tol=1e-13, precond=lambda r: inverse @ r)
+        x, iters, rel = pcg(A, b, rel_tol=1e-13,
+                            precond=lambda r, out: np.matmul(inverse, r, out=out))
         assert iters == 1 and x == pytest.approx(inverse @ b, rel=1e-12)
         assert pcg(A, b, rel_tol=1e-13)[1] > 1
 
@@ -400,6 +402,24 @@ class TestFractionalApply:
             assert min(stages["hierarchy_s"], stages["lambda_hat_check_s"],
                        *stages["steps_s"]) >= 0.0
             assert 0.0 < stages["pcg_s"] <= sum(stages["steps_s"])
+
+    @pytest.mark.parametrize("mode", ["zero-mean", "positive-reaction"])
+    def test_vertex_in_no_triangle_named(self, mode):
+        # `assemble` accepts a mesh built directly with a vertex that no
+        # triangle uses; the solve names its free dof before any multigrid
+        # work, where a zero diagonal would divide by zero
+        base = gen_sphere(1)
+        n = base.num_vertices
+        mesh = SurfaceMesh(np.vstack([base.vertices, [[2.0, 0.0, 0.0]]]), base.triangles,
+                           np.zeros(n + 1, dtype=bool), "zero-mean")
+        b = 1.0 if mode == "positive-reaction" else 0.0
+        op = assemble(mesh, coefficient_field(mesh, b=b), mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"free dof {n} \\(vertex {n}\\) has mass "
+                                                 "diagonal 0, not positive"):
+                fractional_apply(op, np.zeros(op.n), 0.5, SolverConfig(lambda_hat=0.5, m=2))
+        assert not op.prepared
 
     def test_undeflated_input_rejected(self, sphere2_op):
         cfg = SolverConfig(lambda_hat=1.0, m=2)
