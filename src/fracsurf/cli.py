@@ -205,10 +205,13 @@ def run_pade_table(config: dict, out_dir: str) -> tuple[list[str], None]:
 def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
     lh = config["lambda_hat"]
     lam_max = config["lambda_max"]
+    if config["n_lambda"] < 1:
+        raise ValueError(f"n_lambda must be positive, got {config['n_lambda']}")
     grid = build_time_grid(lh, lam_max)
     config["L_plus_1"] = grid.num_steps
-    lo = max(2.0, lh)
-    lams = np.geomspace(lo, lam_max, config["n_lambda"])
+    # the scan starts at max(2, lambda_hat), or at lambda_hat when Lambda <= 2,
+    # and so stays in [lambda_hat, Lambda]
+    lams = np.geomspace(max(2.0, lh) if lam_max > 2.0 else lh, lam_max, config["n_lambda"])
     paths = []
     for alpha in config["alpha_list"]:
         p = build_pade(config["m"], alpha)
@@ -409,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
     p.add_argument("--cg-max-iter", type=int, default=None,
-                   help="solver iteration budget (default 10*sqrt(n))")
+                   help="solver iteration budget (default max(200, 10*sqrt(n)))")
     p.add_argument("--rhs", choices=["interpolate", "l2_project"], default="interpolate")
     p.add_argument("--f", default="auto",
                    help="auto|ones|sign-x3|checkerboard|torus-source|csv:PATH")

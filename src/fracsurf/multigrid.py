@@ -60,11 +60,6 @@ class PencilLevel:
     def n(self) -> int:
         return len(self.indptr) - 1
 
-    def shifted(self, c1: float, c2: float) -> sp.csr_matrix:
-        """c1*M + c2*S on the shared pattern."""
-        return sp.csr_matrix((c1 * self.mass + c2 * self.stiffness, self.indices, self.indptr),
-                             shape=(self.n, self.n))
-
 
 @dataclass(frozen=True)
 class Hierarchy:
@@ -91,14 +86,14 @@ class ShiftedVCycle:
 
     The workspace holds, per level, one CSR matrix on the level's pattern,
     the Jacobi smoother and the cycle's vectors, all allocated here once;
-    `shift` refills them in place, and `matrix` is the fine A. Each call that
-    solves owns its workspace (`fractional_apply` and `suggest_lambda_hat`
-    build one per call), so the hierarchy stays read-only and may be shared
-    between threads, but one workspace may not. Every product goes through
-    `assembly.csr_matvec_into`, which writes into a workspace vector by
-    calling `scipy.sparse._sparsetools.csr_matvec`, the kernel of scipy's own
-    `A @ x` (verified on scipy 1.17.1), so the cycle has the bits of one that
-    allocates its matrices and vectors afresh.
+    only `shift` writes them, in place, and `matrix` is the fine A. Each call
+    that solves owns its workspace (`fractional_apply` and
+    `suggest_lambda_hat` build one per call), so the hierarchy stays
+    read-only and may be shared between threads, but one workspace may not.
+    Every product goes through `assembly.csr_matvec_into`, which writes into
+    a workspace vector by calling `scipy.sparse._sparsetools.csr_matvec`, the
+    kernel of scipy's own `A @ x` (verified on scipy 1.17.1), so the cycle
+    has the bits of one that allocates its matrices and vectors afresh.
     """
 
     def __init__(self, h: Hierarchy, c1: float, c2: float):
@@ -116,7 +111,7 @@ class ShiftedVCycle:
         self.shift(c1, c2)
 
     def shift(self, c1: float, c2: float) -> None:
-        """Refill every level for A = c1*M + c2*S, with the bits of `PencilLevel.shifted`.
+        """Refill every level for A = c1*M + c2*S, rounded as c1*m + c2*s on its values.
 
         A rejected shift leaves the workspace as it was.
         """
@@ -134,16 +129,6 @@ class ShiftedVCycle:
                                     scratch)
             np.divide(w, diagonal, out=smoother)
         self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
-
-    def product(self, c1: float, c2: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(c1*M + c2*S) x on the fine level, written into `out`, for any c1 and c2.
-
-        It refills `matrix` and leaves the rest alone, so the cycle needs a
-        `shift` before its next use.
-        """
-        fine = self._h.levels[0]
-        _combine(c1, fine.mass, c2, fine.stiffness, self.matrix.data, self._scratch)
-        return csr_matvec_into(self.matrix, x, out)
 
     def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The cycle applied to r, written into `out` (not r itself) or a fresh array."""
@@ -225,7 +210,7 @@ def _pencil_level(M: sp.csr_matrix, S: sp.csr_matrix) -> PencilLevel:
     keys = np.sort(np.concatenate(entry_keys + [diag]))
     keys = keys[np.append(True, keys[1:] != keys[:-1])]  # np.unique hashes, 10x slower here
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    # scipy narrows the index arrays here, once, so that `shifted` copies neither
+    # scipy narrows the index arrays here, once, so that the workspace's matrices copy neither
     pattern = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
     m, s = np.zeros(len(keys)), np.zeros(len(keys))
     for values, A, k in zip((m, s), coo, entry_keys):

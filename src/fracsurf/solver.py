@@ -5,27 +5,28 @@ matrices A = (1-s)*lh*M + s*S, s in (0,1), all symmetric positive definite
 even when S has the constant nullspace. The time grid spans [lh, Lambda],
 Lambda being the rigorous per-element ceiling that `assemble` computes. Solves
 use conjugate gradients preconditioned by one smoothed-aggregation multigrid
-V-cycle, from a hierarchy shared by every shift (see `multigrid`); every A and
-every step's B = (1-t)*lh*M + t*S is a value array on the fine pattern, which
-is the operator's own. Each call builds one `ShiftedVCycle` workspace and
-shifts it in place for every solve; the workspace is the call's own and is
-not kept with the operator.
+V-cycle, from a hierarchy shared by every shift (see `multigrid`); every A is
+a value array on the fine pattern, which is the operator's own. Each call
+builds one `ShiftedVCycle` workspace and shifts it in place for every solve;
+the workspace is the call's own and is not kept with the operator.
 The m solves of a step are combined in fixed index order so results are
 deterministic.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
-solves A y = (s - t_l) g with g = (S - lh*M) U, one matvec per step, and the
-step is U - sum_i beta_i y_i. The first term of a step is solved from zero.
-Every later term starts from the Galerkin projection of its solution onto the
-previous term's correction y, c*y with c = y.b / y.A y: it solves
+solves A y = (s - t_l) g with g = (S - lh*M) U, and the step is
+U - sum_i beta_i y_i. Each step multiplies U by the operator's own M and S,
+two matvecs, and forms g = S U - lh*M U and B_l U = lh*M U + t_l*g from them,
+since B_l = lh*M + t_l*(S - lh*M). The first term of a step is solved from
+zero. Every later term starts from the Galerkin projection of its solution
+onto the previous term's correction y, c*y with c = y.b / y.A y: it solves
 A z = b - c*A y from zero for the remainder and returns c*y + z, so the start
 costs the one matvec A y. The start is skipped when y.A y = 0; its inner
 products use `dot`, like those of `pcg`. The true residual of the y system is
 minus that of the x system, so the relative test and the certificate below
 keep the meaning they have for A x = B U: the relative test divides by
-||B_l U||, one more matvec per step, and `cg_rel_tol`, CG_REL_FLOOR and
-`SolveRecord.relative_residual` are all relative to it.
+||B_l U||, and `cg_rel_tol`, CG_REL_FLOOR and `SolveRecord.relative_residual`
+are all relative to it.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
 eps = a_priori_bound / 100 in the M-norm, and each stops once it has provably
@@ -137,7 +138,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     for the residual r (not the preconditioned one), where `ref_norm` defaults
     to ||b||; a caller with a start x0 solves A z = b - A x0 for the remainder
     and passes the reference norm of its own system. It raises RuntimeError
-    with the last five residuals after `max_iter` iterations (default:
+    with its targets (`weighted_tol` too when `weight` is given) and the last
+    five residuals after `max_iter` iterations (default:
     `SolverConfig.max_iter`). With `weight`, a positive vector w, it also
     stops once sqrt(sum(w * r**2)) <= weighted_tol, if the true residual
     b - A x passes the same test; that check costs one matvec and runs once,
@@ -174,7 +176,9 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     rr = dot(r, r)
     rel = math.sqrt(rr) / ref_norm
     weighted_sq = weighted_tol * weighted_tol
+    target = f"{rel_tol:.1e}"
     if weight is not None:
+        target += f" or the weighted residual {weighted_tol:.3e}"
         # r^T W r >= min(W) r^T r, so the weighted sum is formed only once
         # min(W) r^T r passes the test; the margin covers the rounding of the
         # two sums, below (n + 1) 2^-53 relative each, for n up to 4e7
@@ -218,7 +222,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         p += z
         rz = rz_new
     raise RuntimeError(
-        f"CG failed to reach {rel_tol:.1e} in {max_iter} iterations; "
+        f"CG failed to reach {target} in {max_iter} iterations; "
         f"last residuals {['%.2e' % h for h in tail]}"
     )
 
@@ -413,7 +417,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
     # the call's workspace: shifted in place for each solve, never kept in op.prepared
     vcycle = ShiftedVCycle(hierarchy, lh, 1.0)
-    bu, g, ay, residual = (np.empty(op.n) for _ in range(4))
+    lh_mu, g, bu, ay, residual = (np.empty(op.n) for _ in range(5))
     cg_error = 0.0
 
     U = lh ** (-alpha) * f_h
@@ -422,9 +426,10 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         t_step = time.perf_counter()
         t_l = nodes[l]
         tau = nodes[l + 1] - t_l
-        vcycle.product((1.0 - t_l) * lh, t_l, U, bu)
+        np.multiply(csr_matvec_into(op.mass, U, lh_mu), lh, out=lh_mu)
+        np.subtract(csr_matvec_into(op.stiffness, U, g), lh_mu, out=g)  # (S - lh*M) U
+        np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
         ref_norm = math.sqrt(dot(bu, bu))
-        vcycle.product(-lh, 1.0, U, g)
         dec = np.zeros_like(U)
         y = None
         for i in range(cfg.m):
@@ -448,7 +453,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                                     weight=weight, weighted_tol=share, residual=residual,
                                     ref_norm=ref_norm)
             except RuntimeError as exc:
-                raise RuntimeError(f"step {l}, term {i}: {exc}") from exc
+                budget = "" if weight is None else ("; the weighted target is this solve's "
+                                                    "share of the error budget")
+                raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
             stages["pcg_s"] += time.perf_counter() - t_pcg
             if start is not None:
                 y += start

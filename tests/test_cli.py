@@ -73,6 +73,22 @@ class TestScalarError:
         assert main(["--out", str(tmp_path), "scalar-error", "--lambda-hat", "4.0",
                      "--lambda-max", "2.0"]) == 2
 
+    def test_scan_stays_in_the_range_below_2(self, tmp_path):
+        # the scan starts at 2 only when Lambda lies above 2
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "scalar-error", "--m", "3", "--alpha", "0.5",
+                     "--lambda-hat", "1.0", "--lambda-max", "1.5", "--n-lambda", "5"]) == 0
+        _, data = _read_csv(out / "scalar_error_a0.5.csv")
+        assert len(data) == 5 and data[0, 0] == 1.0 and data[-1, 0] == 1.5
+        assert np.all(np.diff(data[:, 0]) > 0.0)
+
+    def test_no_lambda_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        for n in ("0", "-1"):
+            assert main(["--out", str(out), "scalar-error", "--n-lambda", n]) == 2
+            assert "n_lambda must be positive" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
 
 class TestSolve:
     def test_torus_runs_and_reports(self, tmp_path):
@@ -149,6 +165,29 @@ class TestSolve:
                   "--lambda-max", "20"])
         assert info.value.code == 2
         assert "--lambda-max" in capsys.readouterr().err
+
+    def test_cg_failure_names_the_budget_share(self, tmp_path, capsys):
+        from fracsurf.pade import build_pade
+
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "sphere:1"]) == 0
+        capsys.readouterr()
+        run = json.loads((out / "manifest_solve.json").read_text())["config"]["runs"][0]
+        # lambda_hat * 1% of the a-priori bound, split over the steps and the weights
+        share = 0.01 * run["a_priori_bound"] / (run["L_plus_1"]
+                                                * float(np.sum(build_pade(3, 0.5).beta[1:])))
+        assert main(["--out", str(tmp_path / "f"), "solve", "--builtin", "sphere:1",
+                     "--cg-max-iter", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "CG failed to reach 1.0e-12 or the weighted residual " in err
+        assert "share of the error budget" in err
+        figure = float(err.split("weighted residual ")[1].split()[0])
+        assert figure == pytest.approx(share, rel=1e-3)
+        # an explicit tolerance runs no weighted test, and the message names none
+        assert main(["--out", str(tmp_path / "g"), "solve", "--builtin", "sphere:1",
+                     "--cg-max-iter", "1", "--cg-tol", "1e-8"]) == 3
+        err = capsys.readouterr().err
+        assert "CG failed to reach 1.0e-08 in 1 iterations" in err and "weighted" not in err
 
     def test_non_positive_iteration_cap_exits_2(self, tmp_path, capsys):
         for cap in ("0", "-5"):

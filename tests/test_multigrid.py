@@ -41,12 +41,18 @@ def _sphere_case(level):
     return op, build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project")
 
 
+def _shifted(level, c1, c2):
+    """c1*M + c2*S of a `PencilLevel` as a fresh CSR matrix on its shared pattern."""
+    return sp.csr_matrix((c1 * level.mass + c2 * level.stiffness, level.indices, level.indptr),
+                         shape=(level.n, level.n))
+
+
 class ReferenceVCycle:
     """The allocating V-cycle that the workspace replaced, kept as its reference.
 
-    Each shift builds fresh matrices with `PencilLevel.shifted` and each cycle
-    allocates its vectors and multiplies with `A @ x`; `shift` and `product`
-    give it the workspace's interface, so that it can stand in for it.
+    Each shift builds fresh matrices with `_shifted` and each cycle allocates
+    its vectors and multiplies with `A @ x`; `shift` gives it the workspace's
+    interface, so that it can stand in for it.
     """
 
     def __init__(self, h, c1, c2):
@@ -58,14 +64,10 @@ class ReferenceVCycle:
         diagonals = [c1 * lv.mass_diagonal + c2 * lv.stiffness_diagonal for lv in h.levels]
         if np.any(diagonals[0] <= 0.0):
             raise ValueError("matrix has non-positive diagonal, not SPD")
-        self._ops = [level.shifted(c1, c2) for level in h.levels]
+        self._ops = [_shifted(level, c1, c2) for level in h.levels]
         self._smoothers = [w / d for w, d in zip(h.jacobi_weights, diagonals)]
         self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
         self.matrix = self._ops[0]
-
-    def product(self, c1, c2, x, out):
-        out[:] = self._h.levels[0].shifted(c1, c2) @ x
-        return out
 
     def __call__(self, r, out=None):
         if out is None:
@@ -122,7 +124,7 @@ class TestVCycle:
         A = vcycle.matrix.toarray()
         np.testing.assert_allclose(A, (0.3 * op.mass + 0.7 * op.stiffness).toarray(), rtol=0)
         coarsest = h.levels[-1]
-        h1 = build_hierarchy(coarsest.shifted(1.0, 0.0), coarsest.shifted(0.0, 1.0))
+        h1 = build_hierarchy(_shifted(coarsest, 1.0, 0.0), _shifted(coarsest, 0.0, 1.0))
         assert len(h1.sizes) == 1
         coarse = ShiftedVCycle(h1, 0.3, 0.7)
         b = np.sin(np.arange(h1.sizes[0]) + 1.0)
@@ -147,7 +149,7 @@ class TestCsrMatvecInto:
         # that holds stale values
         op = request.getfixturevalue(name)
         h = build_hierarchy(op.mass, op.stiffness)
-        matrices = [lv.shifted(c1, c2) for lv in h.levels for c1, c2 in TestVCycle.SHIFTS]
+        matrices = [_shifted(lv, c1, c2) for lv in h.levels for c1, c2 in TestVCycle.SHIFTS]
         for A in matrices + h.prolong + h.restrict:
             x = np.sin(np.arange(1.0, A.shape[1] + 1))
             out = np.full(A.shape[0], np.nan)
@@ -180,7 +182,6 @@ class TestWorkspace:
         workspace = ShiftedVCycle(h, 1.0, 1.0)
         r = np.sin(np.arange(1.0, op.n + 1))
         for c1, c2 in TestVCycle.SHIFTS:
-            workspace.product(-1.0, 2.0, r, np.empty(op.n))  # refills the fine matrix only
             workspace.shift(c1, c2)
             before = workspace(r)
             with pytest.raises(ValueError, match="non-positive diagonal"):
@@ -188,7 +189,7 @@ class TestWorkspace:
             np.testing.assert_array_equal(workspace(r), before)  # a rejected shift changes nothing
             fresh, reference = ShiftedVCycle(h, c1, c2), ReferenceVCycle(h, c1, c2)
             for level, A in zip(h.levels, workspace._ops):
-                np.testing.assert_array_equal(A.data, level.shifted(c1, c2).data)
+                np.testing.assert_array_equal(A.data, _shifted(level, c1, c2).data)
             for out in (None, np.full(op.n, np.nan)):
                 result = workspace(r, out)
                 assert out is None or result is out
@@ -208,8 +209,6 @@ class TestWorkspace:
         np.testing.assert_array_equal(first, 0.5 * reference(r1))
         np.testing.assert_array_equal(second, reference(r2))
         assert not np.shares_memory(first, second)
-        product = workspace.product(1.0, 0.0, r1, np.empty(sphere3_op.n))
-        np.testing.assert_array_equal(product, sphere3_op.mass @ r1)
 
     @pytest.mark.parametrize("name", ["sphere3", "sphere6", "torus", "graded"])
     def test_fractional_apply_equals_the_allocating_path(self, name, torus_op, monkeypatch):
@@ -338,7 +337,8 @@ class TestSharedPattern:
             patterns_differ |= M.nnz != S.nnz
             for c1, c2 in TestVCycle.SHIFTS + [(1.0, 0.0), (0.0, 1.0)]:
                 expected = c1 * M + c2 * S
-                np.testing.assert_array_equal(level.shifted(c1, c2).toarray(), expected.toarray())
+                np.testing.assert_array_equal(_shifted(level, c1, c2).toarray(),
+                                              expected.toarray())
                 np.testing.assert_array_equal(
                     c1 * level.mass_diagonal + c2 * level.stiffness_diagonal, expected.diagonal())
         assert patterns_differ == (name == "lumped_square")

@@ -432,6 +432,38 @@ class TestFractionalApply:
             with pytest.raises(ValueError):
                 fractional_apply(sphere2_op, sphere2_sign_rhs, alpha, cfg)
 
+    def test_step_products_equal_the_whole_matrices(self, sphere2_op, sphere2_sign_rhs,
+                                                    monkeypatch):
+        # a step forms B_l U and g = (S - lh*M) U from M U and S U; the first
+        # term's right-hand side (s - t_l) g and the reference norm ||B_l U||
+        # agree with B_l and S - lh*M formed as matrices
+        op, lh = sphere2_op, 1.0
+        states, calls = [], []
+        matvec, real_pcg = solver.csr_matvec_into, solver.pcg
+
+        def recording_matvec(A, x, out):
+            if A is op.mass:
+                states.append(x.copy())
+            return matvec(A, x, out)
+
+        def recording_pcg(A, b, **kwargs):
+            calls.append((b.copy(), kwargs["ref_norm"]))
+            return real_pcg(A, b, **kwargs)
+
+        monkeypatch.setattr(solver, "csr_matvec_into", recording_matvec)
+        monkeypatch.setattr(solver, "pcg", recording_pcg)
+        res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=lh, m=3))
+        nodes, p = res.time_grid.nodes, build_pade(3, 0.5)
+        assert len(states) == res.time_grid.num_steps and len(calls) == res.total_solves
+        for l, U in enumerate(states):
+            t, (b, ref_norm) = nodes[l], calls[3 * l]
+            s = t + p.den_roots[0] * (nodes[l + 1] - t)
+            B = (1.0 - t) * lh * op.mass + t * op.stiffness
+            assert ref_norm == pytest.approx(np.linalg.norm(B @ U), rel=1e-13)
+            su, mu = op.stiffness @ U, op.mass @ U
+            scale = (s - t) * np.abs(su).max()
+            np.testing.assert_allclose(b, (s - t) * (su - lh * mu), rtol=0, atol=1e-13 * scale)
+
     def test_solve_weights_inside_unit_interval(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=1.0, m=5)
         res = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.9, cfg)
