@@ -7,26 +7,41 @@ Lambda being the rigorous per-element ceiling that `assemble` computes. Solves
 use conjugate gradients preconditioned by one smoothed-aggregation multigrid
 V-cycle, from a hierarchy shared by every shift (see `multigrid`); every A is
 a value array on the fine pattern, which is the operator's own. Each call
-builds one `ShiftedVCycle` workspace and shifts it in place for every solve;
-the workspace is the call's own and is not kept with the operator.
-The m solves of a step are combined in fixed index order so results are
-deterministic.
+builds one `ShiftedVCycle` workspace per term, at the term's first shift, and
+shifts it in place for the term's later solves; the workspaces are the call's
+own and are not kept with the operator.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
 solves A y = (s - t_l) g with g = (S - lh*M) U, and the step is
 U - sum_i beta_i y_i. Each step multiplies U by the operator's own M and S,
 two matvecs, and forms g = S U - lh*M U and B_l U = lh*M U + t_l*g from them,
-since B_l = lh*M + t_l*(S - lh*M). The first term of a step is solved from
-zero. Every later term starts from the Galerkin projection of its solution
-onto the previous term's correction y, c*y with c = y.b / y.A y: it solves
-A z = b - c*A y from zero for the remainder and returns c*y + z, so the start
-costs the one matvec A y. The start is skipped when y.A y = 0; its inner
-products use `dot`, like those of `pcg`. The true residual of the y system is
-minus that of the x system, so the relative test and the certificate below
-keep the meaning they have for A x = B U: the relative test divides by
-||B_l U||, and `cg_rel_tol`, CG_REL_FLOOR and `SolveRecord.relative_residual`
-are all relative to it.
+since B_l = lh*M + t_l*(S - lh*M). Every term of the first step is solved
+from zero. At every later step, term i starts from the Galerkin projection of
+its solution onto its own correction y of the previous step, c*y with
+c = y.b / y.A y: it solves A z = b - c*A y from zero for the remainder and
+returns c*y + z, so the start costs the one matvec A y. The start is skipped
+when y.A y = 0; its inner products use `dot`, like those of `pcg`. The true
+residual of the y system is minus that of the x system, so the relative test
+and the certificate below keep the meaning they have for A x = B U: the
+relative test divides by ||B_l U||, and `cg_rel_tol`, CG_REL_FLOOR and
+`SolveRecord.relative_residual` are all relative to it.
+
+The m terms of a step thus read only the step's g and their own state, and
+run concurrently: from TERM_THREADS_MIN_N unknowns on, each call runs them on
+a thread pool of min(m, os.cpu_count()) workers, which it shuts down before
+it returns, also after a failure; below that, and on one CPU, they run
+inline. Threads pay because the level-6 work is in compiled kernels that
+release the interpreter lock (scipy's `csr_matvec`, numpy's ufuncs); below
+about 8192 unknowns the hand-offs cost more than the overlap gains. Time of
+a later call on 2 threads over inline, medians of 5 calls each on a 2-core
+host: 1.76 on `square:12,4` (n 1521), 1.71 on a 64x32 torus (n 2048), 1.60
+at sphere level 4 (n 2562); 0.96 and 0.99 on a 128x64 torus (n 8192), 0.93
+on `square:25,12` (n 9409), 0.84 to 1.09 in three runs at sphere level 5
+(n 10242) and 0.75 at level 6 (n 40962). The records,
+`cg_error_bound` and the step's sum over the terms are combined in term
+order, and no term's arithmetic depends on another's, so results are
+bit-identical for every worker count.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
 eps = a_priori_bound / 100 in the M-norm, and each stops once it has provably
@@ -70,8 +85,10 @@ depend on the BLAS thread count.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +106,7 @@ PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
 PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
 PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
 WEIGHTED_GATE_MARGIN = 1e-8  # relative allowance for rounding in pcg's weighted-test gate
+TERM_THREADS_MIN_N = 8192  # unknowns from which a step's m solves run on threads (docstring)
 
 __all__ = [
     "SolverConfig",
@@ -331,7 +349,9 @@ class FracSolveResult:
     # wall-clock seconds (time.perf_counter) of the call's stages: "hierarchy_s"
     # (the multigrid build) and "lambda_hat_check_s" (the Ritz value), each
     # about 0 on a prepared operator; "steps_s", one per time step; and
-    # "pcg_s", the summed pcg calls, which the steps include
+    # "pcg_s", the summed solve phases of the steps (each term's shift, start
+    # and pcg call), which the steps include; also "term_workers", the
+    # threads that ran each step's terms (1: inline)
     stages: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -358,8 +378,10 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     r(theta) = 1 - sum_i beta_i d_i theta / (1 + d_i theta), which leaves the
     lh-eigencomponent unchanged without relying on the weights summing to 1
     in floating point. Each term solves for the correction
-    y_i = U - solve(A_li, B_l U) from A_li y_i = (s - t_l)(S - lh*M) U; term
-    i >= 1 starts from the Galerkin projection onto span{y_(i-1)}. Zero-mean
+    y_i = U - solve(A_li, B_l U) from A_li y_i = (s - t_l)(S - lh*M) U; at
+    steps l >= 1, term i starts from the Galerkin projection onto span{y_i}
+    of step l-1, and the terms of a step run concurrently from
+    TERM_THREADS_MIN_N unknowns on (module docstring). Zero-mean
     runs re-deflate after every step to stop constant-mode drift from being
     amplified by lh^(-alpha). The solves stop at `cfg.cg_rel_tol` when it is
     set, and by the error budget of the module docstring otherwise; either
@@ -404,8 +426,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     theta = prepared.get(("theta", lh))
     if theta is None:
         theta = prepared[("theta", lh)] = suggest_lambda_hat(op, hierarchy, lh)
+    workers = min(cfg.m, os.cpu_count() or 1) if op.n >= TERM_THREADS_MIN_N else 1
     stages = {"hierarchy_s": t1 - t0, "lambda_hat_check_s": time.perf_counter() - t1,
-              "steps_s": [], "pcg_s": 0.0}
+              "steps_s": [], "pcg_s": 0.0, "term_workers": workers}
     if lh > theta * (1.0 + PROBE_ROUNDING):
         raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
                          "smallest eigenvalue; choose lambda_hat <= lambda_min")
@@ -415,58 +438,85 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     inv_diag = 1.0 / (op.mass_diagonal_floor * mass_diagonal)
     weight = inv_diag if cfg.cg_rel_tol is None else None
     share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
-    # the call's workspace: shifted in place for each solve, never kept in op.prepared
-    vcycle = ShiftedVCycle(hierarchy, lh, 1.0)
-    lh_mu, g, bu, ay, residual = (np.empty(op.n) for _ in range(5))
-    cg_error = 0.0
+    # the solve weight s of each step (row) and term (column)
+    s_grid = nodes[:-1, None] + p.den_roots * np.diff(nodes)[:, None]
+    outside = np.argwhere(~((s_grid > 0.0) & (s_grid < 1.0)))
+    if len(outside):
+        l, i = outside[0]
+        raise AssertionError(f"solve weight s={s_grid[l, i]} outside (0,1) at step {l}, term {i}")
+    # term i's own workspace, built at its step-0 shift so that no shift is
+    # discarded, its buffers and its last correction, never kept in
+    # op.prepared. They are built here, on the calling thread: built on the
+    # workers, whose allocations glibc serves from per-thread heaps, they
+    # raised the peak memory of a sphere level 6 benchmark run by 15%
+    vcycles = [ShiftedVCycle(hierarchy, (1.0 - s) * lh, s) for s in s_grid[0]]
+    ays, residuals = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(2))
+    corrections = [None] * cfg.m
 
+    def solve_term(l, i, t_l, g, ref_norm):
+        """Shift, start, pcg and add-start of term i at step l; touches only term i's state."""
+        s = s_grid[l, i]
+        if l:
+            vcycles[i].shift((1.0 - s) * lh, s)
+        A, y = vcycles[i].matrix, corrections[i]
+        b = (s - t_l) * g
+        start = None
+        if y is not None:  # Galerkin start c*y, y this term's correction in the last step
+            ay = csr_matvec_into(A, y, ays[i])
+            yay = dot(y, ay)
+            if yay > 0.0:
+                c = dot(y, b) / yay
+                start = c * y
+                b -= c * ay  # the remainder z = y_i - c*y solves A z = b - c*A y
+        try:
+            y, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
+                                weight=weight, weighted_tol=share, residual=residuals[i],
+                                ref_norm=ref_norm)
+        except RuntimeError as exc:
+            budget = "" if weight is None else ("; the weighted target is this solve's "
+                                                "share of the error budget")
+            raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
+        if start is not None:
+            y += start
+        corrections[i] = y
+        residual = residuals[i]
+        return (SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel),
+                math.sqrt(dot(inv_diag * residual, residual)))
+
+    lh_mu, g, bu = (np.empty(op.n) for _ in range(3))
+    cg_error = 0.0
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
-    for l in range(grid.num_steps):
-        t_step = time.perf_counter()
-        t_l = nodes[l]
-        tau = nodes[l + 1] - t_l
-        np.multiply(csr_matvec_into(op.mass, U, lh_mu), lh, out=lh_mu)
-        np.subtract(csr_matvec_into(op.stiffness, U, g), lh_mu, out=g)  # (S - lh*M) U
-        np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
-        ref_norm = math.sqrt(dot(bu, bu))
-        dec = np.zeros_like(U)
-        y = None
-        for i in range(cfg.m):
-            s = t_l + p.den_roots[i] * tau
-            if not 0.0 < s < 1.0:
-                raise AssertionError(f"solve weight s={s} outside (0,1) at step {l}, term {i}")
-            vcycle.shift((1.0 - s) * lh, s)
-            A = vcycle.matrix
-            b = (s - t_l) * g
-            start = None
-            if y is not None:  # Galerkin start c*y, y the previous term's correction
-                csr_matvec_into(A, y, ay)
-                yay = dot(y, ay)
-                if yay > 0.0:
-                    c = dot(y, b) / yay
-                    start = c * y
-                    b -= c * ay  # the remainder z = y_i - c*y solves A z = b - c*A y
-            t_pcg = time.perf_counter()
-            try:
-                y, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycle,
-                                    weight=weight, weighted_tol=share, residual=residual,
-                                    ref_norm=ref_norm)
-            except RuntimeError as exc:
-                budget = "" if weight is None else ("; the weighted target is this solve's "
-                                                    "share of the error budget")
-                raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
-            stages["pcg_s"] += time.perf_counter() - t_pcg
-            if start is not None:
-                y += start
-            records.append(SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel))
-            cg_error += p.beta[i + 1] * math.sqrt(dot(inv_diag * residual, residual)) / lh
-            dec += p.beta[i + 1] * y
-        U_next = U - dec
-        if op.mode == MODE_ZERO_MEAN:
-            U_next = deflate_mean(U_next, op)
-        U = U_next
-        stages["steps_s"].append(time.perf_counter() - t_step)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        for l in range(grid.num_steps):
+            t_step = time.perf_counter()
+            t_l = nodes[l]
+            np.multiply(csr_matvec_into(op.mass, U, lh_mu), lh, out=lh_mu)
+            np.subtract(csr_matvec_into(op.stiffness, U, g), lh_mu, out=g)  # (S - lh*M) U
+            np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
+            ref_norm = math.sqrt(dot(bu, bu))
+            tasks = [(l, i, t_l, g, ref_norm) for i in range(cfg.m)]
+            t_solve = time.perf_counter()
+            if pool is None:
+                outcomes = [solve_term(*task) for task in tasks]
+            else:
+                futures = [pool.submit(solve_term, *task) for task in tasks]
+                outcomes = [future.result() for future in futures]  # term order
+            stages["pcg_s"] += time.perf_counter() - t_solve
+            dec = np.zeros_like(U)
+            for i, (record, residual_norm) in enumerate(outcomes):
+                records.append(record)
+                cg_error += p.beta[i + 1] * residual_norm / lh
+                dec += p.beta[i + 1] * corrections[i]
+            U_next = U - dec
+            if op.mode == MODE_ZERO_MEAN:
+                U_next = deflate_mean(U_next, op)
+            U = U_next
+            stages["steps_s"].append(time.perf_counter() - t_step)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     if len(records) != grid.num_steps * cfg.m:
         raise AssertionError("solve count mismatch")

@@ -42,6 +42,18 @@ class TestPadeTable:
             product = eval_rm(build_pade(int(m), alpha), t) - (1.0 + t) ** (-alpha)
             assert abs(actual - product) <= 1e-15, (m, alpha, t)
 
+    def test_actual_err_is_the_exact_gap(self, tmp_path):
+        # at m = 8 the gap lies below double-precision rounding; the table
+        # holds the exact gap rounded once, so sampled rows equal it
+        from fracsurf.oracle import rm_minus_power_exact
+
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "pade-table", "--m", "8", "--alpha", "0.1,0.9"]) == 0
+        _, data = _read_csv(out / "pade_table.csv")
+        assert len(data) == 2 * 101
+        for _, alpha, t, actual, _ in data[::7]:
+            assert actual == float(rm_minus_power_exact(8, alpha, t)), (alpha, t)
+
     def test_bad_range_exit_code(self, tmp_path):
         assert main(["--out", str(tmp_path), "pade-table", "--m", "0"]) == 2
 
@@ -87,7 +99,7 @@ class TestScalarError:
         for n in ("0", "-1"):
             assert main(["--out", str(out), "scalar-error", "--n-lambda", n]) == 2
             assert "n_lambda must be positive" in capsys.readouterr().err
-            assert not out.exists() or not any(out.iterdir())
+            assert not out.exists()
 
 
 class TestSolve:
@@ -141,7 +153,7 @@ class TestSolve:
         out = tmp_path / "o"
         assert main(["--out", str(out), "solve", "--mesh", str(msh), "--rhs", rhs]) == 2
         assert "vertex 42 belongs to no triangle" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_both_mesh_and_builtin_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--mesh", "x.msh",
@@ -209,7 +221,7 @@ class TestSolve:
         out = tmp_path / "o"
         assert main(["--out", str(out)] + args) == 2
         assert f"{name} must be" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["solve", "--builtin", "sphere:2", "--alpha", ","],
@@ -476,7 +488,8 @@ class TestDeterminismAndManifest:
         assert sorted(setup) == ["assemble_s", "mesh_s", "rhs_s"]
         assert min(setup.values()) >= 0.0
         stages = run["stages"]
-        assert sorted(stages) == ["hierarchy_s", "lambda_hat_check_s", "pcg_s", "steps_s"]
+        assert sorted(stages) == ["hierarchy_s", "lambda_hat_check_s", "pcg_s", "steps_s",
+                                  "term_workers"]
         assert len(stages["steps_s"]) == run["L_plus_1"]
         assert 0.0 <= stages["pcg_s"] <= sum(stages["steps_s"]) <= run["seconds"]
 
@@ -489,7 +502,7 @@ class TestDeterminismAndManifest:
         path.write_text(json.dumps(manifest))
         assert main(["--from-manifest", str(path), "--out", str(b)]) == 2
         assert "exactly one of --mesh or --builtin" in capsys.readouterr().err
-        assert list(b.iterdir()) == []
+        assert not b.exists()
 
     @pytest.mark.parametrize("args", [
         ["solve", "--builtin", "sphere:1", "--alpha", "0.1234567,0.1234568"],

@@ -254,8 +254,10 @@ class TestSchemeSolves:
 
     def test_correction_form_saves_iterations(self):
         # CG iterations in all, under the default budget / at cg_rel_tol 1e-8:
-        # 389 / 418 solving each term for its correction U - x from the
-        # Galerkin start on the previous term's correction; 494 / 523 solving
+        # 401 / 437 solving each term for its correction U - x from the
+        # Galerkin start on the same term's correction in the previous step
+        # (389 / 418 from the previous term's correction in the same step,
+        # which kept the terms from running concurrently); 494 / 523 solving
         # for x from zero, 449 / 474 for the correction from zero, and
         # 389 / 466 with the relative test against the correction's own
         # right-hand side instead of ||B_l U||

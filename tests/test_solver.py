@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import scipy.sparse as sp
 from fracsurf import solver
 from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean, dot
 from fracsurf.mesh import SurfaceMesh, gen_graded_square, gen_sphere, gen_torus, gen_unit_square
-from fracsurf.multigrid import build_hierarchy
+from fracsurf.cli import main
+from fracsurf.multigrid import ShiftedVCycle, build_hierarchy
 from fracsurf.oracle import dense_decompose, dense_fractional
 from fracsurf.pade import build_pade
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
@@ -392,16 +395,18 @@ class TestFractionalApply:
 
     def test_stages_recorded(self, sphere2_op, sphere2_sign_rhs):
         # first and later calls on one operator report the same stages; the
-        # steps hold the pcg calls, and the call holds the steps
+        # steps hold their solve phases, and the call holds the steps
         op = dataclasses.replace(sphere2_op)
         for _ in range(2):
             res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=1.0, m=2))
             stages = res.stages
-            assert sorted(stages) == ["hierarchy_s", "lambda_hat_check_s", "pcg_s", "steps_s"]
+            assert sorted(stages) == ["hierarchy_s", "lambda_hat_check_s", "pcg_s", "steps_s",
+                                      "term_workers"]
             assert len(stages["steps_s"]) == res.time_grid.num_steps
             assert min(stages["hierarchy_s"], stages["lambda_hat_check_s"],
                        *stages["steps_s"]) >= 0.0
             assert 0.0 < stages["pcg_s"] <= sum(stages["steps_s"])
+            assert stages["term_workers"] == 1  # below TERM_THREADS_MIN_N
 
     @pytest.mark.parametrize("mode", ["zero-mean", "positive-reaction"])
     def test_vertex_in_no_triangle_named(self, mode):
@@ -435,8 +440,9 @@ class TestFractionalApply:
     def test_step_products_equal_the_whole_matrices(self, sphere2_op, sphere2_sign_rhs,
                                                     monkeypatch):
         # a step forms B_l U and g = (S - lh*M) U from M U and S U; the first
-        # term's right-hand side (s - t_l) g and the reference norm ||B_l U||
-        # agree with B_l and S - lh*M formed as matrices
+        # term's right-hand side (s - t_l) g, less its start c*A y at steps
+        # l >= 1 (y the term's correction at step l - 1), and the reference
+        # norm ||B_l U|| agree with B_l and S - lh*M formed as matrices
         op, lh = sphere2_op, 1.0
         states, calls = [], []
         matvec, real_pcg = solver.csr_matvec_into, solver.pcg
@@ -447,22 +453,32 @@ class TestFractionalApply:
             return matvec(A, x, out)
 
         def recording_pcg(A, b, **kwargs):
-            calls.append((b.copy(), kwargs["ref_norm"]))
-            return real_pcg(A, b, **kwargs)
+            result = real_pcg(A, b, **kwargs)
+            calls.append((A.copy(), b.copy(), kwargs["ref_norm"], result[0].copy()))
+            return result
 
         monkeypatch.setattr(solver, "csr_matvec_into", recording_matvec)
         monkeypatch.setattr(solver, "pcg", recording_pcg)
         res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=lh, m=3))
+        assert res.stages["term_workers"] == 1  # inline, so the calls come in term order
         nodes, p = res.time_grid.nodes, build_pade(3, 0.5)
         assert len(states) == res.time_grid.num_steps and len(calls) == res.total_solves
+        y = None  # term 0's correction at the previous step
         for l, U in enumerate(states):
-            t, (b, ref_norm) = nodes[l], calls[3 * l]
+            t, (A, b, ref_norm, z) = nodes[l], calls[3 * l]
             s = t + p.den_roots[0] * (nodes[l + 1] - t)
             B = (1.0 - t) * lh * op.mass + t * op.stiffness
             assert ref_norm == pytest.approx(np.linalg.norm(B @ U), rel=1e-13)
             su, mu = op.stiffness @ U, op.mass @ U
             scale = (s - t) * np.abs(su).max()
-            np.testing.assert_allclose(b, (s - t) * (su - lh * mu), rtol=0, atol=1e-13 * scale)
+            expected = (s - t) * (su - lh * mu)
+            if y is not None:
+                ay = A @ y
+                c = np.dot(y, expected) / np.dot(y, ay)
+                expected, y = expected - c * ay, z + c * y
+            else:
+                y = z
+            np.testing.assert_allclose(b, expected, rtol=0, atol=1e-13 * scale)
 
     def test_solve_weights_inside_unit_interval(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=1.0, m=5)
@@ -615,8 +631,6 @@ class TestConcurrency:
         # independent solves on one operator from several threads agree with
         # the sequential results bit for bit, also when they race to prepare a
         # fresh operator, with thread switches forced often
-        from concurrent.futures import ThreadPoolExecutor
-
         def run(op, alpha):
             cfg = SolverConfig(lambda_hat=1.0, m=2)
             return fractional_apply(op, sphere2_sign_rhs, alpha, cfg).solution
@@ -635,6 +649,116 @@ class TestConcurrency:
         for seq, thr in zip(sequential * 2, threaded):
             assert np.array_equal(seq, thr)
         assert np.array_equal(run(fresh, alphas[0]), sequential[0])
+
+
+@pytest.fixture(scope="module")
+def sphere5_case():
+    """Sphere level 5 (n 10242, above TERM_THREADS_MIN_N), its sign data and lambda_hat."""
+    mesh = gen_sphere(5)
+    op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+    return op, build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project"), 1.0
+
+
+class TestTermThreads:
+    @pytest.mark.parametrize("name", ["sphere5", "square25_12"])
+    def test_worker_count_changes_no_bit(self, name, sphere5_case, monkeypatch):
+        # each term starts from its own correction of the previous step, so the
+        # default worker count and one worker give the same bits
+        if name == "sphere5":
+            op, f, lh = sphere5_case
+        else:
+            mesh = gen_graded_square(25, 12)
+            op = assemble(mesh, coefficient_field(mesh), "dirichlet")
+            f, lh = np.sin(np.arange(1.0, op.n + 1)), 4.0
+        assert op.n >= solver.TERM_THREADS_MIN_N
+        default_workers = min(3, os.cpu_count() or 1)
+        runs = []
+        for cpus in (None, 1):
+            if cpus is not None:
+                monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
+            fresh = dataclasses.replace(op)
+            res = fractional_apply(fresh, f, 0.5, SolverConfig(lambda_hat=lh, m=3))
+            assert res.stages["term_workers"] == (default_workers if cpus is None else cpus)
+            runs.append((res, fresh.prepared[("theta", lh)]))
+        (default, theta), (one, one_theta) = runs
+        np.testing.assert_array_equal(one.solution, default.solution)
+        assert one.solve_log == default.solve_log
+        assert one.cg_error_bound == default.cg_error_bound and one_theta == theta
+
+    def test_more_workers_than_cores_with_fast_switching(self, sphere3_op, monkeypatch):
+        # every step's five solves on five threads, with thread switches forced
+        # often, give the bits of the inline run
+        op = dataclasses.replace(sphere3_op)
+        f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
+        cfg = SolverConfig(lambda_hat=1.0, m=5)
+        inline = fractional_apply(op, f, 0.5, cfg)
+        assert inline.stages["term_workers"] == 1
+        monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as caller:
+                threaded = caller.submit(fractional_apply, op, f, 0.5, cfg).result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.stages["term_workers"] == 5
+        np.testing.assert_array_equal(threaded.solution, inline.solution)
+        assert threaded.solve_log == inline.solve_log
+        assert threaded.cg_error_bound == inline.cg_error_bound
+
+    def test_failing_worker_named_and_no_thread_left(self, sphere5_case, monkeypatch):
+        # a pcg failure on a worker thread, in the first solve to start at
+        # step 1, names its step and term, and the call leaves no thread behind
+        op, f, lh = sphere5_case
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        real_pcg, lock, on_worker = solver.pcg, threading.Lock(), []
+
+        def failing_pcg(A, b, **kwargs):
+            with lock:
+                on_worker.append(threading.current_thread() is not threading.main_thread())
+                k = len(on_worker)
+            if k == 4:
+                raise RuntimeError("injected")
+            return real_pcg(A, b, **kwargs)
+
+        monkeypatch.setattr(solver, "pcg", failing_pcg)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^step 1, term [0-2]: injected"):
+            fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=lh, m=3))
+        assert len(on_worker) >= 4 and all(on_worker)
+        assert threading.active_count() == before
+
+    def test_cli_failure_exits_3_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch):
+        # every solve fails at one iteration; the lowest term of step 0 is named
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        before = threading.active_count()
+        assert main(["--out", str(tmp_path / "o"), "solve", "--builtin", "sphere:5",
+                     "--cg-max-iter", "1"]) == 3
+        assert "solver failure: step 0, term 0: CG failed" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_one_shift_per_solve(self, sphere3_op, monkeypatch, threaded):
+        # each term's workspace is built at its step-0 shift and shifted once
+        # in every later step, so the call shifts once per solve
+        op = dataclasses.replace(sphere3_op)
+        f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
+        cfg = SolverConfig(lambda_hat=1.0, m=3)
+        fractional_apply(op, f, 0.5, cfg)  # prepares theta, whose check shifts a cycle too
+        if threaded:
+            monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        shifts, real_shift = [], ShiftedVCycle.shift
+
+        def counting_shift(self, c1, c2):
+            shifts.append((c1, c2))
+            return real_shift(self, c1, c2)
+
+        monkeypatch.setattr(ShiftedVCycle, "shift", counting_shift)
+        res = fractional_apply(op, f, 0.5, cfg)
+        assert res.stages["term_workers"] == (3 if threaded else 1)
+        assert len(shifts) == res.total_solves == cfg.m * res.time_grid.num_steps
 
 
 class TestAprioriBound:
