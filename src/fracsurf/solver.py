@@ -38,7 +38,11 @@ a later call on 2 threads over inline, medians of 5 calls each on a 2-core
 host: 1.76 on `square:12,4` (n 1521), 1.71 on a 64x32 torus (n 2048), 1.60
 at sphere level 4 (n 2562); 0.96 and 0.99 on a 128x64 torus (n 8192), 0.93
 on `square:25,12` (n 9409), 0.84 to 1.09 in three runs at sphere level 5
-(n 10242) and 0.75 at level 6 (n 40962). The records,
+(n 10242) and 0.75 at level 6 (n 40962). The threshold sits above the
+crossover, where the gain clearly exceeds the run-to-run spread: near it
+threads buy a few percent, while the time comes to depend on whether the
+second core is free: on a shared 2-core host, 10 runs of `square:25,12` on
+threads spread three times as widely as inline. The records,
 `cg_error_bound` and the step's sum over the terms are combined in term
 order, and no term's arithmetic depends on another's, so results are
 bit-identical for every worker count.
@@ -106,7 +110,7 @@ PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
 PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
 PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
 WEIGHTED_GATE_MARGIN = 1e-8  # relative allowance for rounding in pcg's weighted-test gate
-TERM_THREADS_MIN_N = 8192  # unknowns from which a step's m solves run on threads (docstring)
+TERM_THREADS_MIN_N = 16384  # unknowns from which a step's m solves run on threads (docstring)
 
 __all__ = [
     "SolverConfig",

@@ -653,7 +653,7 @@ class TestConcurrency:
 
 @pytest.fixture(scope="module")
 def sphere5_case():
-    """Sphere level 5 (n 10242, above TERM_THREADS_MIN_N), its sign data and lambda_hat."""
+    """Sphere level 5 (n 10242), its sign data and lambda_hat."""
     mesh = gen_sphere(5)
     op = assemble(mesh, coefficient_field(mesh), "zero-mean")
     return op, build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project"), 1.0
@@ -663,14 +663,16 @@ class TestTermThreads:
     @pytest.mark.parametrize("name", ["sphere5", "square25_12"])
     def test_worker_count_changes_no_bit(self, name, sphere5_case, monkeypatch):
         # each term starts from its own correction of the previous step, so the
-        # default worker count and one worker give the same bits
+        # default worker count and one worker give the same bits; both meshes
+        # lie below TERM_THREADS_MIN_N, which is lowered to put them on threads
         if name == "sphere5":
             op, f, lh = sphere5_case
         else:
             mesh = gen_graded_square(25, 12)
             op = assemble(mesh, coefficient_field(mesh), "dirichlet")
             f, lh = np.sin(np.arange(1.0, op.n + 1)), 4.0
-        assert op.n >= solver.TERM_THREADS_MIN_N
+        assert op.n < solver.TERM_THREADS_MIN_N
+        monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
         default_workers = min(3, os.cpu_count() or 1)
         runs = []
         for cpus in (None, 1):
@@ -711,6 +713,7 @@ class TestTermThreads:
         # a pcg failure on a worker thread, in the first solve to start at
         # step 1, names its step and term, and the call leaves no thread behind
         op, f, lh = sphere5_case
+        monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         real_pcg, lock, on_worker = solver.pcg, threading.Lock(), []
 
@@ -731,6 +734,7 @@ class TestTermThreads:
 
     def test_cli_failure_exits_3_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch):
         # every solve fails at one iteration; the lowest term of step 0 is named
+        monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         before = threading.active_count()
         assert main(["--out", str(tmp_path / "o"), "solve", "--builtin", "sphere:5",
