@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,23 +56,35 @@ class SurfaceMesh:
     def is_closed(self) -> bool:
         return not bool(self.boundary_vertices.any())
 
+    @cached_property
+    def double_areas(self) -> np.ndarray:
+        """Twice the area of each triangle (read-only), computed once per mesh.
+
+        A generated or read mesh holds the values its validation computed; a
+        mesh built directly computes them on first use. They are not fields,
+        so `dataclasses.replace` does not carry them over.
+        """
+        double_areas = _double_areas(*_triangle_sides(self.vertices, self.triangles))
+        double_areas.setflags(write=False)
+        return double_areas
+
     def triangle_areas(self) -> np.ndarray:
-        return 0.5 * _triangle_sides(self.vertices, self.triangles)[2]
+        return 0.5 * self.double_areas
 
 
 def _triangle_sides(vertices: np.ndarray, triangles: np.ndarray):
-    """(u, v, twice the area) of each triangle (p0, p1, p2), with u = p1 - p0, v = p2 - p0.
-
-    u and v are (3, t) component arrays. Twice the area is the length of u x v,
-    its squared components summed in order.
-    """
+    """(u, v) of each triangle (p0, p1, p2): u = p1 - p0 and v = p2 - p0, as (3, t) arrays."""
     vt = np.ascontiguousarray(vertices.T)
     p0, p1, p2 = (np.take(vt, triangles[:, k], axis=1) for k in range(3))
-    u, v = p1 - p0, p2 - p0
+    return p1 - p0, p2 - p0
+
+
+def _double_areas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The length of u x v per triangle, its squared components summed in order."""
     c0 = u[1] * v[2] - u[2] * v[1]
     c1 = u[2] * v[0] - u[0] * v[2]
     c2 = u[0] * v[1] - u[1] * v[0]
-    return u, v, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 def _edge_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -93,8 +106,11 @@ def _edge_incidence(n: int, tris: np.ndarray):
     return keys, counts, forward
 
 
-def _checked_boundary(vertices, triangles, mode_hint) -> np.ndarray:
-    """Check every mesh invariant but the mask; return the mask edge incidence gives."""
+def _checked_boundary(vertices, triangles, mode_hint) -> tuple[np.ndarray, np.ndarray]:
+    """Check every mesh invariant but the mask.
+
+    Returns the mask edge incidence gives, and twice each triangle's area.
+    """
     n = len(vertices)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise ValueError("vertices must be an (n, 3) array")
@@ -109,7 +125,8 @@ def _checked_boundary(vertices, triangles, mode_hint) -> np.ndarray:
         raise ValueError(f"unknown mode hint {mode_hint!r}")
 
     diam = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
-    areas = 0.5 * _triangle_sides(vertices, triangles)[2]
+    double_areas = _double_areas(*_triangle_sides(vertices, triangles))
+    areas = 0.5 * double_areas
     bad = np.nonzero(areas <= 1e-14 * diam * diam)[0]
     if bad.size:
         raise ValueError(f"degenerate triangle at index {bad[0]} (area {areas[bad[0]]:.3e})")
@@ -132,12 +149,12 @@ def _checked_boundary(vertices, triangles, mode_hint) -> np.ndarray:
     boundary = np.zeros(n, dtype=bool)
     boundary[single // n] = True
     boundary[single % n] = True
-    return boundary
+    return boundary, double_areas
 
 
 def mesh_validate(mesh: SurfaceMesh) -> None:
     """Check all mesh invariants, the boundary mask included. Raises ValueError on violation."""
-    boundary = _checked_boundary(mesh.vertices, mesh.triangles, mesh.mode_hint)
+    boundary, _ = _checked_boundary(mesh.vertices, mesh.triangles, mesh.mode_hint)
     if not np.array_equal(boundary, mesh.boundary_vertices):
         raise ValueError("boundary_vertices mask does not match edge incidence")
 
@@ -146,15 +163,17 @@ def _finalize(vertices, triangles, closed_mode=MODE_ZERO_MEAN) -> SurfaceMesh:
     """The validated, read-only mesh; its mode hint is dirichlet if it has a boundary."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    boundary = _checked_boundary(vertices, triangles, closed_mode)
-    for arr in (vertices, triangles, boundary):
+    boundary, double_areas = _checked_boundary(vertices, triangles, closed_mode)
+    for arr in (vertices, triangles, boundary, double_areas):
         arr.setflags(write=False)
-    return SurfaceMesh(
+    mesh = SurfaceMesh(
         vertices=vertices,
         triangles=triangles,
         boundary_vertices=boundary,
         mode_hint=MODE_DIRICHLET if boundary.any() else closed_mode,
     )
+    mesh.__dict__["double_areas"] = double_areas  # validation's values, kept
+    return mesh
 
 
 # icosahedron with consistently outward-oriented faces

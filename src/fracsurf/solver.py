@@ -9,7 +9,11 @@ V-cycle, from a hierarchy shared by every shift (see `multigrid`); every A is
 a value array on the fine pattern, which is the operator's own. Each call
 builds one `ShiftedVCycle` workspace per term, at the term's first shift, and
 shifts it in place for the term's later solves; the workspaces are the call's
-own and are not kept with the operator.
+own and are not kept with the operator. Each term also gets, once per call,
+the vectors it solves in: `pcg`'s six (its `work`), its right-hand side, its
+start's product and residual, and two correction buffers that alternate
+between steps. All are built on the calling thread, so the workers that run
+the terms allocate no vector of length n.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
@@ -148,7 +152,7 @@ class SolverConfig:
 
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-        residual=None, ref_norm=None):
+        residual=None, ref_norm=None, work=None):
     """Preconditioned conjugate gradients for a CSR matrix A, SPD.
 
     `precond(r, out)` writes the preconditioned residual into `out`, pcg's
@@ -171,19 +175,29 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     tests also run on b, so a right-hand side that passes returns zero after
     0 iterations. `residual`, when given, receives the true residual of
     the returned x. Updates are in place, inner products use `dot`, which
-    calls no BLAS, and the products A p and A x go through `csr_matvec_into`
-    into a vector the call allocates once; it calls scipy's compiled kernel
-    `scipy.sparse._sparsetools.csr_matvec`, the one `A @ p` runs (verified on
-    scipy 1.17.1), so the iterates have the bits of `A @ p`.
+    calls no BLAS, and the products A p and A x go through `csr_matvec_into`;
+    it calls scipy's compiled kernel `scipy.sparse._sparsetools.csr_matvec`,
+    the one `A @ p` runs (verified on scipy 1.17.1), so the iterates have the
+    bits of `A @ p`.
+
+    `work`, when given, is six vectors of b's length that pcg writes in place
+    of allocating its own: x, r, z, p, the step alpha*p (also the weighted
+    tests' w*r) and A p. The call then allocates no vector of b's length, and
+    returns work[0] as x, which the next call with the same `work`
+    overwrites. The result has the same bits either way.
     Returns (x, iterations, final relative residual).
     """
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
+    if work is None:
+        work = [np.empty_like(b) for _ in range(6)]
+    x, r, z, p, step, Ap = work
+    x.fill(0.0)
     norm_b = math.sqrt(dot(b, b))
     if norm_b == 0.0:
         if residual is not None:
             residual[:] = b
-        return np.zeros_like(b), 0, 0.0
+        return x, 0, 0.0
     if ref_norm is None:
         ref_norm = norm_b
     if precond is None:
@@ -193,8 +207,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
 
         def precond(r, out):
             return np.divide(r, diag, out=out)
-    x = np.zeros_like(b)
-    r = b.copy()
+    np.copyto(r, b)
     rr = dot(r, r)
     rel = math.sqrt(rr) / ref_norm
     weighted_sq = weighted_tol * weighted_tol
@@ -206,16 +219,17 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         # two sums, below (n + 1) 2^-53 relative each, for n up to 4e7
         w_min = float(weight.min())
         gate = weighted_sq * (1.0 + WEIGHTED_GATE_MARGIN)
-    if rel <= rel_tol or (weight is not None and w_min * rr <= gate
-                          and dot(weight * r, r) <= weighted_sq):
+
+    def weighted_passes(v):  # sum(w * v**2) <= weighted_tol**2, with w*v formed in `step`
+        return dot(np.multiply(weight, v, out=step), v) <= weighted_sq
+
+    if rel <= rel_tol or (weight is not None and w_min * rr <= gate and weighted_passes(r)):
         if residual is not None:
             residual[:] = r
         return x, 0, rel
-    z = np.empty_like(b)
     precond(r, z)
-    p = z.copy()
+    np.copyto(p, z)
     rz = dot(r, z)
-    step, Ap = np.empty_like(b), np.empty_like(b)
     tail = deque(maxlen=5)
     for it in range(1, max_iter + 1):
         csr_matvec_into(A, p, Ap)
@@ -231,9 +245,9 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
             if residual is not None:
                 np.subtract(b, csr_matvec_into(A, x, Ap), out=residual)
             return x, it, rel
-        if weight is not None and w_min * rr <= gate and dot(weight * r, r) <= weighted_sq:
+        if weight is not None and w_min * rr <= gate and weighted_passes(r):
             true_r = np.subtract(b, csr_matvec_into(A, x, Ap), out=Ap)
-            if dot(weight * true_r, true_r) <= weighted_sq:
+            if weighted_passes(true_r):
                 if residual is not None:
                     residual[:] = true_r
                 return x, it, rel
@@ -450,11 +464,15 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         raise AssertionError(f"solve weight s={s_grid[l, i]} outside (0,1) at step {l}, term {i}")
     # term i's own workspace, built at its step-0 shift so that no shift is
     # discarded, its buffers and its last correction, never kept in
-    # op.prepared. They are built here, on the calling thread: built on the
-    # workers, whose allocations glibc serves from per-thread heaps, they
-    # raised the peak memory of a sphere level 6 benchmark run by 15%
+    # op.prepared. They are built here, on the calling thread, and the
+    # workers allocate no vector of length n: glibc serves a thread's
+    # allocations from its own heap, which keeps its high-water pages. Built
+    # on the workers, the workspaces raised the peak memory of a sphere level
+    # 6 benchmark run by 15%, and pcg's own vectors by 6%
     vcycles = [ShiftedVCycle(hierarchy, (1.0 - s) * lh, s) for s in s_grid[0]]
-    ays, residuals = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(2))
+    works = [[np.empty(op.n) for _ in range(6)] for _ in range(cfg.m)]
+    ays, rhs, residuals = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(3))
+    buffers = [(np.empty(op.n), np.empty(op.n)) for _ in range(cfg.m)]  # step l writes [l % 2]
     corrections = [None] * cfg.m
 
     def solve_term(l, i, t_l, g, ref_norm):
@@ -462,30 +480,33 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         s = s_grid[l, i]
         if l:
             vcycles[i].shift((1.0 - s) * lh, s)
-        A, y = vcycles[i].matrix, corrections[i]
-        b = (s - t_l) * g
-        start = None
+        A, y, new = vcycles[i].matrix, corrections[i], buffers[i][l % 2]
+        b = np.multiply(g, s - t_l, out=rhs[i])
+        c = None
         if y is not None:  # Galerkin start c*y, y this term's correction in the last step
             ay = csr_matvec_into(A, y, ays[i])
             yay = dot(y, ay)
             if yay > 0.0:
                 c = dot(y, b) / yay
-                start = c * y
-                b -= c * ay  # the remainder z = y_i - c*y solves A z = b - c*A y
+                ay *= c
+                b -= ay  # the remainder z = y_i - c*y solves A z = b - c*A y
         try:
-            y, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
+            x, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
                                 weight=weight, weighted_tol=share, residual=residuals[i],
-                                ref_norm=ref_norm)
+                                ref_norm=ref_norm, work=works[i])
         except RuntimeError as exc:
             budget = "" if weight is None else ("; the weighted target is this solve's "
                                                 "share of the error budget")
             raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
-        if start is not None:
-            y += start
-        corrections[i] = y
-        residual = residuals[i]
+        if c is None:
+            np.copyto(new, x)
+        else:
+            np.multiply(y, c, out=new)
+            new += x  # rounds as x + c*y
+        corrections[i] = new
+        residual, scratch = residuals[i], works[i][4]
         return (SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel),
-                math.sqrt(dot(inv_diag * residual, residual)))
+                math.sqrt(dot(np.multiply(inv_diag, residual, out=scratch), residual)))
 
     lh_mu, g, bu = (np.empty(op.n) for _ in range(3))
     cg_error = 0.0

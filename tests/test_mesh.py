@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import re
 
 import numpy as np
 import pytest
 
+from fracsurf import mesh as mesh_module
+from fracsurf.assembly import assemble, build_rhs, coefficient_field
 from fracsurf.mesh import (
     SurfaceMesh,
     gen_graded_square,
@@ -304,6 +307,37 @@ class TestValidation:
         mesh = SurfaceMesh(v, t, np.zeros(4, dtype=bool), "dirichlet")
         with pytest.raises(ValueError, match="boundary"):
             mesh_validate(mesh)
+
+
+class TestDoubleAreas:
+    def test_validation_values_kept_and_read_once(self, monkeypatch):
+        # a generated mesh keeps the double areas its validation computed;
+        # assemble and build_rhs read them and compute no area again
+        calls = []
+        double_areas = mesh_module._double_areas
+
+        def counting(u, v):
+            calls.append(u.shape[1])
+            return double_areas(u, v)
+
+        monkeypatch.setattr(mesh_module, "_double_areas", counting)
+        mesh = gen_sphere(2)
+        assert calls == [mesh.num_triangles]
+        op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+        build_rhs(mesh, lambda x: x[:, 2], op, method="l2_project")
+        assert len(calls) == 1
+        direct = double_areas(*mesh_module._triangle_sides(mesh.vertices, mesh.triangles))
+        assert mesh.double_areas.tobytes() == direct.tobytes()
+        assert not mesh.double_areas.flags.writeable
+        assert mesh.triangle_areas().tobytes() == (0.5 * direct).tobytes()
+
+    def test_direct_mesh_computes_once_and_replace_recomputes(self):
+        v, t = two_triangle_patch()
+        mesh = SurfaceMesh(v, t, np.ones(4, dtype=bool), "dirichlet")
+        first = mesh.double_areas
+        assert mesh.double_areas is first and np.all(first > 0)
+        scaled = dataclasses.replace(mesh, vertices=2.0 * v)
+        np.testing.assert_array_equal(scaled.double_areas, 4.0 * first)
 
 
 class TestGmshReader:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -184,6 +185,60 @@ class TestPcgGate:
         assert iters == ref[1] and rel == ref[2]
         np.testing.assert_array_equal(x, ref[0])
         np.testing.assert_array_equal(residual, ref_residual)
+
+
+def _vcycle_system(level):
+    """A shifted sphere pencil's V-cycle, a zero-mean right-hand side and the budget weight."""
+    mesh = gen_sphere(level)
+    op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+    vcycle = ShiftedVCycle(build_hierarchy(op.mass, op.stiffness), 0.5, 0.5)
+    b = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
+    weight = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())
+    return vcycle, b, weight, 1e-7 * math.sqrt(dot(weight * b, b))
+
+
+class TestPcgWork:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_same_bits_in_the_given_vectors(self, weighted):
+        # pcg writes the six vectors it is given, whatever they held, returns
+        # the first as x, and gives the bits of a call that allocates
+        vcycle, b, weight, tol = _vcycle_system(3)
+        A, n = vcycle.matrix, len(b)
+        kwargs = dict(rel_tol=1e-14 if weighted else 1e-10, precond=vcycle)
+        if weighted:
+            kwargs.update(weight=weight, weighted_tol=tol)
+        ref_residual = np.empty(n)
+        ref = pcg(A, b, residual=ref_residual, **kwargs)
+        if weighted:  # the weighted test stops it
+            assert ref[1] < pcg(A, b, rel_tol=1e-14, precond=vcycle)[1]
+        work, residual = [np.full(n, np.nan) for _ in range(6)], np.empty(n)
+        for _ in range(2):  # the second call finds the first one's vectors
+            x, iters, rel = pcg(A, b, residual=residual, work=work, **kwargs)
+            assert x is work[0] and iters == ref[1] and rel == ref[2]
+            assert x.tobytes() == ref[0].tobytes()
+            assert residual.tobytes() == ref_residual.tobytes()
+        x, iters, rel = pcg(A, np.zeros(n), work=work)
+        assert x is work[0] and iters == 0 and not x.any()
+
+    def test_allocates_less_than_one_vector(self):
+        # a budgeted V-cycle solve at sphere level 4 given its vectors: the
+        # traced peak stays below one vector of length n (6.2 vectors when
+        # pcg allocated its own)
+        vcycle, b, weight, tol = _vcycle_system(4)
+        n = len(b)
+        work, residual = [np.empty(n) for _ in range(6)], np.empty(n)
+        kwargs = dict(rel_tol=1e-14, precond=vcycle, weight=weight, weighted_tol=tol,
+                      residual=residual, work=work)
+        pcg(vcycle.matrix, b, **kwargs)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            x, iters, _ = pcg(vcycle.matrix, b, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert iters > 0 and x is work[0]
+        assert peak < x.nbytes
 
 
 class TestLambdaMax:
@@ -778,11 +833,13 @@ class TestAprioriBound:
 
 
 def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-                residual=None, ref_norm=None, history=None):
+                residual=None, ref_norm=None, history=None, work=None):
     """`pcg` as it was before the gate: the weighted sum is formed on every iteration.
 
     `history`, when given, receives a copy of the recurrence residual before
-    the first iteration and after each one.
+    the first iteration and after each one. `work` is accepted and ignored:
+    this loop allocates its own vectors, so it cannot overwrite those of a
+    `pcg` call it is compared with.
     """
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
