@@ -10,10 +10,10 @@ a value array on the fine pattern, which is the operator's own. Each call
 builds one `ShiftedVCycle` workspace per term, at the term's first shift, and
 shifts it in place for the term's later solves; the workspaces are the call's
 own and are not kept with the operator. Each term also gets, once per call,
-the vectors it solves in: `pcg`'s six (its `work`), its right-hand side, its
-start's product and residual, and two correction buffers that alternate
-between steps. All are built on the calling thread, so the workers that run
-the terms allocate no vector of length n.
+the eight vectors it solves in: `pcg`'s six (its `work`), its right-hand side
+and its correction, which each step updates in place. All are built on the
+calling thread, so the workers that run the terms allocate no vector of
+length n.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
@@ -98,6 +98,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -152,7 +153,7 @@ class SolverConfig:
 
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-        residual=None, ref_norm=None, work=None):
+        ref_norm=None, work=None):
     """Preconditioned conjugate gradients for a CSR matrix A, SPD.
 
     `precond(r, out)` writes the preconditioned residual into `out`, pcg's
@@ -173,8 +174,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     weighted sum is formed only when min(w) * ||r||^2 passes the same test,
     up to a rounding margin, since the sum cannot pass otherwise. Both
     tests also run on b, so a right-hand side that passes returns zero after
-    0 iterations. `residual`, when given, receives the true residual of
-    the returned x. Updates are in place, inner products use `dot`, which
+    0 iterations. Updates are in place, inner products use `dot`, which
     calls no BLAS, and the products A p and A x go through `csr_matvec_into`;
     it calls scipy's compiled kernel `scipy.sparse._sparsetools.csr_matvec`,
     the one `A @ p` runs (verified on scipy 1.17.1), so the iterates have the
@@ -184,7 +184,10 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     of allocating its own: x, r, z, p, the step alpha*p (also the weighted
     tests' w*r) and A p. The call then allocates no vector of b's length, and
     returns work[0] as x, which the next call with the same `work`
-    overwrites. The result has the same bits either way.
+    overwrites. The result has the same bits either way. On every return
+    work[1], r, holds the true residual b - A x of the returned x. pcg first
+    writes work[5], A p, in its first iteration, so a caller may use it as
+    scratch for b.
     Returns (x, iterations, final relative residual).
     """
     if max_iter is None:
@@ -195,8 +198,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     x.fill(0.0)
     norm_b = math.sqrt(dot(b, b))
     if norm_b == 0.0:
-        if residual is not None:
-            residual[:] = b
+        np.copyto(r, b)
         return x, 0, 0.0
     if ref_norm is None:
         ref_norm = norm_b
@@ -224,9 +226,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         return dot(np.multiply(weight, v, out=step), v) <= weighted_sq
 
     if rel <= rel_tol or (weight is not None and w_min * rr <= gate and weighted_passes(r)):
-        if residual is not None:
-            residual[:] = r
-        return x, 0, rel
+        return x, 0, rel  # r = b = b - A x
     precond(r, z)
     np.copyto(p, z)
     rz = dot(r, z)
@@ -242,14 +242,12 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         rel = math.sqrt(rr) / ref_norm
         tail.append(rel)
         if rel <= rel_tol:
-            if residual is not None:
-                np.subtract(b, csr_matvec_into(A, x, Ap), out=residual)
+            np.subtract(b, csr_matvec_into(A, x, Ap), out=r)
             return x, it, rel
         if weight is not None and w_min * rr <= gate and weighted_passes(r):
             true_r = np.subtract(b, csr_matvec_into(A, x, Ap), out=Ap)
             if weighted_passes(true_r):
-                if residual is not None:
-                    residual[:] = true_r
+                np.copyto(r, true_r)
                 return x, it, rel
             weight = None
         precond(r, z)
@@ -463,28 +461,27 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         l, i = outside[0]
         raise AssertionError(f"solve weight s={s_grid[l, i]} outside (0,1) at step {l}, term {i}")
     # term i's own workspace, built at its step-0 shift so that no shift is
-    # discarded, its buffers and its last correction, never kept in
-    # op.prepared. They are built here, on the calling thread, and the
-    # workers allocate no vector of length n: glibc serves a thread's
-    # allocations from its own heap, which keeps its high-water pages. Built
-    # on the workers, the workspaces raised the peak memory of a sphere level
-    # 6 benchmark run by 15%, and pcg's own vectors by 6%
+    # discarded, and its eight vectors: pcg's six, its right-hand side and
+    # its correction, updated in place. Neither is kept in op.prepared. They
+    # are built here, on the calling thread, and the workers allocate no
+    # vector of length n: glibc serves a thread's allocations from its own
+    # heap, which keeps its high-water pages. Built on the workers, the
+    # workspaces raised the peak memory of a sphere level 6 benchmark run by
+    # 15%, and pcg's own vectors by 6%
     vcycles = [ShiftedVCycle(hierarchy, (1.0 - s) * lh, s) for s in s_grid[0]]
     works = [[np.empty(op.n) for _ in range(6)] for _ in range(cfg.m)]
-    ays, rhs, residuals = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(3))
-    buffers = [(np.empty(op.n), np.empty(op.n)) for _ in range(cfg.m)]  # step l writes [l % 2]
-    corrections = [None] * cfg.m
+    rhs, corrections = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(2))
 
-    def solve_term(l, i, t_l, g, ref_norm):
+    def solve_term(l, t_l, g, ref_norm, i):
         """Shift, start, pcg and add-start of term i at step l; touches only term i's state."""
         s = s_grid[l, i]
         if l:
             vcycles[i].shift((1.0 - s) * lh, s)
-        A, y, new = vcycles[i].matrix, corrections[i], buffers[i][l % 2]
+        A, y, work = vcycles[i].matrix, corrections[i], works[i]
         b = np.multiply(g, s - t_l, out=rhs[i])
         c = None
-        if y is not None:  # Galerkin start c*y, y this term's correction in the last step
-            ay = csr_matvec_into(A, y, ays[i])
+        if l:  # Galerkin start c*y, y this term's correction in the last step
+            ay = csr_matvec_into(A, y, work[5])  # pcg's A p, written after b is formed
             yay = dot(y, ay)
             if yay > 0.0:
                 c = dot(y, b) / yay
@@ -492,27 +489,26 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                 b -= ay  # the remainder z = y_i - c*y solves A z = b - c*A y
         try:
             x, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
-                                weight=weight, weighted_tol=share, residual=residuals[i],
-                                ref_norm=ref_norm, work=works[i])
+                                weight=weight, weighted_tol=share, ref_norm=ref_norm, work=work)
         except RuntimeError as exc:
             budget = "" if weight is None else ("; the weighted target is this solve's "
                                                 "share of the error budget")
             raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
         if c is None:
-            np.copyto(new, x)
+            np.copyto(y, x)
         else:
-            np.multiply(y, c, out=new)
-            new += x  # rounds as x + c*y
-        corrections[i] = new
-        residual, scratch = residuals[i], works[i][4]
+            y *= c
+            y += x  # rounds as x + c*y
+        r = work[1]  # pcg leaves the true residual b - A x there
         return (SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel),
-                math.sqrt(dot(np.multiply(inv_diag, residual, out=scratch), residual)))
+                math.sqrt(dot(np.multiply(inv_diag, r, out=work[4]), r)))
 
     lh_mu, g, bu = (np.empty(op.n) for _ in range(3))
     cg_error = 0.0
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    run = map if pool is None else pool.map  # either yields the outcomes in term order
     try:
         for l in range(grid.num_steps):
             t_step = time.perf_counter()
@@ -521,13 +517,8 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             np.subtract(csr_matvec_into(op.stiffness, U, g), lh_mu, out=g)  # (S - lh*M) U
             np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
             ref_norm = math.sqrt(dot(bu, bu))
-            tasks = [(l, i, t_l, g, ref_norm) for i in range(cfg.m)]
             t_solve = time.perf_counter()
-            if pool is None:
-                outcomes = [solve_term(*task) for task in tasks]
-            else:
-                futures = [pool.submit(solve_term, *task) for task in tasks]
-                outcomes = [future.result() for future in futures]  # term order
+            outcomes = list(run(partial(solve_term, l, t_l, g, ref_norm), range(cfg.m)))
             stages["pcg_s"] += time.perf_counter() - t_solve
             dec = np.zeros_like(U)
             for i, (record, residual_norm) in enumerate(outcomes):
@@ -543,8 +534,6 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    if len(records) != grid.num_steps * cfg.m:
-        raise AssertionError("solve count mismatch")
     return FracSolveResult(
         solution=U,
         time_grid=grid,

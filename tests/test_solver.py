@@ -91,17 +91,17 @@ class TestPcg:
         b = np.array([2.0])
         x0 = np.array([0.5])
         for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
-            residual = np.full(1, np.nan)
-            z, iters, rel = pcg(A, b - A @ x0, residual=residual, ref_norm=2.0, **kwargs)
-            assert iters == 0 and (x0 + z)[0] == 0.5 and rel == 0.0 and residual[0] == 0.0
+            work = [np.full(1, np.nan) for _ in range(6)]
+            z, iters, rel = pcg(A, b - A @ x0, ref_norm=2.0, work=work, **kwargs)
+            assert iters == 0 and (x0 + z)[0] == 0.5 and rel == 0.0 and work[1][0] == 0.0
         # on a larger system the start's true residual is returned as is
         n = 25
         A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         b = np.sin(np.arange(1.0, n + 1))
         x0 = np.linalg.solve(A.toarray(), b)
-        residual = np.empty(n)
-        z, iters, rel = pcg(A, b - A @ x0, rel_tol=1e-12, residual=residual,
-                            ref_norm=np.linalg.norm(b))
+        work = [np.empty(n) for _ in range(6)]
+        z, iters, rel = pcg(A, b - A @ x0, rel_tol=1e-12, ref_norm=np.linalg.norm(b), work=work)
+        residual = work[1]
         assert iters == 0 and np.array_equal(x0 + z, x0) and not z.any()
         np.testing.assert_array_equal(residual, b - A @ x0)
         assert rel == pytest.approx(np.linalg.norm(residual) / np.linalg.norm(b), rel=1e-14)
@@ -123,8 +123,9 @@ class TestPcg:
         # later iterations divide by ref_norm too: the same iterates as the
         # default reference, ||remainder||, at the tolerance scaled by ref_norm / ||remainder||
         ref = 100.0 * norm_b
-        residual = np.empty(n)
-        z, iters, rel = pcg(A, remainder, rel_tol=1e-10, ref_norm=ref, residual=residual)
+        work = [np.empty(n) for _ in range(6)]
+        z, iters, rel = pcg(A, remainder, rel_tol=1e-10, ref_norm=ref, work=work)
+        residual = work[1]
         z_b, iters_b, rel_b = pcg(A, remainder, rel_tol=1e-10 * ref / start)
         assert 0 < iters == iters_b < pcg(A, remainder, rel_tol=1e-10, ref_norm=norm_b)[1]
         np.testing.assert_array_equal(z, z_b)
@@ -147,7 +148,7 @@ class TestPcgGate:
             x, iters, rel = pcg(A, b, **kwargs)
             assert iters == ref[1] and rel == ref[2]
             np.testing.assert_array_equal(x, ref[0])
-            np.testing.assert_array_equal(kwargs["residual"], ref_residual)
+            np.testing.assert_array_equal(kwargs["work"][1], ref_residual)
             weighted.append(kwargs["weight"] is not None)
             return x, iters, rel
 
@@ -177,14 +178,13 @@ class TestPcgGate:
         else:
             pytest.fail("no residual whose weighted sum rounds below c * ||r||^2")
         assert tol * tol < gated <= tol * tol * (1.0 + solver.WEIGHTED_GATE_MARGIN)
-        ref_residual, residual = np.empty(n), np.empty(n)
+        ref_residual, work = np.empty(n), [np.empty(n) for _ in range(6)]
         ref = ungated_pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol,
                           residual=ref_residual)
-        x, iters, rel = pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol,
-                            residual=residual)
+        x, iters, rel = pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol, work=work)
         assert iters == ref[1] and rel == ref[2]
         np.testing.assert_array_equal(x, ref[0])
-        np.testing.assert_array_equal(residual, ref_residual)
+        np.testing.assert_array_equal(work[1], ref_residual)
 
 
 def _vcycle_system(level):
@@ -201,24 +201,42 @@ class TestPcgWork:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_same_bits_in_the_given_vectors(self, weighted):
         # pcg writes the six vectors it is given, whatever they held, returns
-        # the first as x, and gives the bits of a call that allocates
+        # the first as x, and gives the bits of a call that allocates; the
+        # true residual it leaves in work[1] is that of the allocating call's x
         vcycle, b, weight, tol = _vcycle_system(3)
         A, n = vcycle.matrix, len(b)
         kwargs = dict(rel_tol=1e-14 if weighted else 1e-10, precond=vcycle)
         if weighted:
             kwargs.update(weight=weight, weighted_tol=tol)
-        ref_residual = np.empty(n)
-        ref = pcg(A, b, residual=ref_residual, **kwargs)
+        ref = pcg(A, b, **kwargs)
+        ref_residual = b - A @ ref[0]
         if weighted:  # the weighted test stops it
             assert ref[1] < pcg(A, b, rel_tol=1e-14, precond=vcycle)[1]
-        work, residual = [np.full(n, np.nan) for _ in range(6)], np.empty(n)
+        work = [np.full(n, np.nan) for _ in range(6)]
         for _ in range(2):  # the second call finds the first one's vectors
-            x, iters, rel = pcg(A, b, residual=residual, work=work, **kwargs)
+            x, iters, rel = pcg(A, b, work=work, **kwargs)
             assert x is work[0] and iters == ref[1] and rel == ref[2]
             assert x.tobytes() == ref[0].tobytes()
-            assert residual.tobytes() == ref_residual.tobytes()
+            assert work[1].tobytes() == ref_residual.tobytes()
         x, iters, rel = pcg(A, np.zeros(n), work=work)
         assert x is work[0] and iters == 0 and not x.any()
+
+    @pytest.mark.parametrize("exit_", ["zero_b", "start_passes", "relative", "weighted"])
+    def test_true_residual_left_in_r(self, exit_):
+        # on each of pcg's four returns, work[1] holds the bytes of b - A x
+        vcycle, b, weight, tol = _vcycle_system(3)
+        A, n = vcycle.matrix, len(b)
+        kwargs = {"zero_b": dict(), "start_passes": dict(rel_tol=1.0),
+                  "relative": dict(rel_tol=1e-10),
+                  "weighted": dict(rel_tol=1e-14, weight=weight, weighted_tol=tol)}[exit_]
+        if exit_ == "zero_b":
+            b = np.zeros(n)
+        work = [np.full(n, np.nan) for _ in range(6)]
+        x, iters, rel = pcg(A, b, precond=vcycle, work=work, **kwargs)
+        assert (iters == 0) == (exit_ in ("zero_b", "start_passes"))
+        if exit_ == "weighted":  # the weighted test, not the relative one, stopped it
+            assert rel > 1e-14
+        assert work[1].tobytes() == (b - A @ x).tobytes()
 
     def test_allocates_less_than_one_vector(self):
         # a budgeted V-cycle solve at sphere level 4 given its vectors: the
@@ -226,9 +244,8 @@ class TestPcgWork:
         # pcg allocated its own)
         vcycle, b, weight, tol = _vcycle_system(4)
         n = len(b)
-        work, residual = [np.empty(n) for _ in range(6)], np.empty(n)
-        kwargs = dict(rel_tol=1e-14, precond=vcycle, weight=weight, weighted_tol=tol,
-                      residual=residual, work=work)
+        work = [np.empty(n) for _ in range(6)]
+        kwargs = dict(rel_tol=1e-14, precond=vcycle, weight=weight, weighted_tol=tol, work=work)
         pcg(vcycle.matrix, b, **kwargs)
         tracemalloc.start()
         try:
@@ -818,6 +835,31 @@ class TestTermThreads:
         res = fractional_apply(op, f, 0.5, cfg)
         assert res.stages["term_workers"] == (3 if threaded else 1)
         assert len(shifts) == res.total_solves == cfg.m * res.time_grid.num_steps
+
+
+class TestApplyMemory:
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+    def test_later_call_peak_below_90_vectors(self, monkeypatch, threaded):
+        # each term keeps pcg's six vectors, its right-hand side and its
+        # correction (8 vectors); a later call at sphere level 4 with m = 3,
+        # workspaces included, traces a peak below 90 vectors of length n
+        mesh = gen_sphere(4)
+        op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+        f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
+        cfg = SolverConfig(lambda_hat=1.0, m=3)
+        fractional_apply(op, f, 0.5, cfg)  # prepares the hierarchy and theta
+        if threaded:
+            monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = fractional_apply(op, f, 0.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert res.stages["term_workers"] == (3 if threaded else 1)
+        assert peak / (8 * op.n) < 90.0
 
 
 class TestAprioriBound:
