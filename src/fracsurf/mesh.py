@@ -49,13 +49,6 @@ class SurfaceMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def euler_characteristic(self) -> int:
-        keys, _, _ = _edge_incidence(self.num_vertices, self.triangles)
-        return self.num_vertices - len(keys) + self.num_triangles
-
-    def is_closed(self) -> bool:
-        return not bool(self.boundary_vertices.any())
-
     @cached_property
     def double_areas(self) -> np.ndarray:
         """Twice the area of each triangle (read-only), computed once per mesh.

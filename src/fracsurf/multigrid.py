@@ -81,8 +81,10 @@ class ShiftedVCycle:
 
     Pre- and post-smoothing are the same damped-Jacobi step and the coarsest
     solve is exact, so the cycle is a symmetric positive definite operator and
-    may precondition conjugate gradients. A fine A with a non-positive
-    diagonal entry is not SPD and raises ValueError.
+    may precondition conjugate gradients. `build_hierarchy` has checked once
+    that the fine mass diagonal is positive and the stiffness diagonal
+    non-negative, so a shift checks only c1 > 0 and c2 >= 0, which give A a
+    positive diagonal, and raises ValueError otherwise.
 
     The workspace holds, per level, one CSR matrix on the level's pattern,
     the Jacobi smoother and the cycle's vectors, all allocated here once;
@@ -100,7 +102,6 @@ class ShiftedVCycle:
         self._h = h
         self._ops = [sp.csr_matrix((np.empty(len(lv.indices)), lv.indices, lv.indptr),
                                    shape=(lv.n, lv.n)) for lv in h.levels]
-        self._diagonal = np.empty(h.levels[0].n)
         self._smoothers = [np.empty(lv.n) for lv in h.levels[:len(h.jacobi_weights)]]
         self._residuals = [np.empty(lv.n) for lv in h.levels[:-1]]
         # restricted residual and correction of each coarser level
@@ -113,21 +114,17 @@ class ShiftedVCycle:
     def shift(self, c1: float, c2: float) -> None:
         """Refill every level for A = c1*M + c2*S, rounded as c1*m + c2*s on its values.
 
-        A rejected shift leaves the workspace as it was.
+        It checks only c1 > 0 and c2 >= 0 (see the class docstring); a
+        rejected shift leaves the workspace as it was.
         """
-        h, scratch = self._h, self._scratch
-        fine = h.levels[0]
-        diagonal = _combine(c1, fine.mass_diagonal, c2, fine.stiffness_diagonal,
-                            self._diagonal, scratch)
-        if np.any(diagonal <= 0.0):
+        if not (c1 > 0.0 and c2 >= 0.0):
             raise ValueError("matrix has non-positive diagonal, not SPD")
+        h, scratch = self._h, self._scratch
         for lv, A in zip(h.levels, self._ops):
             _combine(c1, lv.mass, c2, lv.stiffness, A.data, scratch)
-        for k, (lv, w, smoother) in enumerate(zip(h.levels, h.jacobi_weights, self._smoothers)):
-            if k:
-                diagonal = _combine(c1, lv.mass_diagonal, c2, lv.stiffness_diagonal, smoother,
-                                    scratch)
-            np.divide(w, diagonal, out=smoother)
+        for lv, w, smoother in zip(h.levels, h.jacobi_weights, self._smoothers):
+            _combine(c1, lv.mass_diagonal, c2, lv.stiffness_diagonal, smoother, scratch)
+            np.divide(w, smoother, out=smoother)
         self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
 
     def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -160,9 +157,21 @@ def _combine(c1: float, a: np.ndarray, c2: float, b: np.ndarray, out: np.ndarray
 
 
 def build_hierarchy(mass: sp.csr_matrix, stiffness: sp.csr_matrix) -> Hierarchy:
-    """Coarsen (mass, stiffness) by smoothed aggregation of the stiffness graph."""
+    """Coarsen (mass, stiffness) by smoothed aggregation of the stiffness graph.
+
+    It first checks, once per operator, that the mass diagonal is positive and
+    the stiffness diagonal non-negative, and raises ValueError naming the
+    first row that is not. The divisions by the fine diagonals that follow,
+    and the fine smoother of every shift, rest on this check.
+    """
     M, S = sp.csr_matrix(mass), sp.csr_matrix(stiffness)
     levels, prolongs, restricts, weights = [_pencil_level(M, S)], [], [], []
+    dm, ds = levels[0].mass_diagonal, levels[0].stiffness_diagonal
+    bad = ~(dm > 0.0) | ~(ds >= 0.0)  # also catches NaN
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"row {k} has mass diagonal {dm[k]:.6g} and stiffness diagonal "
+                         f"{ds[k]:.6g}; they must be positive and non-negative")
     while M.shape[0] > MAX_COARSE:
         dm, ds = levels[-1].mass_diagonal, levels[-1].stiffness_diagonal
         G = _strength(S, ds, STRENGTH_THETA)

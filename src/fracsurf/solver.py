@@ -93,6 +93,7 @@ depend on the BLAS thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from collections import deque
@@ -141,15 +142,21 @@ class SolverConfig:
             raise ValueError(f"lambda_hat must be positive and finite, got {self.lambda_hat}")
         if self.cg_rel_tol is not None and not 0.0 < self.cg_rel_tol < math.inf:
             raise ValueError(f"cg_rel_tol must be positive and finite, got {self.cg_rel_tol}")
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError(f"cg_max_iter must be positive, got {self.cg_max_iter}")
+        if not _is_count(self.m) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        if self.cg_max_iter is not None and (not _is_count(self.cg_max_iter)
+                                             or self.cg_max_iter < 1):
+            raise ValueError(f"cg_max_iter must be a positive integer, got {self.cg_max_iter!r}")
 
     def max_iter(self, n: int) -> int:
         if self.cg_max_iter is not None:
             return self.cg_max_iter
         return max(200, int(10 * math.sqrt(n)))
+
+
+def _is_count(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
@@ -410,12 +417,6 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         raise ValueError(f"f_h has shape {f_h.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(f_h)):
         raise ValueError("f_h has non-finite entries")
-    mass_diagonal = op.mass.diagonal()
-    not_positive = np.flatnonzero(~(mass_diagonal > 0.0))
-    if len(not_positive):  # a vertex in no triangle has an empty row
-        k = int(not_positive[0])
-        raise ValueError(f"free dof {k} (vertex {int(op.free_dofs[k])}) has mass diagonal "
-                         f"{mass_diagonal[k]:.6g}, not positive: is it in no triangle?")
     lh = cfg.lambda_hat
 
     if op.mode == MODE_ZERO_MEAN:
@@ -451,7 +452,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
 
     rel_tol = CG_REL_FLOOR if cfg.cg_rel_tol is None else cfg.cg_rel_tol
-    inv_diag = 1.0 / (op.mass_diagonal_floor * mass_diagonal)
+    inv_diag = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())  # checked by build_hierarchy
     weight = inv_diag if cfg.cg_rel_tol is None else None
     share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
     # the solve weight s of each step (row) and term (column)

@@ -111,10 +111,25 @@ class TestVCycle:
                 # u.Vv itself can cancel to a small fraction of that
                 assert abs(u @ vcycle(v) - v @ vcycle(u)) <= 1e-12 * np.sqrt(uu * vv)
 
+    # shifts outside the contract c1 > 0, c2 >= 0
+    REJECTED = [(-1.0, 0.0), (0.0, 1.0), (1.0, -1e-3), (float("nan"), 1.0)]
+
     def test_non_positive_diagonal_rejected(self, sphere3_op):
         h = build_hierarchy(sphere3_op.mass, sphere3_op.stiffness)
-        with pytest.raises(ValueError, match="matrix has non-positive diagonal, not SPD"):
-            ShiftedVCycle(h, -1.0, 0.0)
+        for c1, c2 in self.REJECTED:
+            with pytest.raises(ValueError, match="matrix has non-positive diagonal, not SPD"):
+                ShiftedVCycle(h, c1, c2)
+
+    @pytest.mark.parametrize("bad", ["mass_zero", "mass_nan", "stiffness_negative"])
+    def test_hierarchy_names_a_bad_diagonal_row(self, square16_op, bad):
+        # the diagonal is checked once per operator, where the hierarchy is built
+        M, S = square16_op.mass.copy(), square16_op.stiffness.copy()
+        A, value = {"mass_zero": (M, 0.0), "mass_nan": (M, np.nan),
+                    "stiffness_negative": (S, -1e-3)}[bad]
+        A[5, 5] = value
+        with pytest.raises(ValueError, match=r"^row 5 has mass diagonal .* they must be "
+                                             "positive and non-negative$"):
+            build_hierarchy(M, S)
 
     def test_coarsest_solve_is_exact(self, sphere3_op):
         # with a single level the cycle is the eigenbasis solve itself
@@ -184,9 +199,11 @@ class TestWorkspace:
         for c1, c2 in TestVCycle.SHIFTS:
             workspace.shift(c1, c2)
             before = workspace(r)
-            with pytest.raises(ValueError, match="non-positive diagonal"):
-                workspace.shift(-1.0, 0.0)
-            np.testing.assert_array_equal(workspace(r), before)  # a rejected shift changes nothing
+            for bad in TestVCycle.REJECTED:
+                with pytest.raises(ValueError, match="non-positive diagonal"):
+                    workspace.shift(*bad)
+                # a rejected shift changes nothing
+                np.testing.assert_array_equal(workspace(r), before)
             fresh, reference = ShiftedVCycle(h, c1, c2), ReferenceVCycle(h, c1, c2)
             for level, A in zip(h.levels, workspace._ops):
                 np.testing.assert_array_equal(A.data, _shifted(level, c1, c2).data)
