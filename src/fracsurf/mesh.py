@@ -253,10 +253,7 @@ def _graded_axis(N0: int, p: int) -> np.ndarray:
     base = -1.0 + h * np.arange(N1 + 1)
     offs = h * 0.5 ** np.arange(1, p + 1)
     extra = np.concatenate([-1.0 + offs, -offs, offs, 1.0 - offs]) if p else np.empty(0)
-    nodes = np.unique(np.concatenate([base, extra]))
-    if len(nodes) != N1 + 4 * p + 1:
-        raise AssertionError("graded node construction produced duplicate nodes")
-    return nodes
+    return np.unique(np.concatenate([base, extra]))
 
 
 def gen_graded_square(N0: int, p: int) -> SurfaceMesh:
@@ -265,7 +262,9 @@ def gen_graded_square(N0: int, p: int) -> SurfaceMesh:
     Per direction 2*N0 uniform intervals plus p exponentially clustered nodes
     in each of the four marked intervals, so the spacing ratio is exactly 2^p.
     Every cell is split along the same diagonal, keeping the triangulation
-    deterministic.
+    deterministic. Mesh validation rejects a p whose thinnest cells are
+    degenerate (from p = 20 at N0 = 4), also where clustered nodes coincide
+    in double precision and merge.
     """
     if N0 < 2:
         raise ValueError("N0 must be at least 2")

@@ -85,6 +85,13 @@ class TestScalarError:
         assert main(["--out", str(tmp_path), "scalar-error", "--lambda-hat", "4.0",
                      "--lambda-max", "2.0"]) == 2
 
+    def test_ratio_beyond_2p1023_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "scalar-error", "--lambda-hat", "1e-300",
+                     "--lambda-max", "1e10"]) == 2
+        assert capsys.readouterr().err.startswith("error: lambda_max_bound/lambda_hat = 2^")
+        assert not out.exists()
+
     def test_scan_stays_in_the_range_below_2(self, tmp_path):
         # the scan starts at 2 only when Lambda lies above 2
         out = tmp_path / "o"
@@ -166,6 +173,13 @@ class TestSolve:
     def test_no_subcommand_exits_2(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path / "o")]) == 2
         assert "no subcommand" in capsys.readouterr().err
+
+    def test_degenerate_builtin_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "square:4,60"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad builtin spec 'square:4,60': degenerate triangle")
+        assert not out.exists()
 
     def test_unknown_builtin(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--builtin", "cube:3"]) == 2

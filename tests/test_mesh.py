@@ -251,6 +251,13 @@ class TestGradedSquare:
         with pytest.raises(ValueError):
             gen_graded_square(4, -1)
 
+    @pytest.mark.parametrize("p", [20, 52, 60])
+    def test_too_fine_grading_is_degenerate(self, p):
+        # from p = 20 at N0 = 4 the thinnest triangles fail validation; from
+        # p = 52 clustered nodes also coincide in double precision and merge
+        with pytest.raises(ValueError, match="^degenerate triangle"):
+            gen_graded_square(4, p)
+
 
 class TestUnitSquare:
     def test_counts_and_mode(self):

@@ -1,10 +1,72 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracsurf.pade import build_pade, eval_rm_partial
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
+
+
+# (lam, lh) pairs at the edges of the grid construction, by id
+EDGE_PAIRS = {
+    "1+ulp": (1.0 + 2.0**-52, 1.0),
+    "2-ulp": (math.nextafter(2.0, 0.0), 1.0),
+    "2": (2.0, 1.0),
+    "8/4": (8.0, 4.0),
+    "3/2": (3.0, 2.0),
+    **{name: pair for k in (1, 2, 3, 10, 52, 53, 100, 1000) for name, pair in (
+        (f"2^{k}-ulp", (math.nextafter(2.0**k, 0.0), 1.0)),
+        (f"2^{k}", (2.0**k, 1.0)),
+        (f"2^{k}+ulp", (math.nextafter(2.0**k, math.inf), 1.0)),
+    )},
+    "0.3*2^1000": (0.3 * 2.0**1000, 0.3),
+    "2^1023-ulp": (math.nextafter(2.0**1023, 0.0), 1.0),
+    "2^1023": (2.0**1023, 1.0),
+    "1e-300/5e-324": (1e-300, 5e-324),
+}
+SWEEP_PAIRS = [(lam, lh) for lam in (1.5, 16.0, 1e4, 2.0**50) for lh in (0.3, 1.0, 4.0)]
+SWEEP_IDS = [None] * len(SWEEP_PAIRS) + list(EDGE_PAIRS)  # None: pytest's own id
+SWEEP_PAIRS += EDGE_PAIRS.values()
+
+
+def _assert_grid_invariants(grid):
+    """The grid's invariants, with the tolerances of the run-time check they replace."""
+    nodes = grid.nodes
+    assert nodes[0] == 0.0 and nodes[-1] == 1.0
+    tau = np.diff(nodes)
+    assert np.all(tau > 0.0)
+    if len(tau) > 1:
+        assert np.max(tau[1:] / tau[:-1]) <= 2.0 + 1e-12
+    assert np.max(grid.theta(grid.lambda_max_bound)) <= 1.0 + 1e-9
+    expected = max(1, math.ceil(math.log2(grid.lambda_max_bound / grid.lambda_hat) - 1e-12))
+    assert grid.num_steps in (expected, expected + 1)
+
+
+def _doubling_steps(ratio):
+    """The least n >= 1 with 2^n >= ratio: the step count of the doubling grid."""
+    mantissa, exponent = math.frexp(ratio)
+    return max(1, exponent - 1 if mantissa == 0.5 else exponent)
+
+
+@st.composite
+def grid_pairs(draw):
+    """(lambda_hat, Lambda) with 0 < lambda_hat < Lambda < inf, often near lambda_hat * 2^k."""
+    big = sys.float_info.max
+    lh = draw(st.floats(min_value=5e-324, max_value=math.nextafter(big, 0.0)))
+    if draw(st.booleans()):
+        lam = draw(st.floats(min_value=lh, max_value=big, exclude_min=True))
+    else:  # lh * 2^k, moved by a few ulps; 2^k in two factors, since 2.0**1024 raises
+        k = draw(st.integers(0, 1100) | st.integers(1018, 1030))
+        lam = lh * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+    assume(lh < lam < math.inf)
+    return lh, lam
 
 
 class TestTimeGrid:
@@ -43,19 +105,63 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             build_time_grid(lh, lam)
 
-    @pytest.mark.parametrize("lh", [0.3, 1.0, 4.0])
-    @pytest.mark.parametrize("lam", [1.5, 16.0, 1e4, 2.0**50])
-    def test_invariants_sweep(self, lh, lam):
+    @pytest.mark.parametrize("lam, lh", SWEEP_PAIRS, ids=SWEEP_IDS)
+    def test_invariants_sweep(self, lam, lh):
         if lam <= lh:
             pytest.skip("not a valid pair")
         grid = build_time_grid(lh, lam)
-        assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
-        tau = grid.steps
-        assert np.all(tau > 0)
-        if len(tau) > 1:
-            assert np.max(tau[1:] / tau[:-1]) <= 2.0 + 1e-12
-        assert np.max(grid.theta(lam)) <= 1.0 + 1e-9
-        assert grid.num_steps == math.ceil(math.log2(lam / lh) - 1e-12)
+        _assert_grid_invariants(grid)
+        assert grid.num_steps == _doubling_steps(lam / lh)
+
+    @given(grid_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_grid_holds_its_invariants_or_is_rejected(self, pair):
+        lh, lam = pair
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            try:
+                grid = build_time_grid(lh, lam)
+            except ValueError as exc:
+                assert "exceeds 2^1023" in str(exc)
+                assert math.log2(lam) - math.log2(lh) > 1023.0 - 1e-9
+                return
+        _assert_grid_invariants(grid)
+
+    def test_one_ulp_above_2p1023_accepted(self):
+        # t_1 = 1 / (2^1023 (1 + 2^-52) - 1) rounds to 2^-1023, the least t_1
+        # accepted, so the grid has 1023 steps, one fewer than the exact count
+        grid = build_time_grid(1.0, math.nextafter(2.0**1023, math.inf))
+        assert grid.num_steps == 1023
+        _assert_grid_invariants(grid)
+
+    @pytest.mark.parametrize("lh, lam", [
+        (1.0, 1.5 * 2.0**1023),
+        (1e-300, 1e10),
+        (5e-324, 1e10),
+        (5e-324, sys.float_info.max),
+    ], ids=["1.5*2^1023", "1e-300..1e10", "5e-324..1e10", "5e-324..max"])
+    def test_ratio_beyond_2p1023_rejected(self, lh, lam):
+        with pytest.raises(ValueError, match=r"lambda_max_bound/lambda_hat = 2\^\d+\.\d+ exceeds "
+                                             r"2\^1023"):
+            build_time_grid(lh, lam)
+
+    def test_solve_weights_inside_unit_interval(self):
+        # s = t_l + d_i * tau_l, the weight of term i's solve at step l, lies in
+        # (0, 1), except where the last step is so narrow that t_L + d_i * tau_L
+        # rounds to 1; `fractional_apply` rejects lambda_hat there
+        grids = [build_time_grid(lh, lam) for lam, lh in SWEEP_PAIRS if lh < lam]
+        rounded = 0
+        for m in range(1, 65):
+            for alpha in (0.01, 0.5, 0.99):
+                d = build_pade(m, alpha).den_roots
+                for grid in grids:
+                    nodes = grid.nodes
+                    s = nodes[:-1, None] + d * np.diff(nodes)[:, None]
+                    assert np.all(s > 0.0) and np.all(s[:-1] < 1.0), (m, alpha, grid)
+                    if np.any(s[-1] >= 1.0):
+                        assert (1.0 - d[-1]) * (1.0 - nodes[-2]) <= 2.0**-53, (m, alpha, grid)
+                        rounded += 1
+        assert rounded  # the sweep reaches the case that `fractional_apply` rejects
 
     def test_l_plus_one_for_2p50(self):
         assert build_time_grid(1.0, 2.0**50).num_steps == 50

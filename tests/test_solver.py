@@ -560,6 +560,25 @@ class TestFractionalApply:
             s = nodes[l] + p.den_roots * tau
             assert np.all(s > 0.0) and np.all(s < 1.0)
 
+    def test_last_step_too_narrow_for_its_weights_rejected(self, sphere2_op, sphere2_sign_rhs):
+        # Lambda / lambda_hat just above 2^8 leaves a last node within rounding
+        # of 1, where the largest solve weights s round to 1
+        lam, d = estimate_lambda_max(sphere2_op), build_pade(3, 0.5).den_roots
+        lh = lam / 2.0**8
+        for _ in range(100):
+            lh = math.nextafter(lh, 0.0)
+            t_last = build_time_grid(lh, lam).nodes[-2]
+            if np.any(t_last + d * (1.0 - t_last) >= 1.0):
+                break
+        else:
+            pytest.fail("no lambda_hat puts a solve weight at 1")
+        with pytest.raises(ValueError, match=r"last time step 2\.2e-16 wide"):
+            fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=lh, m=3))
+        # a relative change of 1e-12 in lambda_hat widens the step enough
+        res = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5,
+                               SolverConfig(lambda_hat=lh * (1.0 - 1e-12), m=3))
+        assert res.time_grid.num_steps == 9
+
 
 def _budget_case(name):
     """(operator, right-hand side, lambda_hat) of one problem mode."""
@@ -673,6 +692,20 @@ class TestErrorBudget:
     def test_counts_must_be_integers(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got"):
             SolverConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["lambda_hat", "cg_rel_tol"])
+    @pytest.mark.parametrize("bad", [True, False, "1", "1e-8", 1 + 0j, [1.0]],
+                             ids=["True", "False", "str-1", "str-1e-8", "complex", "list"])
+    def test_float_fields_must_be_real_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got"):
+            SolverConfig(**{field: bad})
+
+    def test_numpy_numbers_accepted_as_floats(self):
+        for value in (np.float64(0.5), np.float32(0.5), np.int64(2), 2):
+            cfg = SolverConfig(lambda_hat=value, cg_rel_tol=value)
+            assert cfg.lambda_hat == value and cfg.cg_rel_tol == value
+        with pytest.raises(ValueError, match="^lambda_hat must be positive and finite"):
+            SolverConfig(lambda_hat=np.float32(-1.0))
 
     def test_numpy_integer_counts_accepted(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=1.0, m=np.int64(2), cg_max_iter=np.int32(500))
