@@ -40,7 +40,6 @@ from .oracle import (
 from .pade import (
     PadeApproximant,
     build_pade,
-    eval_rm_partial,
     jacobi_roots,
     pade_error_bound,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "dense_decompose",
     "dense_fractional",
     "estimate_lambda_max",
-    "eval_rm_partial",
     "fractional_apply",
     "gen_graded_square",
     "gen_sphere",

@@ -351,9 +351,10 @@ def build_rhs(mesh: SurfaceMesh, f, op: AssembledOperator, method: str = "l2_pro
 
     f is a callable on (k,3) point arrays, a per-vertex array, or a scalar (a
     constant). l2_project integrates f against each basis function with the
-    degree-5 rule and solves the mass system; rough f near a jump is flagged
-    but the rule is still applied. In zero-mean mode the result is deflated so
-    its M-weighted mean vanishes.
+    degree-5 rule and solves the mass system by Jacobi-preconditioned CG,
+    raising ValueError at the first row whose mass diagonal is not positive;
+    rough f near a jump is flagged but the rule is still applied. In
+    zero-mean mode the result is deflated so its M-weighted mean vanishes.
     """
     log.info("building rhs by %s", method)
     if method == "interpolate":
@@ -362,7 +363,13 @@ def build_rhs(mesh: SurfaceMesh, f, op: AssembledOperator, method: str = "l2_pro
         b = _moment_vector(mesh, f)[op.free_dofs]
         from .solver import pcg
 
-        fh, _, _ = pcg(op.mass, b, rel_tol=1e-14)
+        diag = op.mass.diagonal()
+        bad = ~(diag > 0.0)  # also catches NaN
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"row {k} has mass diagonal {diag[k]:.6g}; it must be positive")
+        fh, _, _ = pcg(op.mass, b, rel_tol=1e-14,
+                       precond=lambda r, out: np.divide(r, diag, out=out))
     else:
         raise ValueError(f"unknown rhs method {method!r}")
     if op.mode == MODE_ZERO_MEAN:

@@ -262,15 +262,21 @@ def gen_graded_square(N0: int, p: int) -> SurfaceMesh:
     Per direction 2*N0 uniform intervals plus p exponentially clustered nodes
     in each of the four marked intervals, so the spacing ratio is exactly 2^p.
     Every cell is split along the same diagonal, keeping the triangulation
-    deterministic. Mesh validation rejects a p whose thinnest cells are
-    degenerate (from p = 20 at N0 = 4), also where clustered nodes coincide
-    in double precision and merge.
+    deterministic. A p whose thinnest triangle, half a d x d cell with d the
+    smallest axis spacing, fails validation's area test is rejected from the
+    axis alone, before the tensor product is built (from p = 20 at N0 = 4,
+    also where clustered nodes coincide in double precision and merge).
     """
     if N0 < 2:
         raise ValueError("N0 must be at least 2")
     if p < 0:
         raise ValueError("p must be non-negative")
-    return _tensor_square(_graded_axis(N0, p))
+    axis = _graded_axis(N0, p)
+    d_min = float(np.diff(axis).min())
+    diam = float(np.linalg.norm((axis[-1] - axis[0], axis[-1] - axis[0], 0.0)))
+    if 0.5 * d_min * d_min <= 1e-14 * diam * diam:
+        raise ValueError(f"degenerate triangle for p={p}: the thinnest cell is {d_min:.3e} wide")
+    return _tensor_square(axis)
 
 
 def gen_unit_square(n: int) -> SurfaceMesh:

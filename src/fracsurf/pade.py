@@ -20,7 +20,6 @@ __all__ = [
     "PadeApproximant",
     "jacobi_roots",
     "build_pade",
-    "eval_rm_partial",
     "rm_partial",
     "pade_from_roots",
     "pade_error_bound",
@@ -131,15 +130,6 @@ def _check_interlacing(a: np.ndarray, b: np.ndarray) -> None:
     bad = np.nonzero(np.diff(merged) <= 0.0)[0]
     if bad.size:
         raise ValueError(f"interlacing violated at merged index {bad[0]}")
-
-
-def eval_rm_partial(p: PadeApproximant, t):
-    """Partial-fraction evaluation; the form mirrored by the operator solver."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
-    out = rm_partial(p, t)
-    return out if out.ndim else float(out)
 
 
 def rm_partial(p: PadeApproximant, t: np.ndarray) -> np.ndarray:

@@ -36,19 +36,15 @@ run concurrently: from TERM_THREADS_MIN_N unknowns on, each call runs them on
 a thread pool of min(m, os.cpu_count()) workers, which it shuts down before
 it returns, also after a failure; below that, and on one CPU, they run
 inline. Threads pay because the level-6 work is in compiled kernels that
-release the interpreter lock (scipy's `csr_matvec`, numpy's ufuncs); below
-about 8192 unknowns the hand-offs cost more than the overlap gains. Time of
-a later call on 2 threads over inline, medians of 5 calls each on a 2-core
-host: 1.76 on `square:12,4` (n 1521), 1.71 on a 64x32 torus (n 2048), 1.60
-at sphere level 4 (n 2562); 0.96 and 0.99 on a 128x64 torus (n 8192), 0.93
-on `square:25,12` (n 9409), 0.84 to 1.09 in three runs at sphere level 5
-(n 10242) and 0.75 at level 6 (n 40962). The threshold sits above the
-crossover, where the gain clearly exceeds the run-to-run spread: near it
-threads buy a few percent, while the time comes to depend on whether the
-second core is free: on a shared 2-core host, 10 runs of `square:25,12` on
-threads spread three times as widely as inline. The records,
-`cg_error_bound` and the step's sum over the terms are combined in term
-order, and no term's arithmetic depends on another's, so results are
+release the interpreter lock (scipy's `csr_matvec`, numpy's ufuncs); on
+small meshes the hand-offs cost more than the overlap gains. The threshold
+sits above the measured crossover, where the gain clearly exceeds the
+run-to-run spread: near it threads buy a few percent, while the time comes
+to depend on whether the second core is free. CHANGES.md records the
+crossover, in the entry that first ran a step's terms concurrently, and
+`BENCH_thread_threshold.json` the benchmark runs behind the threshold. The
+records, `cg_error_bound` and the step's sum over the terms are combined in
+term order, and no term's arithmetic depends on another's, so results are
 bit-identical for every worker count.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
@@ -115,7 +111,6 @@ CG_BUDGET_FRACTION = 0.01  # share of the a-priori bound the CG solves may add
 PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
 PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
 PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
-WEIGHTED_GATE_MARGIN = 1e-8  # relative allowance for rounding in pcg's weighted-test gate
 TERM_THREADS_MIN_N = 16384  # unknowns from which a step's m solves run on threads (docstring)
 
 __all__ = [
@@ -166,15 +161,15 @@ def _check_positive_real(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
+def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_tol=0.0,
         ref_norm=None, work=None):
     """Preconditioned conjugate gradients for a CSR matrix A, SPD.
 
-    `precond(r, out)` writes the preconditioned residual into `out`, pcg's
-    own vector, and must be symmetric positive definite; without one the
-    preconditioner is Jacobi, which serves `build_rhs`'s mass solve (the
-    scheme's solves pass a V-cycle, a workspace that the calling
-    `fractional_apply` owns).
+    `precond(r, out)`, which every caller passes, writes the preconditioned
+    residual into `out`, pcg's own vector, and must be symmetric positive
+    definite: the scheme's solves pass a V-cycle, a workspace that the
+    calling `fractional_apply` owns, and `build_rhs`'s mass solve a Jacobi
+    step.
     The iteration starts from zero and stops once ||r|| / ref_norm <= rel_tol
     for the residual r (not the preconditioned one), where `ref_norm` defaults
     to ||b||; a caller with a start x0 solves A z = b - A x0 for the remainder
@@ -185,9 +180,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
     stops once sqrt(sum(w * r**2)) <= weighted_tol, if the true residual
     b - A x passes the same test; that check costs one matvec and runs once,
     and after a failed check only the relative test stops the iteration. The
-    weighted sum is formed only when min(w) * ||r||^2 passes the same test,
-    up to a rounding margin, since the sum cannot pass otherwise. Both
-    tests also run on b, so a right-hand side that passes returns zero after
+    weighted sum is formed on every iteration until then. Both tests also
+    run on b, so a right-hand side that passes returns zero after
     0 iterations. Updates are in place, inner products use `dot`, which
     calls no BLAS, and the products A p and A x go through `csr_matvec_into`;
     it calls scipy's compiled kernel `scipy.sparse._sparsetools.csr_matvec`,
@@ -216,30 +210,17 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         return x, 0, 0.0
     if ref_norm is None:
         ref_norm = norm_b
-    if precond is None:
-        diag = A.diagonal()
-        if np.any(diag <= 0.0):
-            raise ValueError("matrix has non-positive diagonal, not SPD")
-
-        def precond(r, out):
-            return np.divide(r, diag, out=out)
     np.copyto(r, b)
-    rr = dot(r, r)
-    rel = math.sqrt(rr) / ref_norm
+    rel = math.sqrt(dot(r, r)) / ref_norm
     weighted_sq = weighted_tol * weighted_tol
     target = f"{rel_tol:.1e}"
     if weight is not None:
         target += f" or the weighted residual {weighted_tol:.3e}"
-        # r^T W r >= min(W) r^T r, so the weighted sum is formed only once
-        # min(W) r^T r passes the test; the margin covers the rounding of the
-        # two sums, below (n + 1) 2^-53 relative each, for n up to 4e7
-        w_min = float(weight.min())
-        gate = weighted_sq * (1.0 + WEIGHTED_GATE_MARGIN)
 
     def weighted_passes(v):  # sum(w * v**2) <= weighted_tol**2, with w*v formed in `step`
         return dot(np.multiply(weight, v, out=step), v) <= weighted_sq
 
-    if rel <= rel_tol or (weight is not None and w_min * rr <= gate and weighted_passes(r)):
+    if rel <= rel_tol or (weight is not None and weighted_passes(r)):
         return x, 0, rel  # r = b = b - A x
     precond(r, z)
     np.copyto(p, z)
@@ -252,13 +233,12 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_
         x += step
         Ap *= alpha
         r -= Ap
-        rr = dot(r, r)
-        rel = math.sqrt(rr) / ref_norm
+        rel = math.sqrt(dot(r, r)) / ref_norm
         tail.append(rel)
         if rel <= rel_tol:
             np.subtract(b, csr_matvec_into(A, x, Ap), out=r)
             return x, it, rel
-        if weight is not None and w_min * rr <= gate and weighted_passes(r):
+        if weight is not None and weighted_passes(r):
             true_r = np.subtract(b, csr_matvec_into(A, x, Ap), out=Ap)
             if weighted_passes(true_r):
                 np.copyto(r, true_r)

@@ -377,6 +377,15 @@ class TestRhs:
             build_rhs(sphere2, lambda x: np.sign(x[:, 2]), sphere2_op, method="l2_project")
         assert any("quadrature note" in rec.message for rec in caplog.records)
 
+    def test_non_positive_mass_diagonal_rejected(self, sphere2, sphere2_op):
+        # a hand-built operator: the projection checks the diagonal that its
+        # Jacobi step divides by, and names the first bad row
+        mass = sphere2_op.mass.copy()
+        mass[7, 7] = 0.0
+        op = dataclasses.replace(sphere2_op, mass=mass)
+        with pytest.raises(ValueError, match="^row 7 has mass diagonal 0; it must be positive$"):
+            build_rhs(sphere2, lambda x: np.sign(x[:, 2]), op, method="l2_project")
+
     def test_vertex_data_projection(self, sphere2, sphere2_op):
         vals = np.sign(sphere2.vertices[:, 2])
         fh = build_rhs(sphere2, vals, sphere2_op, method="l2_project")

@@ -181,6 +181,14 @@ class TestSolve:
             "error: bad builtin spec 'square:4,60': degenerate triangle")
         assert not out.exists()
 
+    def test_oversized_degenerate_builtin_exits_2(self, tmp_path, capsys):
+        # rejected from the grading axis, before 5.1M vertices are built
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "square:4,1100"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad builtin spec 'square:4,1100': degenerate triangle")
+        assert not out.exists()
+
     def test_unknown_builtin(self, tmp_path):
         assert main(["--out", str(tmp_path), "solve", "--builtin", "cube:3"]) == 2
 

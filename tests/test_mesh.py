@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,24 @@ class TestGradedSquare:
         # p = 52 clustered nodes also coincide in double precision and merge
         with pytest.raises(ValueError, match="^degenerate triangle"):
             gen_graded_square(4, p)
+
+    def test_axis_test_agrees_with_validation(self):
+        # the axis check rejects exactly the p that validation of the built
+        # mesh rejects: p = 19 is the finest grading at N0 = 4
+        assert gen_graded_square(4, 19).num_vertices == (2 * 4 + 4 * 19 + 1) ** 2
+        with pytest.raises(ValueError, match="^degenerate triangle at index"):
+            mesh_module._tensor_square(mesh_module._graded_axis(4, 20))
+
+    def test_degenerate_grading_rejected_before_the_tensor_product(self):
+        # p = 1100 would build 5.1M vertices before validation; the axis alone rejects it
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^degenerate triangle"):
+                gen_graded_square(4, 1100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestUnitSquare:

@@ -18,7 +18,7 @@ from fracsurf.oracle import (
 )
 from fracsurf.pade import build_pade, pade_error_bound
 from fracsurf.solver import pcg
-from util import diagonal_op, eval_rm
+from util import diagonal_op, eval_rm, jacobi
 
 
 class TestDenseFractional:
@@ -30,7 +30,8 @@ class TestDenseFractional:
     def test_alpha_one_is_plain_solve(self, sphere2_op, sphere2_sign_rhs):
         out = dense_fractional(sphere2_op, 1.0 - 1e-15, sphere2_sign_rhs)
         rhs = sphere2_op.mass @ sphere2_sign_rhs
-        direct, _, _ = pcg(sphere2_op.stiffness + 1e-14 * sphere2_op.mass, rhs, rel_tol=1e-13)
+        A = sphere2_op.stiffness + 1e-14 * sphere2_op.mass
+        direct, _, _ = pcg(A, rhs, rel_tol=1e-13, precond=jacobi(A))
         from fracsurf.assembly import deflate_mean
 
         direct = deflate_mean(direct, sphere2_op)

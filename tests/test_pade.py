@@ -6,11 +6,11 @@ import pytest
 
 from fracsurf.pade import (
     build_pade,
-    eval_rm_partial,
     explicit_pq_coefficients,
     jacobi_roots,
     pade_error_bound,
     pade_from_roots,
+    rm_partial,
 )
 from util import eval_rm
 
@@ -139,13 +139,13 @@ class TestEvaluation:
     def test_m1_value_at_one(self):
         p = build_pade(1, 0.5)
         assert eval_rm(p, 1.0) == pytest.approx(5.0 / 7.0, abs=1e-15)
-        assert eval_rm_partial(p, 1.0) == pytest.approx(1.0 / 3.0 + (2.0 / 3.0) / 1.75, abs=1e-15)
+        assert rm_partial(p, 1.0) == pytest.approx(1.0 / 3.0 + (2.0 / 3.0) / 1.75, abs=1e-15)
 
     def test_value_at_zero_is_one(self):
         for m, alpha in [(1, 0.5), (6, 0.2), (12, 0.9)]:
             p = build_pade(m, alpha)
             assert eval_rm(p, 0.0) == 1.0
-            assert eval_rm_partial(p, 0.0) == 1.0
+            assert rm_partial(p, 0.0) == 1.0
 
     def test_gap_above_power_function(self):
         p = build_pade(1, 0.5)
@@ -157,7 +157,7 @@ class TestEvaluation:
         p = build_pade(4, 0.9)
         ts = np.arange(0.1, 1.05, 0.1)
         a = eval_rm(p, ts)
-        b = eval_rm_partial(p, ts)
+        b = rm_partial(p, ts)
         assert np.max(np.abs(a - b) / a) < 1e-12
 
     def test_monotone_decreasing(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracsurf.pade import build_pade, eval_rm_partial
+from fracsurf.pade import build_pade, rm_partial
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
 
 
@@ -195,7 +195,7 @@ class TestScalarMu:
         for m in range(1, 11):
             for alpha in alphas:
                 p = build_pade(m, alpha)
-                assert eval_rm_partial(p, 0.0) == 1.0, (m, alpha)
+                assert rm_partial(p, 0.0) == 1.0, (m, alpha)
                 for lh in (1.0, 2.0, 0.37):
                     grid = build_time_grid(lh, 1024.0 * lh)
                     assert scalar_mu(p, grid, lh) == lh ** (-alpha), (m, alpha, lh)

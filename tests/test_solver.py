@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracsurf import solver
+from fracsurf import assembly, solver
 from fracsurf.assembly import assemble, build_rhs, coefficient_field, deflate_mean, dot
 from fracsurf.mesh import gen_graded_square, gen_sphere, gen_torus, gen_unit_square
 from fracsurf.cli import main
@@ -28,7 +28,7 @@ from fracsurf.solver import (
     pcg,
     suggest_lambda_hat,
 )
-from util import diagonal_op
+from util import diagonal_op, jacobi
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -38,13 +38,13 @@ class TestPcg:
         rng = np.arange(1, 26, dtype=float)
         A = sp.diags(rng) + sp.eye(25) * 0.5
         b = np.sin(rng)
-        x, iters, rel = pcg(A.tocsr(), b, rel_tol=1e-13)
+        x, iters, rel = pcg(A.tocsr(), b, rel_tol=1e-13, precond=jacobi(A))
         assert rel <= 1e-13
         assert x == pytest.approx(b / (rng + 0.5), rel=1e-11)
 
     def test_zero_rhs(self):
         A = sp.eye(4, format="csr")
-        x, iters, rel = pcg(A, np.zeros(4))
+        x, iters, rel = pcg(A, np.zeros(4), precond=jacobi(A))
         assert iters == 0 and np.all(x == 0)
 
     def test_budget_exhaustion_reports(self):
@@ -53,7 +53,7 @@ class TestPcg:
         off = -1.0 * np.ones(n - 1)
         A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
         with pytest.raises(RuntimeError, match="residuals"):
-            pcg(A, np.ones(n), rel_tol=1e-14, max_iter=3)
+            pcg(A, np.ones(n), rel_tol=1e-14, max_iter=3, precond=jacobi(A))
 
     def test_default_cap_and_residual_tail(self):
         # the default cap is SolverConfig.max_iter(n); the message keeps the last five residuals
@@ -63,7 +63,7 @@ class TestPcg:
         A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
         cap = SolverConfig().max_iter(n)
         with pytest.raises(RuntimeError, match=f"in {cap} iterations") as info:
-            pcg(A, np.ones(n), rel_tol=1e-14)
+            pcg(A, np.ones(n), rel_tol=1e-14, precond=jacobi(A))
         assert len(str(info.value).split("last residuals")[1].split(",")) == 5
 
     def test_preconditioner_argument(self):
@@ -75,13 +75,7 @@ class TestPcg:
         x, iters, rel = pcg(A, b, rel_tol=1e-13,
                             precond=lambda r, out: np.matmul(inverse, r, out=out))
         assert iters == 1 and x == pytest.approx(inverse @ b, rel=1e-12)
-        assert pcg(A, b, rel_tol=1e-13)[1] > 1
-
-    def test_non_positive_diagonal_rejected(self):
-        # the Jacobi default reads the diagonal; a supplied V-cycle checks its own
-        A = sp.diags([1.0, -1.0, 2.0]).tocsr()
-        with pytest.raises(ValueError, match="matrix has non-positive diagonal, not SPD"):
-            pcg(A, np.ones(3))
+        assert pcg(A, b, rel_tol=1e-13, precond=jacobi(A))[1] > 1
 
     def test_exact_start_takes_no_iteration(self):
         # a start x0 is passed as the remainder system A z = b - A x0, solved
@@ -92,7 +86,8 @@ class TestPcg:
         x0 = np.array([0.5])
         for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
             work = [np.full(1, np.nan) for _ in range(6)]
-            z, iters, rel = pcg(A, b - A @ x0, ref_norm=2.0, work=work, **kwargs)
+            z, iters, rel = pcg(A, b - A @ x0, ref_norm=2.0, precond=jacobi(A), work=work,
+                                **kwargs)
             assert iters == 0 and (x0 + z)[0] == 0.5 and rel == 0.0 and work[1][0] == 0.0
         # on a larger system the start's true residual is returned as is
         n = 25
@@ -100,7 +95,8 @@ class TestPcg:
         b = np.sin(np.arange(1.0, n + 1))
         x0 = np.linalg.solve(A.toarray(), b)
         work = [np.empty(n) for _ in range(6)]
-        z, iters, rel = pcg(A, b - A @ x0, rel_tol=1e-12, ref_norm=np.linalg.norm(b), work=work)
+        z, iters, rel = pcg(A, b - A @ x0, rel_tol=1e-12, ref_norm=np.linalg.norm(b),
+                            precond=jacobi(A), work=work)
         residual = work[1]
         assert iters == 0 and np.array_equal(x0 + z, x0) and not z.any()
         np.testing.assert_array_equal(residual, b - A @ x0)
@@ -117,17 +113,19 @@ class TestPcg:
         norm_b = np.linalg.norm(b)
         # a start within rel_tol * ref_norm passes before the first iteration
         ref = 2.0 * start / 1e-6
-        z, iters, rel = pcg(A, remainder, rel_tol=1e-6, ref_norm=ref)
+        z, iters, rel = pcg(A, remainder, rel_tol=1e-6, ref_norm=ref, precond=jacobi(A))
         assert iters == 0 and rel == pytest.approx(start / ref, rel=1e-14)
         assert start / norm_b > 1e-6
         # later iterations divide by ref_norm too: the same iterates as the
         # default reference, ||remainder||, at the tolerance scaled by ref_norm / ||remainder||
         ref = 100.0 * norm_b
         work = [np.empty(n) for _ in range(6)]
-        z, iters, rel = pcg(A, remainder, rel_tol=1e-10, ref_norm=ref, work=work)
+        z, iters, rel = pcg(A, remainder, rel_tol=1e-10, ref_norm=ref, precond=jacobi(A),
+                            work=work)
         residual = work[1]
-        z_b, iters_b, rel_b = pcg(A, remainder, rel_tol=1e-10 * ref / start)
-        assert 0 < iters == iters_b < pcg(A, remainder, rel_tol=1e-10, ref_norm=norm_b)[1]
+        z_b, iters_b, rel_b = pcg(A, remainder, rel_tol=1e-10 * ref / start, precond=jacobi(A))
+        assert 0 < iters == iters_b < pcg(A, remainder, rel_tol=1e-10, ref_norm=norm_b,
+                                          precond=jacobi(A))[1]
         np.testing.assert_array_equal(z, z_b)
         assert rel <= 1e-10 and rel == pytest.approx(rel_b * start / ref, rel=1e-14)
         assert np.linalg.norm(residual) / ref <= 2e-10
@@ -137,8 +135,8 @@ class TestPcgGate:
     @pytest.mark.parametrize("name", ["sphere", "torus", "square"])
     def test_gated_test_matches_ungated_loop(self, name, monkeypatch):
         # every solve of a default-budget run returns the iterations, x, the
-        # relative residual and the true residual of a loop that forms the
-        # weighted sum on every iteration, bit for bit
+        # relative residual and the true residual of the reference loop, bit
+        # for bit
         op, f, lh = _budget_case(name)
         weighted = []
 
@@ -157,34 +155,21 @@ class TestPcgGate:
             res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=3))
         assert len(weighted) == 2 * res.total_solves and all(weighted)
 
-    def test_gate_inside_its_rounding_margin(self):
-        # with a constant weight c, c * ||r||^2 and the weighted sum differ by
-        # rounding alone; a target between them, at the first iterate whose
-        # weighted sum is the smaller, passes the gate only by its margin,
-        # and the weighted test then passes, as in the ungated loop
-        n, c = 300, 0.7
-        A = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
-        b = np.sin(np.arange(1.0, n + 1))
-        weight = np.full(n, c)
-        history = []
-        ungated_pcg(A, b, rel_tol=1e-12, history=history)
-        for r in history[1:]:  # residuals the loop tests, after an iteration
-            weighted, gated = dot(weight * r, r), c * dot(r, r)
-            tol = math.sqrt(weighted)
-            while tol * tol < weighted:
-                tol = math.nextafter(tol, math.inf)
-            if tol * tol < gated:
-                break
+    @pytest.mark.parametrize("name", ["sphere", "square"])
+    def test_rhs_mass_solve_matches_reference_loop(self, name):
+        # build_rhs passes pcg its own Jacobi step, after checking the mass
+        # diagonal: the projection has the bytes of the reference loop's
+        # Jacobi default
+        if name == "sphere":
+            mesh, mode, f = gen_sphere(3), "zero-mean", lambda x: np.sign(x[:, 2])
         else:
-            pytest.fail("no residual whose weighted sum rounds below c * ||r||^2")
-        assert tol * tol < gated <= tol * tol * (1.0 + solver.WEIGHTED_GATE_MARGIN)
-        ref_residual, work = np.empty(n), [np.empty(n) for _ in range(6)]
-        ref = ungated_pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol,
-                          residual=ref_residual)
-        x, iters, rel = pcg(A, b, rel_tol=1e-12, weight=weight, weighted_tol=tol, work=work)
-        assert iters == ref[1] and rel == ref[2]
-        np.testing.assert_array_equal(x, ref[0])
-        np.testing.assert_array_equal(work[1], ref_residual)
+            mesh, mode, f = gen_graded_square(12, 4), "dirichlet", lambda x: np.cos(3.0 * x[:, 0])
+        op = assemble(mesh, coefficient_field(mesh), mode)
+        b = assembly._moment_vector(mesh, f)[op.free_dofs]
+        ref = ungated_pcg(op.mass, b, rel_tol=1e-14)[0]
+        if mode == "zero-mean":
+            ref = deflate_mean(ref, op)
+        assert build_rhs(mesh, f, op, method="l2_project").tobytes() == ref.tobytes()
 
 
 def _vcycle_system(level):
@@ -218,7 +203,7 @@ class TestPcgWork:
             assert x is work[0] and iters == ref[1] and rel == ref[2]
             assert x.tobytes() == ref[0].tobytes()
             assert work[1].tobytes() == ref_residual.tobytes()
-        x, iters, rel = pcg(A, np.zeros(n), work=work)
+        x, iters, rel = pcg(A, np.zeros(n), precond=vcycle, work=work)
         assert x is work[0] and iters == 0 and not x.any()
 
     @pytest.mark.parametrize("exit_", ["zero_b", "start_passes", "relative", "weighted"])
@@ -918,13 +903,13 @@ class TestAprioriBound:
 
 
 def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-                residual=None, ref_norm=None, history=None, work=None):
-    """`pcg` as it was before the gate: the weighted sum is formed on every iteration.
+                residual=None, ref_norm=None, work=None):
+    """The reference loop for `pcg`, allocating, with a Jacobi default preconditioner.
 
-    `history`, when given, receives a copy of the recurrence residual before
-    the first iteration and after each one. `work` is accepted and ignored:
-    this loop allocates its own vectors, so it cannot overwrite those of a
-    `pcg` call it is compared with.
+    It forms the weighted sum on every iteration. `residual`, when given,
+    receives the true residual of the returned x. `work` is accepted and
+    ignored: this loop allocates its own vectors, so it cannot overwrite those
+    of a `pcg` call it is compared with.
     """
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
@@ -942,8 +927,6 @@ def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, w
             return r / diag
     x = np.zeros_like(b)
     r = b.copy()
-    if history is not None:
-        history.append(r.copy())
     rel = math.sqrt(dot(r, r)) / ref_norm
     weighted_sq = weighted_tol * weighted_tol
     if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
@@ -961,8 +944,6 @@ def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, w
         x += step
         Ap *= alpha
         r -= Ap
-        if history is not None:
-            history.append(r.copy())
         rel = math.sqrt(dot(r, r)) / ref_norm
         if rel <= rel_tol:
             if residual is not None:

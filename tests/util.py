@@ -1,5 +1,5 @@
 """Shared test helpers: fixture writers for Gmsh files, small meshes and pencils,
-and the product form of the rational factor, the independent check of the
+a Jacobi preconditioner, and the product form of the rational factor, the independent check of the
 partial-fraction form that the library evaluates."""
 
 import numpy as np
@@ -65,6 +65,12 @@ def fibonacci_sphere_mesh(n_points):
     flip = np.einsum("ij,ij->i", np.cross(p1 - p0, p2 - p0), centers) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return pts, tris
+
+
+def jacobi(A):
+    """The Jacobi preconditioner of A for `pcg`: writes r / diag(A) into `out`."""
+    diag = A.diagonal()
+    return lambda r, out: np.divide(r, diag, out=out)
 
 
 def diagonal_op(m_diag, s_diag, mode="positive-reaction"):
