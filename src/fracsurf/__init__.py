@@ -46,6 +46,7 @@ from .pade import (
 from .scheme import (
     TimeGrid,
     build_time_grid,
+    certified_scheme_error,
     scalar_mu,
     scheme_error_bound,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "build_pade",
     "build_rhs",
     "build_time_grid",
+    "certified_scheme_error",
     "coefficient_field",
     "convergence_rate",
     "deflate_mean",

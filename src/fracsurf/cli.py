@@ -3,8 +3,9 @@
 Every run writes its outputs plus a JSON manifest holding the fully resolved
 configuration; `--from-manifest` replays a manifest and reproduces the CSV
 outputs byte for byte (all computations are deterministic, no RNG anywhere).
-Exit codes: 0 success, 2 validation error, 3 solver failure. A failed run
-removes the output directory if it created it and wrote nothing there.
+Exit codes: 0 success, 2 validation error (also an input too large for memory),
+3 solver failure. A failed run removes the output directory if it created it
+and wrote nothing there.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .oracle import (
     torus_fields,
 )
 from .pade import build_pade, pade_error_bound
-from .scheme import build_time_grid, scalar_mu, scheme_error_bound
+from .scheme import build_time_grid, certified_scheme_error, scalar_mu, scheme_error_bound
 from .solver import SolverConfig, fractional_apply
 
 log = logging.getLogger(__name__)
@@ -224,9 +225,12 @@ def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
         abs_err = np.abs(mu - exact)
         rel_err = abs_err * lams**alpha
         bound = scheme_error_bound(config["m"], alpha, lh, lam_max)
-        table = np.column_stack([lams, mu, exact, abs_err, rel_err, np.full(len(lams), bound)])
+        certified = certified_scheme_error(config["m"], alpha, lh, lam_max)
+        table = np.column_stack([lams, mu, exact, abs_err, rel_err, np.full(len(lams), bound),
+                                 np.full(len(lams), certified)])
         path = os.path.join(out_dir, f"scalar_error_a{alpha:g}.csv")
-        _write_csv(path, ["lambda", "mu", "exact", "abs_err", "rel_err", "bound"], table)
+        _write_csv(path, ["lambda", "mu", "exact", "abs_err", "rel_err", "bound", "certified"],
+                   table)
         paths.append(path)
     return paths, None
 
@@ -313,6 +317,10 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
                 "total_solves": result.total_solves,
                 "lambda_max_used": result.lambda_max_used,
                 "a_priori_bound": result.a_priori_bound,
+                "scheme_certificate": certified_scheme_error(
+                    cfg.m, alpha, cfg.lambda_hat, result.lambda_max_used),
+                "certified_error": result.certified_error,
+                "theta": result.theta,
                 "max_cg_residual": result.max_residual,
                 "cg_error_bound": result.cg_error_bound,
                 "cg_iters_total": sum(r.iterations for r in result.solve_log),
@@ -325,7 +333,7 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
         print(
             f"alpha={alpha:g}: L+1={result.time_grid.num_steps} "
             f"solves={result.total_solves} bound={result.a_priori_bound:.3e} "
-            f"time={wall:.2f}s"
+            f"certified={result.certified_error:.3e} time={wall:.2f}s"
         )
     config["runs"] = run_stats
     return paths, _mesh_stats(mesh)
@@ -349,9 +357,9 @@ def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
             diff = result.solution - exact
             rel = op.m_norm(diff) / fnorm
             bound = scheme_error_bound(m, alpha, config["lambda_hat"], result.lambda_max_used)
-            rows.append((alpha, m, rel, bound))
+            rows.append((alpha, m, rel, bound, result.certified_error / fnorm))
     path = os.path.join(out_dir, "compare_oracle.csv")
-    _write_csv(path, ["alpha", "m", "rel_err", "bound"], np.array(rows))
+    _write_csv(path, ["alpha", "m", "rel_err", "bound", "certified"], np.array(rows))
     return [path], _mesh_stats(mesh)
 
 
@@ -535,6 +543,10 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:  # bad input, or an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
+        _remove_if_empty(args.out, created)
+        return 2
+    except MemoryError as exc:  # an input too large for this host, found only as it is built
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         _remove_if_empty(args.out, created)
         return 2
     except RuntimeError as exc:

@@ -30,6 +30,8 @@ MODE_DIRICHLET = "dirichlet"
 MODE_REACTION = "positive-reaction"
 MODE_ZERO_MEAN = "zero-mean"
 MODES = (MODE_DIRICHLET, MODE_REACTION, MODE_ZERO_MEAN)
+# the most vertices a generated torus may have: the sphere's at its top level, 7
+MAX_GENERATED_VERTICES = 10 * 4**7 + 2
 
 
 @dataclass(frozen=True)
@@ -220,11 +222,18 @@ def gen_sphere(refinement_level: int) -> SurfaceMesh:
 
 
 def gen_torus(R: float, r: float, n1: int, n2: int) -> SurfaceMesh:
-    """Structured torus: n1 x n2 grid in the (phi1, phi2) angles, quads split into triangles."""
+    """Structured torus: n1 x n2 grid in the (phi1, phi2) angles, quads split into triangles.
+
+    The n1*n2 vertices are counted before anything is allocated, and more
+    than MAX_GENERATED_VERTICES raise ValueError.
+    """
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
     if n1 < 3 or n2 < 3:
         raise ValueError("need at least 3 subdivisions in each angle")
+    if n1 * n2 > MAX_GENERATED_VERTICES:
+        raise ValueError(f"torus of {n1}x{n2} = {n1 * n2} vertices exceeds the "
+                         f"{MAX_GENERATED_VERTICES} of the finest generated sphere")
     phi1 = 2.0 * np.pi * np.arange(n1) / n1
     phi2 = 2.0 * np.pi * np.arange(n2) / n2
     P1, P2 = np.meshgrid(phi1, phi2, indexing="ij")

@@ -43,6 +43,7 @@ __all__ = ["Hierarchy", "PencilLevel", "ShiftedVCycle", "build_hierarchy"]
 MAX_COARSE = 24
 STRENGTH_THETA = 0.08  # j is a strong neighbour of i if |s_ij| > theta * sqrt(s_ii s_jj)
 POWER_ITERS = 15  # power iterations for the spectral radius of diag(A)^-1 A
+COMBINE_CHUNK = 8192  # values per pass of a shift's combine, which stay in cache
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class ShiftedVCycle:
         # restricted residual and correction of each coarser level
         self._coarse = [(np.empty(lv.n), np.empty(lv.n)) for lv in h.levels[1:]]
         self._coarse_work = np.empty(len(h.coarse_values))
-        self._scratch = np.empty(max(len(lv.indices) for lv in h.levels))
+        self._scratch = np.empty(min(COMBINE_CHUNK, max(len(lv.indices) for lv in h.levels)))
         self.matrix = self._ops[0]
         self.shift(c1, c2)
 
@@ -151,9 +152,16 @@ class ShiftedVCycle:
 
 def _combine(c1: float, a: np.ndarray, c2: float, b: np.ndarray, out: np.ndarray,
              scratch: np.ndarray) -> np.ndarray:
-    """c1*a + c2*b written into `out`, rounded as that expression is; c2*b goes to `scratch`."""
-    np.multiply(a, c1, out=out)
-    return np.add(out, np.multiply(b, c2, out=scratch[:len(b)]), out=out)
+    """c1*a + c2*b written into `out`, rounded as that expression is.
+
+    It works through the values in chunks of len(scratch), which holds each
+    chunk's c2*b, so that the three passes over a chunk run in cache.
+    """
+    for start in range(0, len(b), len(scratch)):
+        stop = min(start + len(scratch), len(b))
+        part = np.multiply(a[start:stop], c1, out=out[start:stop])
+        part += np.multiply(b[start:stop], c2, out=scratch[:stop - start])
+    return out
 
 
 def build_hierarchy(mass: sp.csr_matrix, stiffness: sp.csr_matrix) -> Hierarchy:

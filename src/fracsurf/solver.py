@@ -47,9 +47,21 @@ records, `cg_error_bound` and the step's sum over the terms are combined in
 term order, and no term's arithmetic depends on another's, so results are
 bit-identical for every worker count.
 
-Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget,
-eps = a_priori_bound / 100 in the M-norm, and each stops once it has provably
-spent no more than its share. The argument has three parts:
+Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget
+eps in the M-norm, and each stops once it has provably spent no more than its
+share. The call promises a total error of (1 + CG_BUDGET_FRACTION) times
+`a_priori_bound`, and the scheme's part of it is certified:
+`scheme.certified_scheme_error` encloses sup |mu(lambda) - lambda^-alpha| on
+[lh, Lambda], and since the eigenvectors are M-orthogonal, that times
+||f_h||_M, C, bounds the M-norm distance from the exact scheme's result to
+pencil^-alpha f_h. The budget is what the certificate leaves of the total,
+eps = (1 + CG_BUDGET_FRACTION) * a_priori_bound - C, and at least
+CG_BUDGET_FRACTION * a_priori_bound, which it falls back to where C exceeds
+`a_priori_bound` (at m = 4 near alpha = 1 and from m = 5, where the
+certificate stops at its cell cap). `FracSolveResult.certified_error` is
+C + `cg_error_bound`, a bound on the whole M-norm error up to rounding,
+within the promised total whenever C <= `a_priori_bound`. The argument for
+the solves has three parts:
 
 - Error propagation. Each step maps U through r(theta_l) of the pencil, with
   0 < r <= 1 for theta >= 0, and the zero-mean deflation is an M-orthogonal
@@ -69,13 +81,13 @@ CG_REL_FLOOR, the fixed tolerance of an explicit setting, which covers meshes
 where the weighted target lies below round-off and keeps any solve from
 working harder than at that tolerance. `FracSolveResult.cg_error_bound` sums
 beta_i * sqrt(rho^T diag(M)^-1 rho / c) / lh over the final true residuals;
-the bound holds whatever rule stopped the solves, so it is also reported
-under an explicit `cg_rel_tol`.
+the bound holds whatever rule stopped the solves, so it, and
+`certified_error`, are also reported under an explicit `cg_rel_tol`.
 
 Every call checks lh <= lambda_min against `suggest_lambda_hat`, a LOBPCG
 Ritz value theta preconditioned on the operator's hierarchy, and rejects a
 larger lh. The check is a test, not a proof: a Ritz value only bounds
-lambda_min from above.
+lambda_min from above. `FracSolveResult.theta` reports theta.
 
 The hierarchy and theta depend on the operator alone (theta also on lh), so
 the first call on an operator computes them and keeps them in `op.prepared`,
@@ -104,10 +116,10 @@ from .assembly import AssembledOperator, constant_mode, csr_matvec_into, deflate
 from .mesh import MODE_ZERO_MEAN
 from .multigrid import Hierarchy, ShiftedVCycle, build_hierarchy
 from .pade import build_pade
-from .scheme import TimeGrid, build_time_grid, scheme_error_bound
+from .scheme import TimeGrid, build_time_grid, certified_scheme_error, scheme_error_bound
 
 CG_REL_FLOOR = 1e-12  # relative residual at which every budgeted solve stops
-CG_BUDGET_FRACTION = 0.01  # share of the a-priori bound the CG solves may add
+CG_BUDGET_FRACTION = 0.01  # the CG solves' least share; the total is 1 + this of the bound
 PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
 PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
 PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
@@ -356,6 +368,10 @@ class FracSolveResult:
     mg_levels: tuple[int, ...] = ()  # unknowns per multigrid level, finest first
     # certified bound on the M-norm error the CG solves add (module docstring)
     cg_error_bound: float = math.nan
+    # certified bound on the whole M-norm error: the scheme's certificate
+    # times ||f_h||_M, plus cg_error_bound (module docstring)
+    certified_error: float = math.nan
+    theta: float = math.nan  # the Ritz value that checked lambda_hat
     # wall-clock seconds (time.perf_counter) of the call's stages: "hierarchy_s"
     # (the multigrid build) and "lambda_hat_check_s" (the Ritz value), each
     # about 0 on a prepared operator; "steps_s", one per time step; and
@@ -443,12 +459,15 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     if lh > theta * (1.0 + PROBE_ROUNDING):
         raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
                          "smallest eigenvalue; choose lambda_hat <= lambda_min")
-    bound = apriori_bound(cfg.m, alpha, lh, lam_max, op.m_norm(f_h))
+    f_norm = op.m_norm(f_h)
+    bound = apriori_bound(cfg.m, alpha, lh, lam_max, f_norm)
+    scheme_error = certified_scheme_error(cfg.m, alpha, lh, lam_max) * f_norm
+    budget = max(CG_BUDGET_FRACTION * bound, (1.0 + CG_BUDGET_FRACTION) * bound - scheme_error)
 
     rel_tol = CG_REL_FLOOR if cfg.cg_rel_tol is None else cfg.cg_rel_tol
     inv_diag = 1.0 / (op.mass_diagonal_floor * op.mass.diagonal())  # checked by build_hierarchy
     weight = inv_diag if cfg.cg_rel_tol is None else None
-    share = lh * CG_BUDGET_FRACTION * bound / (grid.num_steps * float(np.sum(p.beta[1:])))
+    share = lh * budget / (grid.num_steps * float(np.sum(p.beta[1:])))
     # term i's own workspace, built at its step-0 shift so that no shift is
     # discarded, and its eight vectors: pcg's six, its right-hand side and
     # its correction, updated in place. Neither is kept in op.prepared. They
@@ -530,6 +549,8 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         a_priori_bound=bound,
         mg_levels=hierarchy.sizes,
         cg_error_bound=float(cg_error),
+        certified_error=scheme_error + float(cg_error),
+        theta=float(theta),
         stages=stages,
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsurf.cli import main
-from util import write_msh22, write_msh41
+from util import cg_budget, write_msh22, write_msh41
 
 
 def _read_csv(path):
@@ -68,8 +68,11 @@ class TestScalarError:
         assert code == 0
         for alpha in ("0.1", "0.5", "0.9"):
             header, data = _read_csv(out / f"scalar_error_a{alpha}.csv")
-            assert header == ["lambda", "mu", "exact", "abs_err", "rel_err", "bound"]
+            assert header == ["lambda", "mu", "exact", "abs_err", "rel_err", "bound",
+                              "certified"]
             assert data[:, 4].max() <= 1e-12
+            # the certificate covers the whole range, so every sampled error
+            assert np.all(data[:, 6] == data[0, 6]) and np.all(data[:, 3] <= data[:, 6])
         manifest = json.loads((out / "manifest_scalar_error.json").read_text())
         assert manifest["config"]["L_plus_1"] == 50
 
@@ -125,6 +128,50 @@ class TestSolve:
         assert header == ["vertex", "x", "y", "z", "u"]
         assert len(data) == 24 * 16
         assert np.all(np.isfinite(data))
+
+    def test_run_reports_its_certificate_and_theta(self, tmp_path, capsys):
+        from fracsurf import assemble, coefficient_field, dense_decompose, gen_sphere
+        from fracsurf.scheme import certified_scheme_error
+
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "sphere:2", "--alpha", "0.5",
+                     "--m", "2"]) == 0
+        run = json.loads((out / "manifest_solve.json").read_text())["config"]["runs"][0]
+        assert run["scheme_certificate"] == certified_scheme_error(2, 0.5, 1.0,
+                                                                   run["lambda_max_used"])
+        assert run["cg_error_bound"] < run["certified_error"] <= 1.01 * run["a_priori_bound"]
+        # the Ritz value that checked lambda_hat: just above the smallest nonzero eigenvalue
+        mesh = gen_sphere(2)
+        lam_min = dense_decompose(assemble(mesh, coefficient_field(mesh),
+                                           "zero-mean")).eigenvalues[1]
+        assert lam_min <= run["theta"] <= lam_min * (1.0 + 1e-4)
+        line = capsys.readouterr().out.splitlines()[0]
+        assert f"bound={run['a_priori_bound']:.3e} certified={run['certified_error']:.3e}" in line
+
+    def test_oversized_torus_exits_2_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin",
+                     "torus:1,0.3,1000000,1000000"]) == 2
+        assert "exceeds the 163842" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        from fracsurf import cli
+
+        def exhausted(config, out_dir):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setitem(cli._RUNNERS, "solve", exhausted)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "sphere:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "7.28 TiB" in err and "Traceback" not in err
+        assert not out.exists()
+        # a directory the run did not create stays, with what it holds
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["--out", str(kept), "solve", "--builtin", "sphere:1"]) == 2
+        assert kept.is_dir()
 
     def test_zero_source_zero_solution(self, tmp_path):
         out = tmp_path / "o"
@@ -207,9 +254,9 @@ class TestSolve:
         assert main(["--out", str(out), "solve", "--builtin", "sphere:1"]) == 0
         capsys.readouterr()
         run = json.loads((out / "manifest_solve.json").read_text())["config"]["runs"][0]
-        # lambda_hat * 1% of the a-priori bound, split over the steps and the weights
-        share = 0.01 * run["a_priori_bound"] / (run["L_plus_1"]
-                                                * float(np.sum(build_pade(3, 0.5).beta[1:])))
+        # lambda_hat times the budget, split over the steps and the weights
+        budget = cg_budget(run["a_priori_bound"], run["certified_error"] - run["cg_error_bound"])
+        share = budget / (run["L_plus_1"] * float(np.sum(build_pade(3, 0.5).beta[1:])))
         assert main(["--out", str(tmp_path / "f"), "solve", "--builtin", "sphere:1",
                      "--cg-max-iter", "1"]) == 3
         err = capsys.readouterr().err
@@ -372,8 +419,16 @@ class TestCompareOracle:
              "--alpha", "0.01,0.5,0.99", "--m", "1,2,3,4"]
         )
         assert code == 0
-        _, data = _read_csv(out / "compare_oracle.csv")
+        header, data = _read_csv(out / "compare_oracle.csv")
+        assert header == ["alpha", "m", "rel_err", "bound", "certified"]
         assert np.all(data[:, 2] <= 1.5 * data[:, 3])
+        # the decay of the scheme's own error: solved tightly, the CG error
+        # does not mix in (under the default budget it is up to the whole
+        # budget, which falls back to a hundredth of the bound at alpha 0.99, m 4)
+        out = tmp_path / "tight"
+        assert main(["--out", str(out), "compare-oracle", "--builtin", "sphere:2",
+                     "--alpha", "0.01,0.5,0.99", "--m", "1,2,3,4", "--cg-tol", "1e-12"]) == 0
+        _, data = _read_csv(out / "compare_oracle.csv")
         for alpha in (0.01, 0.5, 0.99):
             rows = data[np.isclose(data[:, 0], alpha)]
             slope = np.polyfit(rows[:, 1], np.log2(rows[:, 2]), 1)[0]
@@ -384,6 +439,16 @@ class TestCompareOracle:
             mid = rows[np.isclose(rows[:, 0], 0.5)][0, 2]
             for alpha in (0.01, 0.99):
                 assert rows[np.isclose(rows[:, 0], alpha)][0, 2] <= 10.0 * mid
+
+    @pytest.mark.parametrize("builtin", ["sphere:2", "torus:1,0.3,16,8", "square:4,2"])
+    def test_every_row_within_certified(self, tmp_path, builtin):
+        # the default orders and exponents, m up to 6, where the certificate
+        # has reached its cell cap and is looser than the a-priori bound
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "compare-oracle", "--builtin", builtin]) == 0
+        _, data = _read_csv(out / "compare_oracle.csv")
+        assert len(data) == 18
+        assert np.all(data[:, 2] <= data[:, 4])
 
 
 class TestDeterminismAndManifest:
@@ -413,7 +478,12 @@ class TestDeterminismAndManifest:
         manifest = json.loads((a / "manifest_solve.json").read_text())
         assert manifest["config"]["cg_tol"] is None
         run = manifest["config"]["runs"][0]
-        assert 0.0 < run["cg_error_bound"] <= run["a_priori_bound"] / 100
+        # the solves spend at most their budget, and the certified total stays
+        # within 1.01 times the a-priori bound
+        scheme_error = run["certified_error"] - run["cg_error_bound"]
+        assert 0.0 < scheme_error < run["a_priori_bound"]
+        assert 0.0 < run["cg_error_bound"] <= cg_budget(run["a_priori_bound"], scheme_error)
+        assert run["certified_error"] <= 1.01 * run["a_priori_bound"]
         assert main(["--from-manifest", str(a / "manifest_solve.json"), "--out", str(b)]) == 0
         assert (a / "solution_a0.5.csv").read_bytes() == (b / "solution_a0.5.csv").read_bytes()
 

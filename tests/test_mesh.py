@@ -215,6 +215,20 @@ class TestTorus:
         with pytest.raises(ValueError):
             gen_torus(0.5, 0.2, 2, 8)
 
+    @pytest.mark.parametrize("n1, n2", [(1_000_000, 1_000_000), (3, 54615)])
+    def test_oversized_rejected_before_allocating(self, n1, n2):
+        # past the finest sphere's 163842 vertices (3 x 54615 is 163845), the
+        # count alone rejects the torus: 1e12 vertices would need 7.3 TiB
+        assert mesh_module.MAX_GENERATED_VERTICES == 10 * 4**7 + 2 == 163842
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the 163842 of the finest"):
+                gen_torus(1.0, 0.3, n1, n2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestGradedSquare:
     def test_uniform_case(self):

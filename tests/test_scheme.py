@@ -7,8 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracsurf import scheme
+from fracsurf.oracle import pade_extended
 from fracsurf.pade import build_pade, rm_partial
-from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
+from fracsurf.scheme import (
+    CERT_MAX_CELLS,
+    build_time_grid,
+    certified_scheme_error,
+    scalar_mu,
+    scheme_error_bound,
+)
 
 
 # (lam, lh) pairs at the edges of the grid construction, by id
@@ -308,3 +316,67 @@ class TestInvariantSweep:
                     p = build_pade(m, alpha)
                     err = np.abs(scalar_mu(p, grid, lams) - lams ** (-alpha))
                     assert err.max() <= 1.5 * scheme_error_bound(m, alpha, lh, lam_max)
+
+
+def _sampled_errors(m, alpha, lh, lam_max):
+    """Largest |mu - lambda^-alpha| on 1e5 log-spaced points in double precision, and on
+    4001 in longdouble with the refined approximant of `pade_extended`."""
+    grid = build_time_grid(lh, lam_max)
+    p = build_pade(m, alpha)
+    lams = np.geomspace(lh, lam_max, 100_000)
+    double = max(np.max(np.abs(scalar_mu(p, grid, part) - part ** -alpha))
+                 for part in np.array_split(lams, 10))
+    lams = np.geomspace(np.longdouble(lh), np.longdouble(lam_max), 4001)
+    extended = np.max(np.abs(scalar_mu(pade_extended(m, alpha), grid, lams)
+                             - lams ** -np.longdouble(alpha)))
+    return double, float(extended)
+
+
+class TestCertificate:
+    # (m, alpha, lambda_hat, Lambda) and the least ratio of the a-priori bound
+    # to the certificate: 91896 is the sphere level 6 range, and from m = 4 at
+    # the larger alphas the certificate stops at its cell cap
+    TABLE = [
+        (1, 0.5, 1.0, 91896.0, 20.0),
+        (2, 0.1, 1.0, 91896.0, 7.0),
+        (2, 0.99, 1.0, 91896.0, 90.0),
+        (3, 0.1, 1.0, 91896.0, 7.0),
+        (3, 0.5, 1.0, 91896.0, 35.0),
+        (3, 0.9, 1.0, 91896.0, 100.0),
+        (3, 0.5, 4.0, 4e11, 35.0),
+        (4, 0.1, 1.0, 1e11, 5.0),
+        (4, 0.9, 0.5, 5e4, 1.0),
+    ]
+
+    @pytest.mark.parametrize("m, alpha, lh, lam_max, sharpness", TABLE)
+    def test_bounds_the_sampled_error(self, m, alpha, lh, lam_max, sharpness):
+        cert = certified_scheme_error(m, alpha, lh, lam_max)
+        double, extended = _sampled_errors(m, alpha, lh, lam_max)
+        assert cert >= max(double, extended)
+        assert cert * sharpness <= scheme_error_bound(m, alpha, lh, lam_max)
+
+    @given(st.integers(1, 4), st.floats(0.01, 0.99), st.floats(-3.0, 3.0),
+           st.floats(math.log10(2.0), 12.0))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_bounds_the_sampled_error_everywhere(self, m, alpha, log_lh, log_ratio):
+        lh = 10.0 ** log_lh
+        lam_max = lh * 10.0 ** log_ratio
+        cert = certified_scheme_error.__wrapped__(m, alpha, lh, lam_max)
+        assert cert >= max(_sampled_errors(m, alpha, lh, lam_max))
+
+    def test_cell_cap_gives_a_looser_bound(self, monkeypatch):
+        # fewer cells stop the refinement sooner, at a larger enclosure that
+        # still bounds the error
+        args = (3, 0.9, 1.0, 91896.0)
+        full = certified_scheme_error.__wrapped__(*args)
+        monkeypatch.setattr(scheme, "CERT_MAX_CELLS", CERT_MAX_CELLS // 8)
+        capped = certified_scheme_error.__wrapped__(*args)
+        assert capped > 2.0 * full and full >= _sampled_errors(*args)[0]
+
+    def test_cached_and_checked(self):
+        assert certified_scheme_error(2, 0.5, 1.0, 100.0) is certified_scheme_error(
+            2, 0.5, 1.0, 100.0)
+        for args in ((0, 0.5, 1.0, 10.0), (1, 1.0, 1.0, 10.0), (1, 0.5, 10.0, 1.0),
+                     (1, 0.5, 0.0, 10.0)):
+            with pytest.raises(ValueError):
+                certified_scheme_error(*args)

@@ -19,8 +19,9 @@ from fracsurf.cli import main
 from fracsurf.multigrid import ShiftedVCycle, build_hierarchy
 from fracsurf.oracle import dense_decompose, dense_fractional
 from fracsurf.pade import build_pade
-from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
+from fracsurf.scheme import build_time_grid, certified_scheme_error, scalar_mu, scheme_error_bound
 from fracsurf.solver import (
+    CG_BUDGET_FRACTION,
     SolverConfig,
     apriori_bound,
     estimate_lambda_max,
@@ -28,7 +29,7 @@ from fracsurf.solver import (
     pcg,
     suggest_lambda_hat,
 )
-from util import diagonal_op, jacobi
+from util import cg_budget, diagonal_op, jacobi
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -588,7 +589,8 @@ class TestErrorBudget:
     @pytest.mark.parametrize("name", ["sphere", "torus", "square"])
     def test_budget_bounds_the_solve_error(self, name):
         # the certified bound covers the distance to a tightly solved result,
-        # and the solves spend at most their budget, a hundredth of the a-priori bound
+        # and the solves spend at most their budget: 1.01 times the a-priori
+        # bound less the certified scheme error, and at least a hundredth of it
         op, f, lh = _budget_case(name)
         for alpha in (0.1, 0.5, 0.9):
             res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=3))
@@ -596,7 +598,39 @@ class TestErrorBudget:
                                      SolverConfig(lambda_hat=lh, m=3, cg_rel_tol=1e-14))
             assert 0.0 < tight.cg_error_bound < res.cg_error_bound
             err = op.m_norm(res.solution - tight.solution)
-            assert err <= res.cg_error_bound <= res.a_priori_bound / 100
+            scheme_error = (certified_scheme_error(3, alpha, lh, res.lambda_max_used)
+                            * op.m_norm(f))
+            assert scheme_error < res.a_priori_bound
+            assert err <= res.cg_error_bound <= cg_budget(res.a_priori_bound, scheme_error)
+            assert res.certified_error == scheme_error + res.cg_error_bound
+            assert res.certified_error <= (1.0 + CG_BUDGET_FRACTION) * res.a_priori_bound
+
+    @pytest.mark.parametrize("name", ["sphere2", "torus", "square"])
+    def test_certified_error_bounds_the_true_error(self, name, sphere2_op, sphere2_sign_rhs):
+        # the distance to the dense spectral result is at most certified_error,
+        # which stays within the promised 1.01 times the a-priori bound
+        # wherever the scheme's certificate is below that bound
+        if name == "sphere2":
+            op, f, lh = sphere2_op, sphere2_sign_rhs, 1.0
+        elif name == "torus":
+            mesh = gen_torus(1.0, 0.3, 16, 8)
+            op = assemble(mesh, coefficient_field(mesh, a=1.0, b=1.0), "positive-reaction")
+            f, lh = np.cos(3.0 * np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])), 0.9
+        else:
+            mesh = gen_graded_square(6, 3)
+            op = assemble(mesh, coefficient_field(mesh), "dirichlet")
+            f, lh = np.sin(np.arange(1.0, op.n + 1)), 4.0
+        dec = dense_decompose(op)
+        for alpha in (0.1, 0.5, 0.9):
+            exact = dense_fractional(op, alpha, f, dec)
+            for m in (1, 2, 3):
+                res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=m))
+                assert op.m_norm(res.solution - exact) <= res.certified_error
+                assert lh <= res.theta == op.prepared[("theta", lh)]
+                scheme_error = res.certified_error - res.cg_error_bound
+                if scheme_error <= res.a_priori_bound:
+                    assert (res.certified_error
+                            <= (1.0 + CG_BUDGET_FRACTION) * res.a_priori_bound * (1 + 1e-12))
 
     @pytest.mark.parametrize("name", ["sphere2", "torus", "square16"])
     def test_spectral_shadow_within_certificate(self, name, sphere2_op, sphere2_sign_rhs,
@@ -867,10 +901,13 @@ class TestTermThreads:
 
 class TestApplyMemory:
     @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
-    def test_later_call_peak_below_86_vectors(self, monkeypatch, threaded):
+    def test_later_call_peak_below_75_vectors(self, monkeypatch, threaded):
         # each term keeps pcg's six vectors, its right-hand side and its
-        # correction (8 vectors); a later call at sphere level 4 with m = 3,
-        # workspaces included, traces a peak below 86 vectors of length n
+        # correction (8 vectors), and its workspace combines a shift through
+        # at most 8192 scratch values; a later call at sphere level 4 with
+        # m = 3, workspaces included, traced a peak of 71.9 vectors of length
+        # n inline and 72.6 on 3 threads (83.3 and 83.9 with a scratch the
+        # size of the fine matrix)
         mesh = gen_sphere(4)
         op = assemble(mesh, coefficient_field(mesh), "zero-mean")
         f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
@@ -887,7 +924,7 @@ class TestApplyMemory:
         finally:
             tracemalloc.stop()
         assert res.stages["term_workers"] == (3 if threaded else 1)
-        assert peak / (8 * op.n) < 86.0
+        assert peak / (8 * op.n) < 75.0
 
 
 class TestAprioriBound:

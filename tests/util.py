@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fracsurf.assembly import AssembledOperator
+from fracsurf.solver import CG_BUDGET_FRACTION
 
 
 def write_msh22(path, vertices, triangles):
@@ -102,3 +103,10 @@ def eval_rm(p, t):
     for i in range(p.m):
         out *= (1.0 + p.num_roots[i] * t) / (1.0 + p.den_roots[i] * t)
     return out if out.ndim else float(out)
+
+
+def cg_budget(bound, scheme_error):
+    """The M-norm error the CG solves may add: the promised total, (1 + CG_BUDGET_FRACTION)
+    times the a-priori bound, less the certified scheme error, and at least
+    CG_BUDGET_FRACTION times the bound."""
+    return max(CG_BUDGET_FRACTION * bound, (1.0 + CG_BUDGET_FRACTION) * bound - scheme_error)
