@@ -420,9 +420,13 @@ def constant_mode(op: AssembledOperator) -> tuple[np.ndarray, float]:
     return pair
 
 
-def deflate_mean(v: np.ndarray, op: AssembledOperator) -> np.ndarray:
-    """Remove the M-weighted mean (the constant-mode component); idempotent."""
+def deflate_mean(v: np.ndarray, op: AssembledOperator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Remove the M-weighted mean (the constant-mode component); idempotent.
+
+    The result is written into `out` when given, which may be v itself.
+    """
     if op.mode != MODE_ZERO_MEAN:
         raise ValueError("deflation only applies in zero-mean mode")
     m_ones, total = constant_mode(op)
-    return v - dot(m_ones, v) / total
+    return np.subtract(v, dot(m_ones, v) / total, out=out)

@@ -325,6 +325,9 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
                 "cg_error_bound": result.cg_error_bound,
                 "cg_iters_total": sum(r.iterations for r in result.solve_log),
                 "cg_iters_max": max((r.iterations for r in result.solve_log), default=0),
+                # the solve log, in step and term order, as one list of m counts per step
+                "cg_iters_per_step": [[r.iterations for r in result.solve_log[k:k + cfg.m]]
+                                      for k in range(0, result.total_solves, cfg.m)],
                 "mg_levels": list(result.mg_levels),
                 "seconds": wall,
                 "stages": result.stages,

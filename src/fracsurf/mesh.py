@@ -30,7 +30,7 @@ MODE_DIRICHLET = "dirichlet"
 MODE_REACTION = "positive-reaction"
 MODE_ZERO_MEAN = "zero-mean"
 MODES = (MODE_DIRICHLET, MODE_REACTION, MODE_ZERO_MEAN)
-# the most vertices a generated torus may have: the sphere's at its top level, 7
+# the most vertices a generated torus or square may have: the sphere's at its top level, 7
 MAX_GENERATED_VERTICES = 10 * 4**7 + 2
 
 
@@ -221,6 +221,13 @@ def gen_sphere(refinement_level: int) -> SurfaceMesh:
     return _finalize(verts, faces)
 
 
+def _check_vertex_count(name: str, count: int) -> None:
+    """Reject a generated mesh of more than MAX_GENERATED_VERTICES, before it is built."""
+    if count > MAX_GENERATED_VERTICES:
+        raise ValueError(f"{name} = {count} vertices exceeds the "
+                         f"{MAX_GENERATED_VERTICES} of the finest generated sphere")
+
+
 def gen_torus(R: float, r: float, n1: int, n2: int) -> SurfaceMesh:
     """Structured torus: n1 x n2 grid in the (phi1, phi2) angles, quads split into triangles.
 
@@ -231,9 +238,7 @@ def gen_torus(R: float, r: float, n1: int, n2: int) -> SurfaceMesh:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
     if n1 < 3 or n2 < 3:
         raise ValueError("need at least 3 subdivisions in each angle")
-    if n1 * n2 > MAX_GENERATED_VERTICES:
-        raise ValueError(f"torus of {n1}x{n2} = {n1 * n2} vertices exceeds the "
-                         f"{MAX_GENERATED_VERTICES} of the finest generated sphere")
+    _check_vertex_count(f"torus of {n1}x{n2}", n1 * n2)
     phi1 = 2.0 * np.pi * np.arange(n1) / n1
     phi2 = 2.0 * np.pi * np.arange(n2) / n2
     P1, P2 = np.meshgrid(phi1, phi2, indexing="ij")
@@ -271,15 +276,20 @@ def gen_graded_square(N0: int, p: int) -> SurfaceMesh:
     Per direction 2*N0 uniform intervals plus p exponentially clustered nodes
     in each of the four marked intervals, so the spacing ratio is exactly 2^p.
     Every cell is split along the same diagonal, keeping the triangulation
-    deterministic. A p whose thinnest triangle, half a d x d cell with d the
-    smallest axis spacing, fails validation's area test is rejected from the
-    axis alone, before the tensor product is built (from p = 20 at N0 = 4,
-    also where clustered nodes coincide in double precision and merge).
+    deterministic. The (2*N0 + 1 + 4*p)^2 vertices, an upper bound since
+    clustered nodes can merge, are counted first, and more than
+    MAX_GENERATED_VERTICES raise ValueError before the axis is built. A p
+    whose thinnest triangle, half a d x d cell with d the smallest axis
+    spacing, fails validation's area test is then rejected from the axis
+    alone, before the tensor product is built (from p = 20 at N0 = 4, also
+    where clustered nodes coincide in double precision and merge).
     """
     if N0 < 2:
         raise ValueError("N0 must be at least 2")
     if p < 0:
         raise ValueError("p must be non-negative")
+    k = 2 * N0 + 1 + 4 * p
+    _check_vertex_count(f"graded square of {k}x{k}", k * k)
     axis = _graded_axis(N0, p)
     d_min = float(np.diff(axis).min())
     diam = float(np.linalg.norm((axis[-1] - axis[0], axis[-1] - axis[0], 0.0)))
@@ -289,9 +299,14 @@ def gen_graded_square(N0: int, p: int) -> SurfaceMesh:
 
 
 def gen_unit_square(n: int) -> SurfaceMesh:
-    """Uniform n x n cell mesh of [0,1]^2 (flat, Dirichlet mode)."""
+    """Uniform n x n cell mesh of [0,1]^2 (flat, Dirichlet mode).
+
+    More than MAX_GENERATED_VERTICES vertices, (n+1)^2, raise ValueError
+    before anything is allocated.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
+    _check_vertex_count(f"unit square of {n + 1}x{n + 1}", (n + 1) * (n + 1))
     return _tensor_square(np.linspace(0.0, 1.0, n + 1))
 
 

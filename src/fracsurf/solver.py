@@ -20,14 +20,33 @@ A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
 solves A y = (s - t_l) g with g = (S - lh*M) U, and the step is
 U - sum_i beta_i y_i. Each step multiplies U by the operator's own M and S,
 two matvecs, and forms g = S U - lh*M U and B_l U = lh*M U + t_l*g from them,
-since B_l = lh*M + t_l*(S - lh*M). Every term of the first step is solved
-from zero. At every later step, term i starts from the Galerkin projection of
-its solution onto its own correction y of the previous step, c*y with
-c = y.b / y.A y: it solves A z = b - c*A y from zero for the remainder and
-returns c*y + z, so the start costs the one matvec A y. The start is skipped
-when y.A y = 0; its inner products use `dot`, like those of `pcg`. The true
-residual of the y system is minus that of the x system, so the relative test
-and the certificate below keep the meaning they have for A x = B U: the
+since B_l = lh*M + t_l*(S - lh*M). It forms the sum over the terms and
+subtracts it from U in place, in buffers of the call, so a step allocates no
+vector of length n.
+
+Every term of the first step is solved from zero. At every later step, term
+i starts from the A-Galerkin projection of its correction onto the span Y of
+all m corrections of the previous step, not only its own (after Fischer's
+projection for successive right-hand sides, Comput. Methods Appl. Mech.
+Engrg. 163, 1998). The corrections y_j = (s_j - t) A_j^-1 g of a step span a
+rational Krylov space of that step's g, and the next step's right-hand sides
+are all parallel to g - (S - lh*M) sum_j beta_j y_j, so Y holds most of every
+term's next correction. The start's coefficients c solve the m x m system
+((1-s)*lh*Y^T M Y + s*Y^T S Y) c = (s - t_l) Y^T g. Y is rank-deficient when
+corrections are parallel, as on a pencil of fewer than m unknowns, so the
+system is solved by `eigh` on the eigenvalues above GRAM_DROP times the
+largest; with none left the start is zero. After its solve, each term forms
+M y and S y of its new correction in two of pcg's vectors, which are free
+once pcg returns. The calling thread forms both Gram matrices from them, and
+at the next step Y^T g and every term's coefficients. It then overwrites the
+m corrections in place with the m starts, Y <- Y C, chunk by chunk through
+the terms' right-hand-side vectors, which are free at that point, so no
+term reads a vector that another term writes and the start holds no vector
+of its own. Term i solves A z = b - A start from zero for the remainder and
+returns start + z, so the start costs it the one matvec A start. Its inner
+products use `dot`, like those of `pcg`. The true residual of the y system
+is minus that of the x system, so the relative test and the certificate
+below keep the meaning they have for A x = B U, whatever the start: the
 relative test divides by ||B_l U||, and `cg_rel_tol`, CG_REL_FLOOR and
 `SolveRecord.relative_residual` are all relative to it.
 
@@ -35,17 +54,18 @@ The m terms of a step thus read only the step's g and their own state, and
 run concurrently: from TERM_THREADS_MIN_N unknowns on, each call runs them on
 a thread pool of min(m, os.cpu_count()) workers, which it shuts down before
 it returns, also after a failure; below that, and on one CPU, they run
-inline. Threads pay because the level-6 work is in compiled kernels that
-release the interpreter lock (scipy's `csr_matvec`, numpy's ufuncs); on
-small meshes the hand-offs cost more than the overlap gains. The threshold
-sits above the measured crossover, where the gain clearly exceeds the
-run-to-run spread: near it threads buy a few percent, while the time comes
-to depend on whether the second core is free. CHANGES.md records the
-crossover, in the entry that first ran a step's terms concurrently, and
-`BENCH_thread_threshold.json` the benchmark runs behind the threshold. The
-records, `cg_error_bound` and the step's sum over the terms are combined in
-term order, and no term's arithmetic depends on another's, so results are
-bit-identical for every worker count.
+inline. The pool gets the terms last first: the largest shifts usually take
+the most CG iterations, so fewer workers than terms share the step more
+evenly when the slowest term starts first. The outcomes are still read in
+term order, and a failure names the lowest failing term. Threads pay because
+the work is in compiled kernels that release the interpreter lock (scipy's
+`csr_matvec`, numpy's ufuncs); on small meshes the hand-offs cost more than
+the overlap gains. The threshold sits above the measured crossover;
+`BENCH_thread_threshold.json` holds the benchmark runs behind it. The
+records, `cg_error_bound`, the Gram matrices, the starts and the step's sum
+over the terms are formed on the calling thread in term order, and no
+term's arithmetic depends on another's, so results are bit-identical for
+every worker count.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget
 eps in the M-norm, and each stops once it has provably spent no more than its
@@ -114,7 +134,7 @@ import scipy.linalg as la
 
 from .assembly import AssembledOperator, constant_mode, csr_matvec_into, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
-from .multigrid import Hierarchy, ShiftedVCycle, build_hierarchy
+from .multigrid import COMBINE_CHUNK, Hierarchy, ShiftedVCycle, build_hierarchy
 from .pade import build_pade
 from .scheme import TimeGrid, build_time_grid, certified_scheme_error, scheme_error_bound
 
@@ -124,6 +144,7 @@ PROBE_TOL = 0.1  # LOBPCG residual, in units of lambda_hat * sqrt(mean(diag M))
 PROBE_MAX_ITER = 50  # LOBPCG iterations; the builtins need at most about 20
 PROBE_ROUNDING = 1e-8  # relative allowance for rounding in the Ritz value
 TERM_THREADS_MIN_N = 16384  # unknowns from which a step's m solves run on threads (docstring)
+GRAM_DROP = 1e-10  # a start's Gram eigenvalues below this times the largest are dropped
 
 __all__ = [
     "SolverConfig",
@@ -375,9 +396,10 @@ class FracSolveResult:
     # wall-clock seconds (time.perf_counter) of the call's stages: "hierarchy_s"
     # (the multigrid build) and "lambda_hat_check_s" (the Ritz value), each
     # about 0 on a prepared operator; "steps_s", one per time step; and
-    # "pcg_s", the summed solve phases of the steps (each term's shift, start
-    # and pcg call), which the steps include; also "term_workers", the
-    # threads that ran each step's terms (1: inline)
+    # "pcg_s", the summed solve phases of the steps (the starts, and each
+    # term's shift, pcg call and products for the next start), which the
+    # steps include; also "term_workers", the threads that ran each step's
+    # terms (1: inline)
     stages: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -405,9 +427,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     lh-eigencomponent unchanged without relying on the weights summing to 1
     in floating point. Each term solves for the correction
     y_i = U - solve(A_li, B_l U) from A_li y_i = (s - t_l)(S - lh*M) U; at
-    steps l >= 1, term i starts from the Galerkin projection onto span{y_i}
-    of step l-1, and the terms of a step run concurrently from
-    TERM_THREADS_MIN_N unknowns on (module docstring). Zero-mean
+    steps l >= 1, term i starts from the A_li-Galerkin projection onto the
+    span of all m corrections of step l-1, and the terms of a step run
+    concurrently from TERM_THREADS_MIN_N unknowns on (module docstring). Zero-mean
     runs re-deflate after every step to stop constant-mode drift from being
     amplified by lh^(-alpha). The solves stop at `cfg.cg_rel_tol` when it is
     set, and by the error budget of the module docstring otherwise; either
@@ -481,20 +503,14 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     rhs, corrections = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(2))
 
     def solve_term(l, t_l, g, ref_norm, i):
-        """Shift, start, pcg and add-start of term i at step l; touches only term i's state."""
+        """Shift, pcg from the start, M y and S y of term i at step l; touches only its state."""
         s = s_grid[l, i]
         if l:
             vcycles[i].shift((1.0 - s) * lh, s)
         A, y, work = vcycles[i].matrix, corrections[i], works[i]
         b = np.multiply(g, s - t_l, out=rhs[i])
-        c = None
-        if l:  # Galerkin start c*y, y this term's correction in the last step
-            ay = csr_matvec_into(A, y, work[5])  # pcg's A p, written after b is formed
-            yay = dot(y, ay)
-            if yay > 0.0:
-                c = dot(y, b) / yay
-                ay *= c
-                b -= ay  # the remainder z = y_i - c*y solves A z = b - c*A y
+        if l:  # y holds the start; the remainder z = y_i - start solves A z = b - A start
+            b -= csr_matvec_into(A, y, work[5])  # pcg's A p, written after b is formed
         try:
             x, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
                                 weight=weight, weighted_tol=share, ref_norm=ref_norm, work=work)
@@ -502,21 +518,23 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             budget = "" if weight is None else ("; the weighted target is this solve's "
                                                 "share of the error budget")
             raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
-        if c is None:
-            np.copyto(y, x)
+        if l:
+            y += x
         else:
-            y *= c
-            y += x  # rounds as x + c*y
+            np.copyto(y, x)
+        if l + 1 < grid.num_steps:  # M y and S y in pcg's z and p, for the next step's Gram
+            csr_matvec_into(op.mass, y, work[2])
+            csr_matvec_into(op.stiffness, y, work[3])
         r = work[1]  # pcg leaves the true residual b - A x there
         return (SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel),
                 math.sqrt(dot(np.multiply(inv_diag, r, out=work[4]), r)))
 
     lh_mu, g, bu = (np.empty(op.n) for _ in range(3))
+    gram_m, gram_s = np.empty((cfg.m, cfg.m)), np.empty((cfg.m, cfg.m))
     cg_error = 0.0
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    run = map if pool is None else pool.map  # either yields the outcomes in term order
     try:
         for l in range(grid.num_steps):
             t_step = time.perf_counter()
@@ -526,17 +544,33 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
             ref_norm = math.sqrt(dot(bu, bu))
             t_solve = time.perf_counter()
-            outcomes = list(run(partial(solve_term, l, t_l, g, ref_norm), range(cfg.m)))
+            if l:  # every term's start, formed in place of the last step's corrections
+                y_g = np.array([dot(y, g) for y in corrections])
+                coeffs = np.column_stack([
+                    _galerkin_coefficients((1.0 - s) * lh * gram_m + s * gram_s, (s - t_l) * y_g)
+                    for s in s_grid[l]])
+                _combine_in_place(corrections, coeffs, rhs, [w[4] for w in works])
+            task = partial(solve_term, l, t_l, g, ref_norm)
+            if pool is None:
+                outcomes = [task(i) for i in range(cfg.m)]
+            else:  # the last terms, of the largest shifts, are the slowest: submitted first
+                futures = [pool.submit(task, i) for i in reversed(range(cfg.m))]
+                outcomes = [future.result() for future in reversed(futures)]
+            if l + 1 < grid.num_steps:
+                for i in range(cfg.m):
+                    for j in range(i, cfg.m):
+                        gram_m[i, j] = gram_m[j, i] = dot(corrections[i], works[j][2])
+                        gram_s[i, j] = gram_s[j, i] = dot(corrections[i], works[j][3])
             stages["pcg_s"] += time.perf_counter() - t_solve
-            dec = np.zeros_like(U)
+            dec, scaled = lh_mu, bu  # both free once ref_norm is taken
+            dec.fill(0.0)
             for i, (record, residual_norm) in enumerate(outcomes):
                 records.append(record)
                 cg_error += p.beta[i + 1] * residual_norm / lh
-                dec += p.beta[i + 1] * corrections[i]
-            U_next = U - dec
+                dec += np.multiply(corrections[i], p.beta[i + 1], out=scaled)
+            U -= dec
             if op.mode == MODE_ZERO_MEAN:
-                U_next = deflate_mean(U_next, op)
-            U = U_next
+                deflate_mean(U, op, out=U)
             stages["steps_s"].append(time.perf_counter() - t_step)
     finally:
         if pool is not None:
@@ -553,6 +587,38 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         theta=float(theta),
         stages=stages,
     )
+
+
+def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coordinates c with gram c = rhs on the eigenvectors of `gram` that are kept.
+
+    `gram` is the symmetric positive semidefinite Gram matrix of a spanning set
+    in an energy inner product. Eigenvalues at most GRAM_DROP times the largest
+    are dropped, so a rank-deficient set (parallel vectors) gives the minimum
+    norm solution, and a set whose eigenvalues are all dropped gives c = 0.
+    """
+    values, vectors = la.eigh(gram)
+    kept = values > GRAM_DROP * values[-1]  # none when values[-1] <= 0
+    basis = vectors[:, kept]
+    return basis @ ((basis.T @ rhs) / values[kept])
+
+
+def _combine_in_place(vectors: list, coeffs: np.ndarray, copies: list, products: list) -> None:
+    """vectors[i] <- sum_j coeffs[j, i] * vectors[j] for every i, in place.
+
+    Works through COMBINE_CHUNK values at a time, which stay in cache: the
+    chunk of each vector is copied into `copies` (as many free vectors), and
+    each sum is formed in term order j = 0, 1, ..., with each product written
+    into products[i] (one free vector per output). Allocates nothing.
+    """
+    for start in range(0, len(vectors[0]), COMBINE_CHUNK):
+        chunk = slice(start, start + COMBINE_CHUNK)
+        old = [np.copyto(c[chunk], v[chunk]) or c[chunk] for c, v in zip(copies, vectors)]
+        for i, (v, prod) in enumerate(zip(vectors, products)):
+            out, prod = v[chunk], prod[chunk]
+            np.multiply(old[0], coeffs[0, i], out=out)
+            for j in range(1, len(old)):
+                out += np.multiply(old[j], coeffs[j, i], out=prod)
 
 
 def apriori_bound(m: int, alpha: float, lambda_hat: float, lambda_max_bound: float,

@@ -229,11 +229,20 @@ class TestSolve:
         assert not out.exists()
 
     def test_oversized_degenerate_builtin_exits_2(self, tmp_path, capsys):
-        # rejected from the grading axis, before 5.1M vertices are built
+        # degenerate too, but rejected first from its vertex count, before
+        # its grading axis or its 4409^2 vertices are built
         out = tmp_path / "o"
         assert main(["--out", str(out), "solve", "--builtin", "square:4,1100"]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: bad builtin spec 'square:4,1100': degenerate triangle")
+            "error: bad builtin spec 'square:4,1100': graded square of 4409x4409 = "
+            "19439281 vertices exceeds the 163842")
+        assert not out.exists()
+
+    def test_oversized_square_exits_2_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "square:100000,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds the 163842" in err
         assert not out.exists()
 
     def test_unknown_builtin(self, tmp_path):
@@ -468,6 +477,43 @@ class TestDeterminismAndManifest:
         manifest = a / "manifest_compare_oracle.json"
         assert main(["--from-manifest", str(manifest), "--out", str(b)]) == 0
         assert (a / "compare_oracle.csv").read_bytes() == (b / "compare_oracle.csv").read_bytes()
+
+    def test_solve_manifests_equal_but_for_wall_times(self, tmp_path, monkeypatch):
+        # the manifest is a deterministic trace of the run: a repeat, and a
+        # repeat with each step's terms on threads, write the same manifest
+        # once the wall times and the worker count are dropped
+        import os
+        import shutil
+
+        from fracsurf import solver
+
+        out = tmp_path / "o"
+        args = ["--out", str(out), "solve", "--builtin", "sphere:2", "--alpha", "0.3,0.7",
+                "--m", "3"]
+
+        def traced_run(workers):
+            assert main(args) == 0
+            manifest = json.loads((out / "manifest_solve.json").read_text())
+            shutil.rmtree(out)
+            del manifest["timing_seconds"], manifest["config"]["setup_seconds"]
+            for run in manifest["config"]["runs"]:
+                del run["seconds"]
+                assert run["stages"].pop("term_workers") == workers
+                for key in ("hierarchy_s", "lambda_hat_check_s", "steps_s", "pcg_s"):
+                    del run["stages"][key]
+            return manifest
+
+        first = traced_run(1)
+        run = first["config"]["runs"][0]
+        assert run["stages"] == {}  # every stage entry is a wall time or the worker count
+        per_step = run["cg_iters_per_step"]
+        assert len(per_step) == run["L_plus_1"] and {len(s) for s in per_step} == {3}
+        assert sum(map(sum, per_step)) == run["cg_iters_total"]
+        assert max(map(max, per_step)) == run["cg_iters_max"]
+        assert traced_run(1) == first
+        monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert traced_run(3) == first
 
     def test_solve_manifest_replay_at_default_tolerance(self, tmp_path):
         # the default tolerance is written as null and replays byte for byte;

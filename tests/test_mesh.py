@@ -240,12 +240,13 @@ class TestGradedSquare:
 
     def test_large_grading_counts(self):
         # 2*N0 + 4p + 1 nodes per direction, of which the interior ones are the
-        # Dirichlet unknowns: 1047^2 = 1096209 free dofs for (500, 12)
-        mesh = gen_graded_square(500, 12)
-        per_direction = 2 * 500 + 4 * 12 + 1
-        assert mesh.num_vertices == per_direction**2
+        # Dirichlet unknowns: 401^2 = 160801 free dofs for (177, 12), the
+        # largest N0 at p = 12 within the cap on generated vertices
+        mesh = gen_graded_square(177, 12)
+        per_direction = 2 * 177 + 4 * 12 + 1
+        assert mesh.num_vertices == per_direction**2 <= mesh_module.MAX_GENERATED_VERTICES
         free = int((~mesh.boundary_vertices).sum())
-        assert free == (per_direction - 2) ** 2 == 1047**2 == 1096209
+        assert free == (per_direction - 2) ** 2 == 401**2 == 160801
 
     def test_spacing_ratio(self):
         mesh = gen_graded_square(4, 3)
@@ -281,11 +282,27 @@ class TestGradedSquare:
             mesh_module._tensor_square(mesh_module._graded_axis(4, 20))
 
     def test_degenerate_grading_rejected_before_the_tensor_product(self):
-        # p = 1100 would build 5.1M vertices before validation; the axis alone rejects it
+        # p = 60 would build 249^2 vertices (1.5 MB of coordinates) before
+        # validation; the axis alone rejects it
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^degenerate triangle"):
-                gen_graded_square(4, 1100)
+                gen_graded_square(4, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+    @pytest.mark.parametrize("n0, p", [(10**5, 0), (178, 12), (4, 1100)])
+    def test_oversized_rejected_before_allocating(self, n0, p):
+        # (2*N0 + 1 + 4p)^2 vertices past the cap of 163842 are rejected from
+        # the count, before the axis: (178, 12) has 405^2 = 164025, and
+        # (10^5, 0) would need 960 GB of coordinates
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="vertices exceeds the 163842 of the finest"):
+                gen_graded_square(n0, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,6 +316,18 @@ class TestUnitSquare:
         assert mesh.num_triangles == 32
         assert mesh.boundary_vertices.any()
         assert mesh.boundary_vertices.sum() == 16
+
+    @pytest.mark.parametrize("n", [404, 10**6])
+    def test_oversized_rejected_before_allocating(self, n):
+        # (n+1)^2 vertices past the cap of 163842: 405^2 = 164025 at n = 404
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="vertices exceeds the 163842 of the finest"):
+                gen_unit_square(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestValidation:

@@ -289,17 +289,17 @@ class TestSchemeSolves:
 
     def test_correction_form_saves_iterations(self):
         # CG iterations in all, under the default budget / at cg_rel_tol 1e-8:
-        # 281 / 437 solving each term for its correction U - x from the
-        # Galerkin start on the same term's correction in the previous step;
-        # 324 / 474 for the correction from zero, and 372 / 523 solving for x
-        # from zero. Under the former budget, a hundredth of the a-priori
-        # bound, these read 401, 449 and 494; at an earlier commit a start
-        # from the previous term's correction in the same step, which kept
-        # the terms from running concurrently, took 389 / 418, and the
-        # relative test against the correction's own right-hand side instead
-        # of ||B_l U|| 389 / 466
+        # 169 / 325 solving each term for its correction U - x from the
+        # Galerkin projection onto the span of all m corrections of the
+        # previous step; 281 / 437 from the projection onto the same term's
+        # own correction alone; 324 / 474 for the correction from zero, and
+        # 372 / 523 solving for x from zero. Under the former budget, a
+        # hundredth of the a-priori bound, the last three read 401, 449 and
+        # 494; at an earlier commit a start from the previous term's
+        # correction in the same step, which kept the terms from running
+        # concurrently, took 389 / 418
         op, f = _sphere_case(4)
-        for tol, alternative in ((None, 324), (1e-8, 466)):
+        for tol, alternative in ((None, 281), (1e-8, 437)):
             res = fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=tol))
             assert sum(r.iterations for r in res.solve_log) < alternative
 

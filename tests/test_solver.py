@@ -405,6 +405,30 @@ class TestFractionalApply:
             mu = scalar_mu(build_pade(4, alpha), grid, lam)
             assert res.solution[0] == pytest.approx(mu, rel=1e-14)
 
+    def test_scalar_shadow_two_by_two(self, monkeypatch):
+        # a 2x2 pencil at m = 3: the three corrections of a step span at most
+        # two dimensions, so every start's Gram matrix is singular; the start
+        # drops the null direction and solves each later system to rounding,
+        # and the result is the scalar transfer function of each eigenvalue,
+        # within the certified CG error (M = I)
+        lam, f = np.array([5.0, 37.0]), np.array([1.0, -2.0])
+        op = dataclasses.replace(diagonal_op([1.0, 1.0], lam), lambda_max_ceiling=64.0)
+        real, spectra = solver._galerkin_coefficients, []
+
+        def recording(gram, rhs):
+            spectra.append(np.linalg.eigvalsh(gram))
+            return real(gram, rhs)
+
+        monkeypatch.setattr(solver, "_galerkin_coefficients", recording)
+        for alpha in (0.1, 0.5, 0.9):
+            res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=1.0, m=3))
+            mu = scalar_mu(build_pade(3, alpha), build_time_grid(1.0, 64.0), lam)
+            assert np.linalg.norm(res.solution - mu * f) <= res.cg_error_bound
+            assert res.cg_error_bound <= 1e-12 * np.linalg.norm(f)
+            assert all(r.iterations == 0 for r in res.solve_log if r.step)
+        assert len(spectra) == 3 * 3 * 5  # every term of steps 1 to 5, at each alpha
+        assert all(v[0] <= solver.GRAM_DROP * v[-1] for v in spectra)
+
     def test_solve_count_and_residuals(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=1e-12)
         res = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, cfg)
@@ -495,17 +519,20 @@ class TestFractionalApply:
 
     def test_step_products_equal_the_whole_matrices(self, sphere2_op, sphere2_sign_rhs,
                                                     monkeypatch):
-        # a step forms B_l U and g = (S - lh*M) U from M U and S U; the first
-        # term's right-hand side (s - t_l) g, less its start c*A y at steps
-        # l >= 1 (y the term's correction at step l - 1), and the reference
-        # norm ||B_l U|| agree with B_l and S - lh*M formed as matrices
-        op, lh = sphere2_op, 1.0
-        states, calls = [], []
+        # a step forms B_l U and g = (S - lh*M) U from M U and S U, and each term
+        # forms M y of its correction y for the next step's Gram matrices; checked
+        # against B_l, S - lh*M and A = (1-s)*lh*M + s*S formed as matrices: the
+        # reference norm ||B_l U||, the right-hand side (s - t_l) g at step 0,
+        # and at steps l >= 1 a start that lies in the span Y of the m
+        # corrections of step l - 1 and meets the Galerkin condition there:
+        # pcg solves for the remainder from b - A start, and Y^T (b - A start) = 0
+        op, lh, m = sphere2_op, 1.0, 3
+        mass_inputs, calls = [], []
         matvec, real_pcg = solver.csr_matvec_into, solver.pcg
 
         def recording_matvec(A, x, out):
             if A is op.mass:
-                states.append(x.copy())
+                mass_inputs.append(x.copy())
             return matvec(A, x, out)
 
         def recording_pcg(A, b, **kwargs):
@@ -515,26 +542,38 @@ class TestFractionalApply:
 
         monkeypatch.setattr(solver, "csr_matvec_into", recording_matvec)
         monkeypatch.setattr(solver, "pcg", recording_pcg)
-        res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=lh, m=3))
+        res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=lh, m=m))
         assert res.stages["term_workers"] == 1  # inline, so the calls come in term order
-        nodes, p = res.time_grid.nodes, build_pade(3, 0.5)
-        assert len(states) == res.time_grid.num_steps and len(calls) == res.total_solves
-        y = None  # term 0's correction at the previous step
-        for l, U in enumerate(states):
-            t, (A, b, ref_norm, z) = nodes[l], calls[3 * l]
-            s = t + p.den_roots[0] * (nodes[l + 1] - t)
+        nodes, p, steps = res.time_grid.nodes, build_pade(m, 0.5), res.time_grid.num_steps
+        # per step: M U, then M y of each term's correction, except after the last step
+        assert len(mass_inputs) == steps + m * (steps - 1) and len(calls) == res.total_solves
+        scale_a = abs(op.stiffness).max()
+        last = None  # the corrections of the previous step, as columns
+        for l in range(steps):
+            U, t = mass_inputs[(m + 1) * l], nodes[l]
+            corrections = mass_inputs[(m + 1) * l + 1:(m + 1) * (l + 1)]
             B = (1.0 - t) * lh * op.mass + t * op.stiffness
-            assert ref_norm == pytest.approx(np.linalg.norm(B @ U), rel=1e-13)
             su, mu = op.stiffness @ U, op.mass @ U
-            scale = (s - t) * np.abs(su).max()
-            expected = (s - t) * (su - lh * mu)
-            if y is not None:
-                ay = A @ y
-                c = np.dot(y, expected) / np.dot(y, ay)
-                expected, y = expected - c * ay, z + c * y
-            else:
-                y = z
-            np.testing.assert_allclose(b, expected, rtol=0, atol=1e-13 * scale)
+            for i in range(m):
+                A, b, ref_norm, z = calls[m * l + i]
+                s = t + p.den_roots[i] * (nodes[l + 1] - t)
+                assert abs(A - ((1.0 - s) * lh * op.mass + s * op.stiffness)).max() <= (
+                    1e-15 * scale_a)
+                assert ref_norm == pytest.approx(np.linalg.norm(B @ U), rel=1e-13)
+                full = (s - t) * (su - lh * mu)
+                if last is None:
+                    np.testing.assert_allclose(b, full, rtol=0,
+                                               atol=1e-13 * (s - t) * np.abs(su).max())
+                    continue
+                galerkin = np.abs(last.T @ b).max()
+                assert galerkin <= 1e-10 * np.linalg.norm(last) * np.linalg.norm(full)
+                if corrections:  # the start is y - z, with y the term's new correction
+                    start = corrections[i] - z
+                    np.testing.assert_allclose(b, full - A @ start, rtol=0,
+                                               atol=1e-12 * np.abs(full).max())
+                    coords = np.linalg.lstsq(last, start, rcond=None)[0]
+                    assert np.linalg.norm(last @ coords - start) <= 1e-12 * np.linalg.norm(start)
+            last = np.column_stack(corrections) if corrections else None
 
     def test_solve_weights_inside_unit_interval(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=1.0, m=5)
@@ -796,7 +835,8 @@ def sphere5_case():
 class TestTermThreads:
     @pytest.mark.parametrize("name", ["sphere5", "square25_12"])
     def test_worker_count_changes_no_bit(self, name, sphere5_case, monkeypatch):
-        # each term starts from its own correction of the previous step, so the
+        # the starts are formed on the calling thread in term order before a
+        # step's terms run, and each term then reads only its own state, so the
         # default worker count and one worker give the same bits; both meshes
         # lie below TERM_THREADS_MIN_N, which is lowered to put them on threads
         if name == "sphere5":
@@ -820,6 +860,27 @@ class TestTermThreads:
         np.testing.assert_array_equal(one.solution, default.solution)
         assert one.solve_log == default.solve_log
         assert one.cg_error_bound == default.cg_error_bound and one_theta == theta
+
+    def test_terms_submitted_last_first(self, sphere3_op, monkeypatch):
+        # the largest shifts usually take the most iterations, so the pool gets
+        # each step's terms last first; inline they run in term order
+        submitted = []
+
+        class RecordingPool(solver.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[-1])
+                return super().submit(fn, *args, **kwargs)
+
+        op = dataclasses.replace(sphere3_op)
+        f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
+        monkeypatch.setattr(solver, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        res = fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=1.0, m=3))
+        assert res.stages["term_workers"] == 2
+        assert submitted == [2, 1, 0] * res.time_grid.num_steps
+        assert [(r.step, r.term) for r in res.solve_log] == [
+            (l, i) for l in range(res.time_grid.num_steps) for i in range(3)]
 
     def test_more_workers_than_cores_with_fast_switching(self, sphere3_op, monkeypatch):
         # every step's five solves on five threads, with thread switches forced
@@ -899,15 +960,29 @@ class TestTermThreads:
         assert len(shifts) == res.total_solves == cfg.m * res.time_grid.num_steps
 
 
+class TestStartIterations:
+    def test_later_call_iterations_at_level_5(self, sphere5_case):
+        # a count, not a time, so it holds on any host: a later call with the
+        # default budget took 226 CG iterations in all from the start on every
+        # correction of the previous step, 363 from each term's own correction
+        op, f, lh = sphere5_case
+        cfg = SolverConfig(lambda_hat=lh, m=3)
+        fractional_apply(op, f, 0.5, cfg)
+        res = fractional_apply(op, f, 0.5, cfg)
+        assert sum(r.iterations for r in res.solve_log) <= 250
+
+
 class TestApplyMemory:
     @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
     def test_later_call_peak_below_75_vectors(self, monkeypatch, threaded):
         # each term keeps pcg's six vectors, its right-hand side and its
         # correction (8 vectors), and its workspace combines a shift through
-        # at most 8192 scratch values; a later call at sphere level 4 with
-        # m = 3, workspaces included, traced a peak of 71.9 vectors of length
-        # n inline and 72.6 on 3 threads (83.3 and 83.9 with a scratch the
-        # size of the fine matrix)
+        # at most 8192 scratch values; the starts are formed in place of the
+        # corrections and the step update in the call's own buffers. A later
+        # call at sphere level 4 with m = 3, workspaces included, traced a
+        # peak of 69.4 vectors of length n inline and 70.4 on 3 threads (71.9
+        # and 72.6 with a step update that allocated, 83.3 and 83.9 with a
+        # shift scratch the size of the fine matrix)
         mesh = gen_sphere(4)
         op = assemble(mesh, coefficient_field(mesh), "zero-mean")
         f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
