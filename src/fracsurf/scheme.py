@@ -114,10 +114,7 @@ def scalar_mu(p: PadeApproximant, grid: TimeGrid, lam):
             "the range covered by the error bound",
             stacklevel=2,
         )
-    real = lam.dtype.type
-    mu = np.full_like(lam, real(lh) ** -real(p.alpha))
-    for theta in grid.theta(lam):
-        mu *= rm_partial(p, theta)
+    mu = _mu_and_slope(p, grid, lam, slope=False)[0]
     return mu if mu.ndim else mu[()]
 
 
@@ -192,27 +189,32 @@ def certified_scheme_error(m: int, alpha: float, lambda_hat: float,
     return float(enclosure.max() + rounding)
 
 
-def _mu_and_slope(p: PadeApproximant, grid: TimeGrid, lam: np.ndarray):
-    """mu(lam) and mu'(lam), one step at a time so that no array holds more than lam's size.
+def _mu_and_slope(p: PadeApproximant, grid: TimeGrid, lam: np.ndarray, slope: bool = True):
+    """mu(lam) and, with `slope`, mu'(lam) (else None): the one evaluator of mu.
 
-    mu' = mu * sum_n r'(theta_n) theta_n' / r(theta_n), with
-    r'(theta) = -sum_i beta_i d_i / (1 + d_i theta)^2 and
+    One step at a time, so that no array holds more than lam's size, in lam's
+    floating dtype, with lambda_hat and the nodes cast to it as
+    `TimeGrid.theta` does. mu' = mu * sum_n r'(theta_n) theta_n' / r(theta_n),
+    with r'(theta) = -sum_i beta_i d_i / (1 + d_i theta)^2 and
     theta_n' = tau_n lh / (lh + t_n (lam - lh))^2.
     """
-    lh = grid.lambda_hat
+    real = lam.dtype.type
+    lh = real(grid.lambda_hat)
+    nodes = grid.nodes.astype(lam.dtype)
     x = lam - lh
-    mu = np.full_like(lam, lh ** -p.alpha)
+    mu = np.full_like(lam, lh ** -real(p.alpha))
     log_slope = np.zeros_like(lam)
-    for t_n, tau in zip(grid.nodes[:-1], np.diff(grid.nodes)):
+    for t_n, tau in zip(nodes[:-1], np.diff(nodes)):
         den = lh + t_n * x
         theta = tau * x / den
-        dr = np.zeros_like(lam)
-        for beta, d in zip(p.beta[1:], p.den_roots):
-            dr -= beta * d / (1.0 + d * theta) ** 2
         r = rm_partial(p, theta)
         mu *= r
-        log_slope += dr * (tau * lh / (den * den)) / r
-    return mu, mu * log_slope
+        if slope:
+            dr = np.zeros_like(lam)
+            for beta, d in zip(p.beta[1:], p.den_roots):
+                dr -= beta * d / (1.0 + d * theta) ** 2
+            log_slope += dr * (tau * lh / (den * den)) / r
+    return mu, (mu * log_slope if slope else None)
 
 
 def _cell_enclosure(lam: np.ndarray, mu: np.ndarray, slope: np.ndarray,

@@ -11,9 +11,8 @@ builds one `ShiftedVCycle` workspace per term, at the term's first shift, and
 shifts it in place for the term's later solves; the workspaces are the call's
 own and are not kept with the operator. Each term also gets, once per call,
 the eight vectors it solves in: `pcg`'s six (its `work`), its right-hand side
-and its correction, which each step updates in place. All are built on the
-calling thread, so the workers that run the terms allocate no vector of
-length n.
+and its correction. All are built on the calling thread, so the workers that
+run the terms allocate no vector of length n.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
@@ -37,35 +36,34 @@ corrections are parallel, as on a pencil of fewer than m unknowns, so the
 system is solved by `eigh` on the eigenvalues above GRAM_DROP times the
 largest; with none left the start is zero. After its solve, each term forms
 M y and S y of its new correction in two of pcg's vectors, which are free
-once pcg returns. The calling thread forms both Gram matrices from them, and
-at the next step Y^T g and every term's coefficients. It then overwrites the
-m corrections in place with the m starts, Y <- Y C, chunk by chunk through
-the terms' right-hand-side vectors, which are free at that point, so no
-term reads a vector that another term writes and the start holds no vector
-of its own. Term i solves A z = b - A start from zero for the remainder and
-returns start + z, so the start costs it the one matvec A start. Its inner
-products use `dot`, like those of `pcg`. The true residual of the y system
-is minus that of the x system, so the relative test and the certificate
-below keep the meaning they have for A x = B U, whatever the start: the
-relative test divides by ||B_l U||, and `cg_rel_tol`, CG_REL_FLOOR and
-`SolveRecord.relative_residual` are all relative to it.
+once pcg returns, and the calling thread forms both Gram matrices from them
+and, at the next step, Y^T g. No vector of Y is written during a step, so
+each term computes its own coefficients from these and forms its start in
+pcg's x, which pcg starts from with the one matvec b - A start. The x that
+pcg returns is the term's new correction: after the step, each term's
+correction and pcg's x trade places, a swap of list entries, not a copy.
+The true residual of the y system is minus that of the x system, so the
+relative test and the certificate below keep the meaning they have for
+A x = B U, whatever the start: the relative test divides by ||B_l U||, and
+`cg_rel_tol`, CG_REL_FLOOR and `SolveRecord.relative_residual` are all
+relative to it.
 
-The m terms of a step thus read only the step's g and their own state, and
-run concurrently: from TERM_THREADS_MIN_N unknowns on, each call runs them on
-a thread pool of min(m, os.cpu_count()) workers, which it shuts down before
-it returns, also after a failure; below that, and on one CPU, they run
-inline. The pool gets the terms last first: the largest shifts usually take
-the most CG iterations, so fewer workers than terms share the step more
-evenly when the slowest term starts first. The outcomes are still read in
-term order, and a failure names the lowest failing term. Threads pay because
-the work is in compiled kernels that release the interpreter lock (scipy's
-`csr_matvec`, numpy's ufuncs); on small meshes the hand-offs cost more than
-the overlap gains. The threshold sits above the measured crossover;
-`BENCH_thread_threshold.json` holds the benchmark runs behind it. The
-records, `cg_error_bound`, the Gram matrices, the starts and the step's sum
-over the terms are formed on the calling thread in term order, and no
-term's arithmetic depends on another's, so results are bit-identical for
-every worker count.
+The m terms of a step thus read only what no term writes during the step and
+write only their own state, so they run concurrently: from TERM_THREADS_MIN_N
+unknowns on, each call runs them on a thread pool of min(m, os.cpu_count())
+workers, which it shuts down before it returns, also after a failure; below
+that, and on one CPU, they run inline. The pool gets the terms last first:
+the largest shifts usually take the most CG iterations, so fewer workers than
+terms share the step more evenly when the slowest term starts first. The
+outcomes are still read in term order, and a failure names the lowest failing
+term. Threads pay because the work is in compiled kernels that release the
+interpreter lock (scipy's `csr_matvec`, numpy's ufuncs); on small meshes the
+hand-offs cost more than the overlap gains. The threshold sits above the
+measured crossover; `BENCH_thread_threshold.json` holds the benchmark runs
+behind it. The records, `cg_error_bound`, the Gram matrices, Y^T g and the
+step's sum over the terms are formed on the calling thread in term order,
+each term's start from these alone, and no term's arithmetic depends on
+another's, so results are bit-identical for every worker count.
 
 Unless `SolverConfig.cg_rel_tol` is set, the solves share an error budget
 eps in the M-norm, and each stops once it has provably spent no more than its
@@ -134,7 +132,7 @@ import scipy.linalg as la
 
 from .assembly import AssembledOperator, constant_mode, csr_matvec_into, deflate_mean, dot
 from .mesh import MODE_ZERO_MEAN
-from .multigrid import COMBINE_CHUNK, Hierarchy, ShiftedVCycle, build_hierarchy
+from .multigrid import Hierarchy, ShiftedVCycle, build_hierarchy
 from .pade import build_pade
 from .scheme import TimeGrid, build_time_grid, certified_scheme_error, scheme_error_bound
 
@@ -195,7 +193,7 @@ def _check_positive_real(name: str, value) -> None:
 
 
 def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_tol=0.0,
-        ref_norm=None, work=None):
+        ref_norm=None, x0=None, work=None):
     """Preconditioned conjugate gradients for a CSR matrix A, SPD.
 
     `precond(r, out)`, which every caller passes, writes the preconditioned
@@ -203,32 +201,33 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     definite: the scheme's solves pass a V-cycle, a workspace that the
     calling `fractional_apply` owns, and `build_rhs`'s mass solve a Jacobi
     step.
-    The iteration starts from zero and stops once ||r|| / ref_norm <= rel_tol
-    for the residual r (not the preconditioned one), where `ref_norm` defaults
-    to ||b||; a caller with a start x0 solves A z = b - A x0 for the remainder
-    and passes the reference norm of its own system. It raises RuntimeError
-    with its targets (`weighted_tol` too when `weight` is given) and the last
-    five residuals after `max_iter` iterations (default:
-    `SolverConfig.max_iter`). With `weight`, a positive vector w, it also
-    stops once sqrt(sum(w * r**2)) <= weighted_tol, if the true residual
-    b - A x passes the same test; that check costs one matvec and runs once,
-    and after a failed check only the relative test stops the iteration. The
-    weighted sum is formed on every iteration until then. Both tests also
-    run on b, so a right-hand side that passes returns zero after
-    0 iterations. Updates are in place, inner products use `dot`, which
-    calls no BLAS, and the products A p and A x go through `csr_matvec_into`;
-    it calls scipy's compiled kernel `scipy.sparse._sparsetools.csr_matvec`,
-    the one `A @ p` runs (verified on scipy 1.17.1), so the iterates have the
-    bits of `A @ p`.
+    The iteration starts from `x0`, zero by default, with r = b - A x0 (one
+    matvec; an x0 of another shape than b's raises ValueError), returns x0
+    after 0 iterations if that r is zero, and stops once
+    ||r|| / ref_norm <= rel_tol for the residual r (not the preconditioned
+    one), where `ref_norm` defaults to ||b||, or to the start's ||r|| when
+    b = 0. It raises RuntimeError with its targets (`weighted_tol` too when
+    `weight` is given) and the last five residuals after `max_iter`
+    iterations (default: `SolverConfig.max_iter`). With `weight`, a positive
+    vector w, it also stops once sqrt(sum(w * r**2)) <= weighted_tol, if the
+    true residual b - A x passes the same test; that check costs one matvec
+    and runs once, and after a failed check only the relative test stops the
+    iteration. The weighted sum is formed on every iteration until then. Both
+    tests also run on the start's residual, so a start that passes is
+    returned after 0 iterations. Updates are in place, inner products use
+    `dot`, which calls no BLAS, and the products A p and A x go through
+    `csr_matvec_into`; it calls scipy's compiled kernel
+    `scipy.sparse._sparsetools.csr_matvec`, the one `A @ p` runs (verified on
+    scipy 1.17.1), so the iterates have the bits of `A @ p`.
 
     `work`, when given, is six vectors of b's length that pcg writes in place
     of allocating its own: x, r, z, p, the step alpha*p (also the weighted
     tests' w*r) and A p. The call then allocates no vector of b's length, and
     returns work[0] as x, which the next call with the same `work`
     overwrites. The result has the same bits either way. On every return
-    work[1], r, holds the true residual b - A x of the returned x. pcg first
-    writes work[5], A p, in its first iteration, so a caller may use it as
-    scratch for b.
+    work[1], r, holds the true residual b - A x of the returned x. Of `work`,
+    pcg reads only x0 before writing, which may be work[0] itself, so a
+    caller may form its start there with the other five as scratch.
     Returns (x, iterations, final relative residual).
     """
     if max_iter is None:
@@ -236,15 +235,20 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     if work is None:
         work = [np.empty_like(b) for _ in range(6)]
     x, r, z, p, step, Ap = work
-    x.fill(0.0)
-    norm_b = math.sqrt(dot(b, b))
-    if norm_b == 0.0:
+    if x0 is None:
+        x.fill(0.0)
         np.copyto(r, b)
+    else:
+        if np.shape(x0) != np.shape(b):
+            raise ValueError(f"x0 has shape {np.shape(x0)}, expected b's {np.shape(b)}")
+        np.copyto(x, x0)
+        np.subtract(b, csr_matvec_into(A, x, Ap), out=r)
+    norm_r = math.sqrt(dot(r, r))
+    if norm_r == 0.0:
         return x, 0, 0.0
     if ref_norm is None:
-        ref_norm = norm_b
-    np.copyto(r, b)
-    rel = math.sqrt(dot(r, r)) / ref_norm
+        ref_norm = math.sqrt(dot(b, b)) or norm_r
+    rel = norm_r / ref_norm
     weighted_sq = weighted_tol * weighted_tol
     target = f"{rel_tol:.1e}"
     if weight is not None:
@@ -254,7 +258,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
         return dot(np.multiply(weight, v, out=step), v) <= weighted_sq
 
     if rel <= rel_tol or (weight is not None and weighted_passes(r)):
-        return x, 0, rel  # r = b = b - A x
+        return x, 0, rel  # r = b - A x
     precond(r, z)
     np.copyto(p, z)
     rz = dot(r, z)
@@ -396,10 +400,10 @@ class FracSolveResult:
     # wall-clock seconds (time.perf_counter) of the call's stages: "hierarchy_s"
     # (the multigrid build) and "lambda_hat_check_s" (the Ritz value), each
     # about 0 on a prepared operator; "steps_s", one per time step; and
-    # "pcg_s", the summed solve phases of the steps (the starts, and each
-    # term's shift, pcg call and products for the next start), which the
-    # steps include; also "term_workers", the threads that ran each step's
-    # terms (1: inline)
+    # "pcg_s", the summed solve phases of the steps (Y^T g, each term's
+    # shift, start, pcg call and products for the next start, and the Gram
+    # matrices), which the steps include; also "term_workers", the threads
+    # that ran each step's terms (1: inline)
     stages: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -427,13 +431,14 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     lh-eigencomponent unchanged without relying on the weights summing to 1
     in floating point. Each term solves for the correction
     y_i = U - solve(A_li, B_l U) from A_li y_i = (s - t_l)(S - lh*M) U; at
-    steps l >= 1, term i starts from the A_li-Galerkin projection onto the
-    span of all m corrections of step l-1, and the terms of a step run
-    concurrently from TERM_THREADS_MIN_N unknowns on (module docstring). Zero-mean
-    runs re-deflate after every step to stop constant-mode drift from being
-    amplified by lh^(-alpha). The solves stop at `cfg.cg_rel_tol` when it is
-    set, and by the error budget of the module docstring otherwise; either
-    relative test divides by ||B_l U||, as for a solve of A_li x = B_l U.
+    steps l >= 1, term i forms its own start, the A_li-Galerkin projection
+    onto the span of all m corrections of step l-1, and passes it to `pcg`
+    as x0, and the terms of a step run concurrently from TERM_THREADS_MIN_N
+    unknowns on (module docstring). Zero-mean runs re-deflate after every
+    step to stop constant-mode drift from being amplified by lh^(-alpha).
+    The solves stop at `cfg.cg_rel_tol` when it is set, and by the error
+    budget of the module docstring otherwise; either relative test divides
+    by ||B_l U||, as for a solve of A_li x = B_l U.
     ValueError: alpha outside (0, 1) (from `build_pade`), or a lambda_hat whose
     last time step is so narrow that a solve weight s rounds to 1.
     """
@@ -492,39 +497,40 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     share = lh * budget / (grid.num_steps * float(np.sum(p.beta[1:])))
     # term i's own workspace, built at its step-0 shift so that no shift is
     # discarded, and its eight vectors: pcg's six, its right-hand side and
-    # its correction, updated in place. Neither is kept in op.prepared. They
-    # are built here, on the calling thread, and the workers allocate no
-    # vector of length n: glibc serves a thread's allocations from its own
-    # heap, which keeps its high-water pages. Built on the workers, the
-    # workspaces raised the peak memory of a sphere level 6 benchmark run by
-    # 15%, and pcg's own vectors by 6%
+    # its correction, which trades places with pcg's x after each step.
+    # Neither is kept in op.prepared. They are built here, on the calling
+    # thread, and the workers allocate no vector of length n: glibc serves a
+    # thread's allocations from its own heap, which keeps its high-water
+    # pages. Built on the workers, the workspaces raised the peak memory of a
+    # sphere level 6 benchmark run by 15%, and pcg's own vectors by 6%
     vcycles = [ShiftedVCycle(hierarchy, (1.0 - s) * lh, s) for s in s_grid[0]]
     works = [[np.empty(op.n) for _ in range(6)] for _ in range(cfg.m)]
     rhs, corrections = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(2))
 
-    def solve_term(l, t_l, g, ref_norm, i):
-        """Shift, pcg from the start, M y and S y of term i at step l; touches only its state."""
+    def solve_term(l, t_l, g, y_g, ref_norm, i):
+        """Shift, start, pcg, M x and S x of term i at step l; writes only its own state."""
         s = s_grid[l, i]
         if l:
             vcycles[i].shift((1.0 - s) * lh, s)
-        A, y, work = vcycles[i].matrix, corrections[i], works[i]
+        A, work = vcycles[i].matrix, works[i]
         b = np.multiply(g, s - t_l, out=rhs[i])
-        if l:  # y holds the start; the remainder z = y_i - start solves A z = b - A start
-            b -= csr_matvec_into(A, y, work[5])  # pcg's A p, written after b is formed
+        x0 = None
+        if l:  # the start sum_j c_j y_j, formed in pcg's x with its r as scratch
+            c = _galerkin_coefficients((1.0 - s) * lh * gram_m + s * gram_s, (s - t_l) * y_g)
+            x0 = np.multiply(corrections[0], c[0], out=work[0])
+            for c_j, y in zip(c[1:], corrections[1:]):
+                x0 += np.multiply(y, c_j, out=work[1])
         try:
             x, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
-                                weight=weight, weighted_tol=share, ref_norm=ref_norm, work=work)
+                                weight=weight, weighted_tol=share, ref_norm=ref_norm, x0=x0,
+                                work=work)
         except RuntimeError as exc:
             budget = "" if weight is None else ("; the weighted target is this solve's "
                                                 "share of the error budget")
             raise RuntimeError(f"step {l}, term {i}: {exc}{budget}") from exc
-        if l:
-            y += x
-        else:
-            np.copyto(y, x)
-        if l + 1 < grid.num_steps:  # M y and S y in pcg's z and p, for the next step's Gram
-            csr_matvec_into(op.mass, y, work[2])
-            csr_matvec_into(op.stiffness, y, work[3])
+        if l + 1 < grid.num_steps:  # M x and S x in pcg's z and p, for the next step's Gram
+            csr_matvec_into(op.mass, x, work[2])
+            csr_matvec_into(op.stiffness, x, work[3])
         r = work[1]  # pcg leaves the true residual b - A x there
         return (SolveRecord(step=l, term=i, iterations=iters, relative_residual=rel),
                 math.sqrt(dot(np.multiply(inv_diag, r, out=work[4]), r)))
@@ -544,18 +550,15 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
             ref_norm = math.sqrt(dot(bu, bu))
             t_solve = time.perf_counter()
-            if l:  # every term's start, formed in place of the last step's corrections
-                y_g = np.array([dot(y, g) for y in corrections])
-                coeffs = np.column_stack([
-                    _galerkin_coefficients((1.0 - s) * lh * gram_m + s * gram_s, (s - t_l) * y_g)
-                    for s in s_grid[l]])
-                _combine_in_place(corrections, coeffs, rhs, [w[4] for w in works])
-            task = partial(solve_term, l, t_l, g, ref_norm)
+            y_g = np.array([dot(y, g) for y in corrections]) if l else None
+            task = partial(solve_term, l, t_l, g, y_g, ref_norm)
             if pool is None:
                 outcomes = [task(i) for i in range(cfg.m)]
             else:  # the last terms, of the largest shifts, are the slowest: submitted first
                 futures = [pool.submit(task, i) for i in reversed(range(cfg.m))]
                 outcomes = [future.result() for future in reversed(futures)]
+            for i, work in enumerate(works):  # term i's x, pcg's work[0], is its new correction
+                corrections[i], work[0] = work[0], corrections[i]
             if l + 1 < grid.num_steps:
                 for i in range(cfg.m):
                     for j in range(i, cfg.m):
@@ -601,24 +604,6 @@ def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     kept = values > GRAM_DROP * values[-1]  # none when values[-1] <= 0
     basis = vectors[:, kept]
     return basis @ ((basis.T @ rhs) / values[kept])
-
-
-def _combine_in_place(vectors: list, coeffs: np.ndarray, copies: list, products: list) -> None:
-    """vectors[i] <- sum_j coeffs[j, i] * vectors[j] for every i, in place.
-
-    Works through COMBINE_CHUNK values at a time, which stay in cache: the
-    chunk of each vector is copied into `copies` (as many free vectors), and
-    each sum is formed in term order j = 0, 1, ..., with each product written
-    into products[i] (one free vector per output). Allocates nothing.
-    """
-    for start in range(0, len(vectors[0]), COMBINE_CHUNK):
-        chunk = slice(start, start + COMBINE_CHUNK)
-        old = [np.copyto(c[chunk], v[chunk]) or c[chunk] for c, v in zip(copies, vectors)]
-        for i, (v, prod) in enumerate(zip(vectors, products)):
-            out, prod = v[chunk], prod[chunk]
-            np.multiply(old[0], coeffs[0, i], out=out)
-            for j in range(1, len(old)):
-                out += np.multiply(old[j], coeffs[j, i], out=prod)
 
 
 def apriori_bound(m: int, alpha: float, lambda_hat: float, lambda_max_bound: float,

@@ -79,29 +79,60 @@ class TestPcg:
         assert pcg(A, b, rel_tol=1e-13, precond=jacobi(A))[1] > 1
 
     def test_exact_start_takes_no_iteration(self):
-        # a start x0 is passed as the remainder system A z = b - A x0, solved
-        # from zero; a 1x1 system solved by its start: the first step would
-        # divide by p.Ap = 0
+        # a 1x1 system solved by its start x0: the first step would divide by
+        # p.Ap = 0; pcg returns x0's values in its own x, after 0 iterations
         A = sp.csr_matrix([[4.0]])
         b = np.array([2.0])
         x0 = np.array([0.5])
         for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
             work = [np.full(1, np.nan) for _ in range(6)]
-            z, iters, rel = pcg(A, b - A @ x0, ref_norm=2.0, precond=jacobi(A), work=work,
+            x, iters, rel = pcg(A, b, ref_norm=2.0, precond=jacobi(A), x0=x0, work=work,
                                 **kwargs)
-            assert iters == 0 and (x0 + z)[0] == 0.5 and rel == 0.0 and work[1][0] == 0.0
-        # on a larger system the start's true residual is returned as is
+            assert iters == 0 and x is work[0] and x[0] == 0.5 and rel == 0.0
+            assert work[1][0] == 0.0 and x0[0] == 0.5
+        # on a larger system the start's true residual is returned as is, also
+        # when the start is given in pcg's own x
         n = 25
         A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         b = np.sin(np.arange(1.0, n + 1))
         x0 = np.linalg.solve(A.toarray(), b)
         work = [np.empty(n) for _ in range(6)]
-        z, iters, rel = pcg(A, b - A @ x0, rel_tol=1e-12, ref_norm=np.linalg.norm(b),
-                            precond=jacobi(A), work=work)
+        work[0][:] = x0
+        x, iters, rel = pcg(A, b, rel_tol=1e-12, precond=jacobi(A), x0=work[0], work=work)
         residual = work[1]
-        assert iters == 0 and np.array_equal(x0 + z, x0) and not z.any()
+        assert iters == 0 and x is work[0] and np.array_equal(x, x0)
         np.testing.assert_array_equal(residual, b - A @ x0)
         assert rel == pytest.approx(np.linalg.norm(residual) / np.linalg.norm(b), rel=1e-14)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_arbitrary_start_meets_the_same_tests(self, weighted):
+        # from a start x0 the relative test still divides by ||b|| (or
+        # ref_norm), the weighted test reads the same residual, and work[1]
+        # holds the bytes of b - A x of the returned x
+        vcycle, b, weight, tol = _vcycle_system(3)
+        A, n = vcycle.matrix, len(b)
+        kwargs = dict(rel_tol=1e-14 if weighted else 1e-10, precond=vcycle)
+        if weighted:
+            kwargs.update(weight=weight, weighted_tol=tol)
+        x0 = np.cos(np.arange(1.0, n + 1))
+        work = [np.full(n, np.nan) for _ in range(6)]
+        x, iters, rel = pcg(A, b, x0=x0, work=work, **kwargs)
+        residual = b - A @ x
+        assert iters > 0 and x is work[0] and x0[0] == math.cos(1.0)
+        assert work[1].tobytes() == residual.tobytes()
+        if weighted:  # the weighted test, not the relative one, stopped it
+            assert rel > 1e-14 and math.sqrt(dot(weight * residual, residual)) <= tol
+        else:
+            assert rel <= 1e-10 and np.linalg.norm(residual) <= 2e-10 * np.linalg.norm(b)
+        # a zero b with a start: relative to the start's residual, towards x = 0
+        x, iters, rel = pcg(A, np.zeros(n), rel_tol=1e-10, precond=vcycle, x0=x0)
+        assert iters > 0 and np.linalg.norm(A @ x) <= 2e-10 * np.linalg.norm(A @ x0)
+
+    def test_start_of_another_shape_rejected(self):
+        A = sp.eye(4, format="csr")
+        for x0 in (0.0, np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match=r"x0 has shape .*expected b's \(4,\)"):
+                pcg(A, np.ones(4), precond=jacobi(A), x0=x0)
 
     def test_reference_norm_sets_the_relative_test(self):
         n = 400
@@ -109,26 +140,24 @@ class TestPcg:
         exact = np.sin(np.arange(1.0, n + 1))
         b = A @ exact
         x0 = exact + 1e-3 * np.cos(np.arange(1.0, n + 1))
-        remainder = b - A @ x0  # the system of the start x0, solved from zero
-        start = np.linalg.norm(remainder)
+        start = np.linalg.norm(b - A @ x0)  # the residual of the start x0
         norm_b = np.linalg.norm(b)
         # a start within rel_tol * ref_norm passes before the first iteration
         ref = 2.0 * start / 1e-6
-        z, iters, rel = pcg(A, remainder, rel_tol=1e-6, ref_norm=ref, precond=jacobi(A))
+        x, iters, rel = pcg(A, b, rel_tol=1e-6, ref_norm=ref, precond=jacobi(A), x0=x0)
         assert iters == 0 and rel == pytest.approx(start / ref, rel=1e-14)
         assert start / norm_b > 1e-6
         # later iterations divide by ref_norm too: the same iterates as the
-        # default reference, ||remainder||, at the tolerance scaled by ref_norm / ||remainder||
+        # default reference, ||b||, at the tolerance scaled by ref_norm / ||b||
         ref = 100.0 * norm_b
         work = [np.empty(n) for _ in range(6)]
-        z, iters, rel = pcg(A, remainder, rel_tol=1e-10, ref_norm=ref, precond=jacobi(A),
+        x, iters, rel = pcg(A, b, rel_tol=1e-10, ref_norm=ref, precond=jacobi(A), x0=x0,
                             work=work)
         residual = work[1]
-        z_b, iters_b, rel_b = pcg(A, remainder, rel_tol=1e-10 * ref / start, precond=jacobi(A))
-        assert 0 < iters == iters_b < pcg(A, remainder, rel_tol=1e-10, ref_norm=norm_b,
-                                          precond=jacobi(A))[1]
-        np.testing.assert_array_equal(z, z_b)
-        assert rel <= 1e-10 and rel == pytest.approx(rel_b * start / ref, rel=1e-14)
+        x_b, iters_b, rel_b = pcg(A, b, rel_tol=1e-10 * ref / norm_b, precond=jacobi(A), x0=x0)
+        assert 0 < iters == iters_b < pcg(A, b, rel_tol=1e-10, precond=jacobi(A), x0=x0)[1]
+        np.testing.assert_array_equal(x, x_b)
+        assert rel <= 1e-10 and rel == pytest.approx(rel_b * norm_b / ref, rel=1e-14)
         assert np.linalg.norm(residual) / ref <= 2e-10
 
 
@@ -520,12 +549,12 @@ class TestFractionalApply:
     def test_step_products_equal_the_whole_matrices(self, sphere2_op, sphere2_sign_rhs,
                                                     monkeypatch):
         # a step forms B_l U and g = (S - lh*M) U from M U and S U, and each term
-        # forms M y of its correction y for the next step's Gram matrices; checked
-        # against B_l, S - lh*M and A = (1-s)*lh*M + s*S formed as matrices: the
-        # reference norm ||B_l U||, the right-hand side (s - t_l) g at step 0,
-        # and at steps l >= 1 a start that lies in the span Y of the m
-        # corrections of step l - 1 and meets the Galerkin condition there:
-        # pcg solves for the remainder from b - A start, and Y^T (b - A start) = 0
+        # forms M x of pcg's x, its new correction, for the next step's Gram
+        # matrices; checked against B_l, S - lh*M and A = (1-s)*lh*M + s*S formed
+        # as matrices: the reference norm ||B_l U||, the right-hand side
+        # b = (s - t_l) g at every step, no start at step 0, and at steps l >= 1
+        # a start x0 that lies in the span Y of the m corrections of step l - 1
+        # and meets the Galerkin condition there, Y^T (b - A x0) = 0
         op, lh, m = sphere2_op, 1.0, 3
         mass_inputs, calls = [], []
         matvec, real_pcg = solver.csr_matvec_into, solver.pcg
@@ -536,8 +565,10 @@ class TestFractionalApply:
             return matvec(A, x, out)
 
         def recording_pcg(A, b, **kwargs):
+            x0 = kwargs["x0"]
+            x0 = None if x0 is None else x0.copy()  # pcg iterates in place of it
             result = real_pcg(A, b, **kwargs)
-            calls.append((A.copy(), b.copy(), kwargs["ref_norm"], result[0].copy()))
+            calls.append((A.copy(), b.copy(), kwargs["ref_norm"], x0, result[0].copy()))
             return result
 
         monkeypatch.setattr(solver, "csr_matvec_into", recording_matvec)
@@ -545,35 +576,37 @@ class TestFractionalApply:
         res = fractional_apply(op, sphere2_sign_rhs, 0.5, SolverConfig(lambda_hat=lh, m=m))
         assert res.stages["term_workers"] == 1  # inline, so the calls come in term order
         nodes, p, steps = res.time_grid.nodes, build_pade(m, 0.5), res.time_grid.num_steps
-        # per step: M U, then M y of each term's correction, except after the last step
+        # per step: M U, then M x of each term's correction, except after the last step
         assert len(mass_inputs) == steps + m * (steps - 1) and len(calls) == res.total_solves
         scale_a = abs(op.stiffness).max()
         last = None  # the corrections of the previous step, as columns
         for l in range(steps):
             U, t = mass_inputs[(m + 1) * l], nodes[l]
-            corrections = mass_inputs[(m + 1) * l + 1:(m + 1) * (l + 1)]
+            products = mass_inputs[(m + 1) * l + 1:(m + 1) * (l + 1)]
             B = (1.0 - t) * lh * op.mass + t * op.stiffness
             su, mu = op.stiffness @ U, op.mass @ U
             for i in range(m):
-                A, b, ref_norm, z = calls[m * l + i]
+                A, b, ref_norm, x0, x = calls[m * l + i]
                 s = t + p.den_roots[i] * (nodes[l + 1] - t)
                 assert abs(A - ((1.0 - s) * lh * op.mass + s * op.stiffness)).max() <= (
                     1e-15 * scale_a)
                 assert ref_norm == pytest.approx(np.linalg.norm(B @ U), rel=1e-13)
-                full = (s - t) * (su - lh * mu)
+                np.testing.assert_allclose(b, (s - t) * (su - lh * mu), rtol=0,
+                                           atol=1e-13 * (s - t) * np.abs(su).max())
+                if products:
+                    np.testing.assert_array_equal(products[i], x)
                 if last is None:
-                    np.testing.assert_allclose(b, full, rtol=0,
-                                               atol=1e-13 * (s - t) * np.abs(su).max())
+                    assert x0 is None
                     continue
-                galerkin = np.abs(last.T @ b).max()
-                assert galerkin <= 1e-10 * np.linalg.norm(last) * np.linalg.norm(full)
-                if corrections:  # the start is y - z, with y the term's new correction
-                    start = corrections[i] - z
-                    np.testing.assert_allclose(b, full - A @ start, rtol=0,
-                                               atol=1e-12 * np.abs(full).max())
-                    coords = np.linalg.lstsq(last, start, rcond=None)[0]
-                    assert np.linalg.norm(last @ coords - start) <= 1e-12 * np.linalg.norm(start)
-            last = np.column_stack(corrections) if corrections else None
+                coords = np.linalg.lstsq(last, x0, rcond=None)[0]
+                assert np.linalg.norm(last @ coords - x0) <= 1e-12 * np.linalg.norm(x0)
+                galerkin = np.abs(last.T @ (b - A @ x0)).max()
+                assert galerkin <= 1e-10 * np.linalg.norm(last) * np.linalg.norm(b)
+            last = np.column_stack([call[4] for call in calls[m * l:m * (l + 1)]])
+            if l + 1 < steps:  # the step subtracts sum_i beta_i x_i
+                np.testing.assert_allclose(mass_inputs[(m + 1) * (l + 1)],
+                                           deflate_mean(U - last @ p.beta[1:], op), rtol=0,
+                                           atol=1e-13 * np.abs(U).max())
 
     def test_solve_weights_inside_unit_interval(self, sphere2_op, sphere2_sign_rhs):
         cfg = SolverConfig(lambda_hat=1.0, m=5)
@@ -835,8 +868,8 @@ def sphere5_case():
 class TestTermThreads:
     @pytest.mark.parametrize("name", ["sphere5", "square25_12"])
     def test_worker_count_changes_no_bit(self, name, sphere5_case, monkeypatch):
-        # the starts are formed on the calling thread in term order before a
-        # step's terms run, and each term then reads only its own state, so the
+        # each term forms its start from what the calling thread formed in term
+        # order before the step, and no term writes what another reads, so the
         # default worker count and one worker give the same bits; both meshes
         # lie below TERM_THREADS_MIN_N, which is lowered to put them on threads
         if name == "sphere5":
@@ -977,12 +1010,14 @@ class TestApplyMemory:
     def test_later_call_peak_below_75_vectors(self, monkeypatch, threaded):
         # each term keeps pcg's six vectors, its right-hand side and its
         # correction (8 vectors), and its workspace combines a shift through
-        # at most 8192 scratch values; the starts are formed in place of the
-        # corrections and the step update in the call's own buffers. A later
-        # call at sphere level 4 with m = 3, workspaces included, traced a
-        # peak of 69.4 vectors of length n inline and 70.4 on 3 threads (71.9
-        # and 72.6 with a step update that allocated, 83.3 and 83.9 with a
-        # shift scratch the size of the fine matrix)
+        # at most 8192 scratch values; each start is formed in pcg's x, which
+        # then trades places with the correction, and the step update is
+        # formed in the call's own buffers. A later call at sphere level 4
+        # with m = 3, workspaces included, traced a peak of 69.4 vectors of
+        # length n inline and 70.4 to 70.5 on 3 threads, as with the starts
+        # formed in place of the corrections (71.9 and 72.6 with a step update
+        # that allocated, 83.3 and 83.9 with a shift scratch the size of the
+        # fine matrix)
         mesh = gen_sphere(4)
         op = assemble(mesh, coefficient_field(mesh), "zero-mean")
         f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
@@ -1015,31 +1050,32 @@ class TestAprioriBound:
 
 
 def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-                residual=None, ref_norm=None, work=None):
+                residual=None, ref_norm=None, x0=None, work=None):
     """The reference loop for `pcg`, allocating, with a Jacobi default preconditioner.
 
     It forms the weighted sum on every iteration. `residual`, when given,
-    receives the true residual of the returned x. `work` is accepted and
-    ignored: this loop allocates its own vectors, so it cannot overwrite those
-    of a `pcg` call it is compared with.
+    receives the true residual of the returned x. It iterates on a copy of
+    `x0`, which may be a vector of the `work` that a `pcg` call compared with
+    it is given. `work` is accepted and ignored: this loop allocates its own
+    vectors, so it cannot overwrite those of that call.
     """
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
-    norm_b = math.sqrt(dot(b, b))
-    if norm_b == 0.0:
+    x = np.zeros_like(b) if x0 is None else x0.copy()
+    r = b.copy() if x0 is None else b - A @ x
+    norm_r = math.sqrt(dot(r, r))
+    if norm_r == 0.0:
         if residual is not None:
-            residual[:] = b
-        return np.zeros_like(b), 0, 0.0
+            residual[:] = r
+        return x, 0, 0.0
     if ref_norm is None:
-        ref_norm = norm_b
+        ref_norm = math.sqrt(dot(b, b)) or norm_r
     if precond is None:
         diag = A.diagonal()
 
         def precond(r):
             return r / diag
-    x = np.zeros_like(b)
-    r = b.copy()
-    rel = math.sqrt(dot(r, r)) / ref_norm
+    rel = norm_r / ref_norm
     weighted_sq = weighted_tol * weighted_tol
     if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
         if residual is not None:
