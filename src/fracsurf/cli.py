@@ -306,6 +306,7 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
         result = fractional_apply(op, f_h, alpha, cfg)
         wall = time.perf_counter() - t0
         full = op.expand(result.solution)
+        steps = [result.solve_log[k:k + cfg.m] for k in range(0, result.total_solves, cfg.m)]
         path = os.path.join(out_dir, f"solution_a{alpha:g}.csv")
         table = np.column_stack([np.arange(mesh.num_vertices), mesh.vertices, full])
         _write_csv(path, ["vertex", "x", "y", "z", "u"], table)
@@ -325,9 +326,9 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
                 "cg_error_bound": result.cg_error_bound,
                 "cg_iters_total": sum(r.iterations for r in result.solve_log),
                 "cg_iters_max": max((r.iterations for r in result.solve_log), default=0),
-                # the solve log, in step and term order, as one list of m counts per step
-                "cg_iters_per_step": [[r.iterations for r in result.solve_log[k:k + cfg.m]]
-                                      for k in range(0, result.total_solves, cfg.m)],
+                # the solve log, in step and term order, as one list of m entries per step
+                "cg_iters_per_step": [[r.iterations for r in step] for step in steps],
+                "cg_residuals_per_step": [[r.relative_residual for r in step] for step in steps],
                 "mg_levels": list(result.mg_levels),
                 "seconds": wall,
                 "stages": result.stages,

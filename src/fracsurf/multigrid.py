@@ -256,28 +256,32 @@ def _aggregate(G: sp.csr_matrix) -> tuple[np.ndarray, int]:
     Jacobi alone reduces their error, and the coarse level does not see them.
     """
     indptr, indices = G.indptr.tolist(), G.indices.tolist()
-    n = len(indptr) - 1
-    agg = [-1] * n
+    agg = [-1] * (len(indptr) - 1)
+    linked = np.flatnonzero(np.diff(G.indptr)).tolist()  # the nodes with strong neighbours
     count = 0
-    for i in range(n):
+    for i in linked:
+        if agg[i] >= 0:
+            continue
         nbrs = indices[indptr[i]:indptr[i + 1]]
-        if nbrs and agg[i] < 0 and all(agg[j] < 0 for j in nbrs):
+        for j in nbrs:
+            if agg[j] >= 0:
+                break
+        else:
             agg[i] = count
             for j in nbrs:
                 agg[j] = count
             count += 1
     first = agg[:]
-    for i in range(n):
+    for i in linked:
         if agg[i] < 0:
             for j in indices[indptr[i]:indptr[i + 1]]:
                 if first[j] >= 0:
                     agg[i] = first[j]
                     break
-    for i in range(n):
-        nbrs = indices[indptr[i]:indptr[i + 1]]
-        if nbrs and agg[i] < 0:
+    for i in linked:
+        if agg[i] < 0:
             agg[i] = count
-            for j in nbrs:
+            for j in indices[indptr[i]:indptr[i + 1]]:
                 if agg[j] < 0:
                     agg[j] = count
             count += 1

@@ -11,8 +11,9 @@ builds one `ShiftedVCycle` workspace per term, at the term's first shift, and
 shifts it in place for the term's later solves; the workspaces are the call's
 own and are not kept with the operator. Each term also gets, once per call,
 the eight vectors it solves in: `pcg`'s six (its `work`), its right-hand side
-and its correction. All are built on the calling thread, so the workers that
-run the terms allocate no vector of length n.
+and its correction, and the call one more, a correction kept from the step
+before (below). All are built on the calling thread, so the workers that run
+the terms allocate no vector of length n.
 
 Each term solves for its correction rather than for the solution of
 A x = B U. Since A(s) - B_l = (s - t_l)(S - lh*M), the correction y = U - x
@@ -27,26 +28,33 @@ Every term of the first step is solved from zero. At every later step, term
 i starts from the A-Galerkin projection of its correction onto the span Y of
 all m corrections of the previous step, not only its own (after Fischer's
 projection for successive right-hand sides, Comput. Methods Appl. Mech.
-Engrg. 163, 1998). The corrections y_j = (s_j - t) A_j^-1 g of a step span a
-rational Krylov space of that step's g, and the next step's right-hand sides
-are all parallel to g - (S - lh*M) sum_j beta_j y_j, so Y holds most of every
-term's next correction. The start's coefficients c solve the m x m system
+Engrg. 163, 1998), and from step 2 on Y also holds one correction of the
+step before, the last term's. The corrections y_j = (s_j - t) A_j^-1 g of a
+step span a rational Krylov space of that step's g, and the next step's
+right-hand sides are all parallel to g - (S - lh*M) sum_j beta_j y_j, so Y
+holds most of every term's next correction. The start's coefficients c
+solve the k x k system, k = m or m + 1,
 ((1-s)*lh*Y^T M Y + s*Y^T S Y) c = (s - t_l) Y^T g. Y is rank-deficient when
 corrections are parallel, as on a pencil of fewer than m unknowns, so the
 system is solved by `eigh` on the eigenvalues above GRAM_DROP times the
 largest; with none left the start is zero. After its solve, each term forms
 M y and S y of its new correction in two of pcg's vectors, which are free
 once pcg returns, and the calling thread forms both Gram matrices from them
-and, at the next step, Y^T g. No vector of Y is written during a step, so
-each term computes its own coefficients from these and forms its start in
-pcg's x, which pcg starts from with the one matvec b - A start. The x that
-pcg returns is the term's new correction: after the step, each term's
-correction and pcg's x trade places, a swap of list entries, not a copy.
-The true residual of the y system is minus that of the x system, so the
-relative test and the certificate below keep the meaning they have for
-A x = B U, whatever the start: the relative test divides by ||B_l U||, and
-`cg_rel_tol`, CG_REL_FLOOR and `SolveRecord.relative_residual` are all
-relative to it.
+and, at the next step, Y^T g. The kept vector's own entries are the last
+term's entries of the step before, and its others pair it with the new
+M y and S y, so the Gram matrices cost no product with M or S beyond those
+two. No vector of Y is written during a step, so each term computes its own
+coefficients from these and forms its start in pcg's x, which pcg starts
+from with the one matvec b - A start. The x that pcg returns is the term's
+new correction: after the step, each term's correction and pcg's x trade
+places, and for the last term three vectors rotate: its old correction
+becomes the kept vector, and the old kept vector becomes its pcg's x. These
+are moves of list entries, not copies; the kept vector is the one n-vector
+that the start adds. The true residual of the y system is minus that of the
+x system, so the relative test and the certificate below keep the meaning
+they have for A x = B U, whatever the start: the relative test divides by
+||B_l U||, and `cg_rel_tol`, CG_REL_FLOOR and `SolveRecord.relative_residual`
+are all relative to it.
 
 The m terms of a step thus read only what no term writes during the step and
 write only their own state, so they run concurrently: from TERM_THREADS_MIN_N
@@ -206,7 +214,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     after 0 iterations if that r is zero, and stops once
     ||r|| / ref_norm <= rel_tol for the residual r (not the preconditioned
     one), where `ref_norm` defaults to ||b||, or to the start's ||r|| when
-    b = 0. It raises RuntimeError with its targets (`weighted_tol` too when
+    b = 0; a `ref_norm` that is not positive and finite raises ValueError.
+    It raises RuntimeError with its targets (`weighted_tol` too when
     `weight` is given) and the last five residuals after `max_iter`
     iterations (default: `SolverConfig.max_iter`). With `weight`, a positive
     vector w, it also stops once sqrt(sum(w * r**2)) <= weighted_tol, if the
@@ -230,6 +239,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     caller may form its start there with the other five as scratch.
     Returns (x, iterations, final relative residual).
     """
+    if ref_norm is not None:
+        _check_positive_real("ref_norm", ref_norm)
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
     if work is None:
@@ -432,10 +443,12 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     in floating point. Each term solves for the correction
     y_i = U - solve(A_li, B_l U) from A_li y_i = (s - t_l)(S - lh*M) U; at
     steps l >= 1, term i forms its own start, the A_li-Galerkin projection
-    onto the span of all m corrections of step l-1, and passes it to `pcg`
-    as x0, and the terms of a step run concurrently from TERM_THREADS_MIN_N
-    unknowns on (module docstring). Zero-mean runs re-deflate after every
-    step to stop constant-mode drift from being amplified by lh^(-alpha).
+    onto the span of all m corrections of step l-1 and, from step 2 on, the
+    last term's correction of step l-2, kept by rotating that term's
+    vectors; it passes the start to `pcg` as x0, and the terms of a step run
+    concurrently from TERM_THREADS_MIN_N unknowns on (module docstring).
+    Zero-mean runs re-deflate after every step to stop constant-mode drift
+    from being amplified by lh^(-alpha).
     The solves stop at `cfg.cg_rel_tol` when it is set, and by the error
     budget of the module docstring otherwise; either relative test divides
     by ||B_l U||, as for a solve of A_li x = B_l U.
@@ -497,15 +510,18 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     share = lh * budget / (grid.num_steps * float(np.sum(p.beta[1:])))
     # term i's own workspace, built at its step-0 shift so that no shift is
     # discarded, and its eight vectors: pcg's six, its right-hand side and
-    # its correction, which trades places with pcg's x after each step.
-    # Neither is kept in op.prepared. They are built here, on the calling
-    # thread, and the workers allocate no vector of length n: glibc serves a
-    # thread's allocations from its own heap, which keeps its high-water
-    # pages. Built on the workers, the workspaces raised the peak memory of a
-    # sphere level 6 benchmark run by 15%, and pcg's own vectors by 6%
+    # its correction, which trades places with pcg's x after each step; and
+    # one vector more, the last term's correction of the step before. Neither
+    # is kept in op.prepared. They are built here, on the calling thread, and
+    # the workers allocate no vector of length n: glibc serves a thread's
+    # allocations from its own heap, which keeps its high-water pages. Built
+    # on the workers, the workspaces raised the peak memory of a sphere level
+    # 6 benchmark run by 15%, and pcg's own vectors by 6%
+    m = cfg.m
     vcycles = [ShiftedVCycle(hierarchy, (1.0 - s) * lh, s) for s in s_grid[0]]
-    works = [[np.empty(op.n) for _ in range(6)] for _ in range(cfg.m)]
-    rhs, corrections = ([np.empty(op.n) for _ in range(cfg.m)] for _ in range(2))
+    works = [[np.empty(op.n) for _ in range(6)] for _ in range(m)]
+    rhs = [np.empty(op.n) for _ in range(m)]
+    basis = [np.empty(op.n) for _ in range(m + 1)]  # the start's: Y, then the kept vector
 
     def solve_term(l, t_l, g, y_g, ref_norm, i):
         """Shift, start, pcg, M x and S x of term i at step l; writes only its own state."""
@@ -515,10 +531,12 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
         A, work = vcycles[i].matrix, works[i]
         b = np.multiply(g, s - t_l, out=rhs[i])
         x0 = None
-        if l:  # the start sum_j c_j y_j, formed in pcg's x with its r as scratch
-            c = _galerkin_coefficients((1.0 - s) * lh * gram_m + s * gram_s, (s - t_l) * y_g)
-            x0 = np.multiply(corrections[0], c[0], out=work[0])
-            for c_j, y in zip(c[1:], corrections[1:]):
+        if l:  # the start sum_j c_j y_j on the first k of basis, in pcg's x with its r as scratch
+            k = len(y_g)
+            gram = (1.0 - s) * lh * gram_m[:k, :k] + s * gram_s[:k, :k]
+            c = _galerkin_coefficients(gram, (s - t_l) * y_g)
+            x0 = np.multiply(basis[0], c[0], out=work[0])
+            for c_j, y in zip(c[1:], basis[1:k]):
                 x0 += np.multiply(y, c_j, out=work[1])
         try:
             x, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
@@ -536,7 +554,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
                 math.sqrt(dot(np.multiply(inv_diag, r, out=work[4]), r)))
 
     lh_mu, g, bu = (np.empty(op.n) for _ in range(3))
-    gram_m, gram_s = np.empty((cfg.m, cfg.m)), np.empty((cfg.m, cfg.m))
+    gram_m, gram_s = np.empty((m + 1, m + 1)), np.empty((m + 1, m + 1))
     cg_error = 0.0
     U = lh ** (-alpha) * f_h
     records: list[SolveRecord] = []
@@ -548,29 +566,37 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             np.multiply(csr_matvec_into(op.mass, U, lh_mu), lh, out=lh_mu)
             np.subtract(csr_matvec_into(op.stiffness, U, g), lh_mu, out=g)  # (S - lh*M) U
             np.add(lh_mu, np.multiply(g, t_l, out=bu), out=bu)  # B_l U = lh*M U + t_l*g
-            ref_norm = math.sqrt(dot(bu, bu))
+            ref_norm = math.sqrt(dot(bu, bu)) or None  # 0 only for U = 0, where every b is 0
             t_solve = time.perf_counter()
-            y_g = np.array([dot(y, g) for y in corrections]) if l else None
+            # the basis: none at step 0, the m corrections of step l-1 at step
+            # 1, and from step 2 on also the kept one, of step l-2
+            y_g = np.array([dot(y, g) for y in basis[:m + (l > 1)]]) if l else None
             task = partial(solve_term, l, t_l, g, y_g, ref_norm)
             if pool is None:
-                outcomes = [task(i) for i in range(cfg.m)]
+                outcomes = [task(i) for i in range(m)]
             else:  # the last terms, of the largest shifts, are the slowest: submitted first
-                futures = [pool.submit(task, i) for i in reversed(range(cfg.m))]
+                futures = [pool.submit(task, i) for i in reversed(range(m))]
                 outcomes = [future.result() for future in reversed(futures)]
-            for i, work in enumerate(works):  # term i's x, pcg's work[0], is its new correction
-                corrections[i], work[0] = work[0], corrections[i]
-            if l + 1 < grid.num_steps:
-                for i in range(cfg.m):
-                    for j in range(i, cfg.m):
-                        gram_m[i, j] = gram_m[j, i] = dot(corrections[i], works[j][2])
-                        gram_s[i, j] = gram_s[j, i] = dot(corrections[i], works[j][3])
+            # term i's x, pcg's work[0], is its new correction; the last term's
+            # old correction is kept, and the kept vector becomes its pcg's x
+            for i in range(m - 1):
+                basis[i], works[i][0] = works[i][0], basis[i]
+            basis[m], basis[m - 1], works[m - 1][0] = basis[m - 1], works[m - 1][0], basis[m]
+            if l + 1 < grid.num_steps:  # the next step's Gram matrices
+                kept = [m] if l else []  # the kept vector is a correction from step 1 on
+                if l:  # its own entries are the last term's, read before they are overwritten
+                    gram_m[m, m], gram_s[m, m] = gram_m[m - 1, m - 1], gram_s[m - 1, m - 1]
+                for j in range(m):  # M y_j and S y_j of the new corrections are in works[j]
+                    for i in [*range(j + 1), *kept]:
+                        gram_m[i, j] = gram_m[j, i] = dot(basis[i], works[j][2])
+                        gram_s[i, j] = gram_s[j, i] = dot(basis[i], works[j][3])
             stages["pcg_s"] += time.perf_counter() - t_solve
             dec, scaled = lh_mu, bu  # both free once ref_norm is taken
             dec.fill(0.0)
             for i, (record, residual_norm) in enumerate(outcomes):
                 records.append(record)
                 cg_error += p.beta[i + 1] * residual_norm / lh
-                dec += np.multiply(corrections[i], p.beta[i + 1], out=scaled)
+                dec += np.multiply(basis[i], p.beta[i + 1], out=scaled)
             U -= dec
             if op.mode == MODE_ZERO_MEAN:
                 deflate_mean(U, op, out=U)

@@ -510,6 +510,9 @@ class TestDeterminismAndManifest:
         assert len(per_step) == run["L_plus_1"] and {len(s) for s in per_step} == {3}
         assert sum(map(sum, per_step)) == run["cg_iters_total"]
         assert max(map(max, per_step)) == run["cg_iters_max"]
+        residuals = run["cg_residuals_per_step"]
+        assert [len(s) for s in residuals] == [len(s) for s in per_step]
+        assert max(map(max, residuals)) == run["max_cg_residual"]
         assert traced_run(1) == first
         monkeypatch.setattr(solver, "TERM_THREADS_MIN_N", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)

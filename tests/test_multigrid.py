@@ -159,6 +159,67 @@ class TestVCycle:
         assert h.sizes[0] == op.n and h.sizes[-1] <= MAX_COARSE
 
 
+def _reference_aggregate(G):
+    """The three greedy passes of `multigrid._aggregate`, as one plain loop each."""
+    indptr, indices = G.indptr.tolist(), G.indices.tolist()
+    n = len(indptr) - 1
+    agg = [-1] * n
+    count = 0
+    for i in range(n):
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        if nbrs and agg[i] < 0 and all(agg[j] < 0 for j in nbrs):
+            agg[i] = count
+            for j in nbrs:
+                agg[j] = count
+            count += 1
+    first = agg[:]
+    for i in range(n):
+        if agg[i] < 0:
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                if first[j] >= 0:
+                    agg[i] = first[j]
+                    break
+    for i in range(n):
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        if nbrs and agg[i] < 0:
+            agg[i] = count
+            for j in nbrs:
+                if agg[j] < 0:
+                    agg[j] = count
+            count += 1
+    return np.array(agg, dtype=np.int64), count
+
+
+class TestAggregation:
+    @pytest.mark.parametrize("name", ["sphere3_op", "torus_op", "graded_op", "square16_op"])
+    def test_aggregates_equal_the_reference_loop(self, name, request, monkeypatch):
+        # every strength graph the hierarchy build aggregates, and each level's
+        # graph at a lower and a higher threshold (more and fewer isolated
+        # nodes), gives the aggregates of the plain loop
+        op = request.getfixturevalue(name)
+        graphs, real = [], multigrid._aggregate
+
+        def recording(G):
+            graphs.append(G)
+            return real(G)
+
+        monkeypatch.setattr(multigrid, "_aggregate", recording)
+        h = build_hierarchy(op.mass, op.stiffness)
+        assert len(graphs) == len(h.sizes) - 1 >= 1
+        for level in h.levels:
+            S = _shifted(level, 0.0, 1.0)
+            graphs += [multigrid._strength(S, level.stiffness_diagonal, theta)
+                       for theta in (0.0, 0.3)]
+        isolated = 0
+        for G in graphs:
+            agg, count = real(G)
+            ref_agg, ref_count = _reference_aggregate(G)
+            assert count == ref_count and agg.dtype == ref_agg.dtype
+            np.testing.assert_array_equal(agg, ref_agg)
+            isolated += int(np.sum(np.diff(G.indptr) == 0))
+        assert isolated > 0  # some graph has nodes without strong neighbours
+
+
 class TestCsrMatvecInto:
     @pytest.mark.parametrize("name", ["sphere3_op", "torus_op", "square16_op", "graded_op"])
     def test_bits_of_the_operator_product(self, name, request):
@@ -289,17 +350,19 @@ class TestSchemeSolves:
 
     def test_correction_form_saves_iterations(self):
         # CG iterations in all, under the default budget / at cg_rel_tol 1e-8:
-        # 169 / 325 solving each term for its correction U - x from the
+        # 137 / 284 solving each term for its correction U - x from the
         # Galerkin projection onto the span of all m corrections of the
-        # previous step; 281 / 437 from the projection onto the same term's
-        # own correction alone; 324 / 474 for the correction from zero, and
-        # 372 / 523 solving for x from zero. Under the former budget, a
-        # hundredth of the a-priori bound, the last three read 401, 449 and
-        # 494; at an earlier commit a start from the previous term's
-        # correction in the same step, which kept the terms from running
-        # concurrently, took 389 / 418
+        # previous step and the last term's correction of the step before;
+        # 169 / 325 onto the m corrections of the previous step alone;
+        # 281 / 437 from the projection onto the same term's own correction
+        # alone; 324 / 474 for the correction from zero, and 372 / 523
+        # solving for x from zero. Under the former budget, a hundredth of
+        # the a-priori bound, the last three read 401, 449 and 494; at an
+        # earlier commit a start from the previous term's correction in the
+        # same step, which kept the terms from running concurrently, took
+        # 389 / 418
         op, f = _sphere_case(4)
-        for tol, alternative in ((None, 281), (1e-8, 437)):
+        for tol, alternative in ((None, 169), (1e-8, 325)):
             res = fractional_apply(op, f, 0.5, SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=tol))
             assert sum(r.iterations for r in res.solve_log) < alternative
 
