@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 CERT_START_CELLS = 256  # log-spaced cells the enclosure starts from
-CERT_MAX_CELLS = 4096  # cells at which the enclosure stops refining (a looser bound)
-CERT_SHARPNESS = 1.1  # cells whose enclosure exceeds this times the sampled maximum split
+CERT_MAX_CELLS = 131072  # cells at which the enclosure stops refining (a looser bound)
+CERT_SHARPNESS = 1.1  # cells bounded above this times max(sampled |g|, rounding) split
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,6 @@ class TimeGrid:
     def num_steps(self) -> int:
         """L+1, the number of product factors (equals the solve count per order)."""
         return len(self.nodes) - 1
-
-    def theta(self, lam):
-        """theta_n(lam) for n = 0..L, the scalar arguments fed to the rational factor.
-
-        The step index n is a new first axis in front of lam's shape; computed
-        in lam's floating dtype (float64 otherwise), nodes and lambda_hat included.
-        """
-        lam = np.asarray(lam)
-        if lam.dtype.kind != "f":
-            lam = lam.astype(float)
-        lh = lam.dtype.type(self.lambda_hat)
-        nodes = self.nodes.astype(lam.dtype).reshape((-1,) + (1,) * lam.ndim)
-        tn = nodes[:-1]
-        return (nodes[1:] - tn) * (lam - lh) / (lh + tn * (lam - lh))
 
 
 def build_time_grid(lambda_hat: float, lambda_max_bound: float) -> TimeGrid:
@@ -114,7 +100,7 @@ def scalar_mu(p: PadeApproximant, grid: TimeGrid, lam):
             "the range covered by the error bound",
             stacklevel=2,
         )
-    mu = _mu_and_slope(p, grid, lam, slope=False)[0]
+    mu = _mu_and_curvature(p, grid, lam, curvature=False)[0]
     return mu if mu.ndim else mu[()]
 
 
@@ -146,95 +132,89 @@ def certified_scheme_error(m: int, alpha: float, lambda_hat: float,
                            lambda_max_bound: float) -> float:
     """Certified bound on |mu(lambda) - lambda^(-alpha)| over [lambda_hat, lambda_max_bound].
 
-    mu is convex and decreasing there: each factor r(theta_n(lambda)) is
-    positive, convex and decreasing, since r is for theta >= 0 (its weights
-    and roots are positive) and theta_n is concave and increasing in lambda,
-    and a product of such factors is too. So on a cell [a, b], mu lies below
-    its chord and above its tangents at a and b, and g = mu - lambda^-alpha
-    is enclosed by those lines less lambda^-alpha, which is evaluated
-    exactly (`_cell_enclosure`): a first-order enclosure from mu and mu' at
-    the ends of the cell, as in interval analysis (R. E. Moore, "Interval
-    Analysis", 1966). The cells start log-spaced, CERT_START_CELLS of them,
-    and every cell whose enclosure exceeds CERT_SHARPNESS times the largest
-    sampled |g| is bisected, until none is or CERT_MAX_CELLS cells are
-    reached. At that cap the enclosure reached is returned: still a bound,
-    only looser (at alpha near 1 from m = 3, and from m = 4 or 5).
+    Each factor r(theta_n(lambda)) = beta_0 + sum_i beta_i / (1 + d_i theta_n)
+    is a positive constant plus positive multiples of 1 / ((1-s) lh + s lambda),
+    as the weights are positive, so it is completely monotone in lambda, and
+    so are their product mu and p = lambda^-alpha (Bernstein's theorem; D. V.
+    Widder, "The Laplace Transform", 1941). So mu'' and p'' decrease, and on a
+    cell [a, b] of width h, g = mu - p has g'' in [mu''(b) - p''(a),
+    mu''(a) - p''(b)]: |g| is at most max(|g(a)|, |g(b)|) plus h^2/8 times
+    the larger magnitude of those ends. The cells start log-spaced,
+    CERT_START_CELLS of them, and every cell whose bound exceeds
+    CERT_SHARPNESS times the larger of the sampled maximum of |g| and the
+    rounding term is bisected, until none is or CERT_MAX_CELLS cells are
+    reached. At that cap the bound reached is returned: still a bound, only
+    looser.
 
-    A rounding term of 64 (L+1)(m+1) units of rounding times lambda_hat^-alpha
-    covers the evaluation in double precision and the rounding of the
-    approximant's roots and weights, each a few units per factor. The
-    result depends on the arguments alone and is cached.
+    The rounding term, 64 (L+1)(m+1) units of rounding times
+    lambda_hat^-alpha, covers the evaluation of g in double precision and
+    the rounding of the approximant's roots and weights, each a few units
+    per factor. The same count, relative, covers mu'', a sum of non-negative
+    terms, and p''. The result depends on the arguments alone and is cached.
     """
     p = build_pade(m, alpha)
     grid = build_time_grid(lambda_hat, lambda_max_bound)
-    lh, lam_max = grid.lambda_hat, grid.lambda_max_bound
-    lam = np.geomspace(lh, lam_max, CERT_START_CELLS + 1)  # its ends are lh and lam_max
-    mu, slope = _mu_and_slope(p, grid, lam)
+    lh = grid.lambda_hat
+    rel_rounding = 64.0 * grid.num_steps * (m + 1) * np.finfo(float).eps
+    rounding = rel_rounding * lh ** -alpha
+    lam = np.geomspace(lh, grid.lambda_max_bound, CERT_START_CELLS + 1)  # ends lh and Lambda
+    mu, curv = _mu_and_curvature(p, grid, lam)
     while True:
-        enclosure = _cell_enclosure(lam, mu, slope, alpha)
-        sampled = np.max(np.abs(mu - lam ** -alpha))
-        split = np.flatnonzero(enclosure > CERT_SHARPNESS * sampled)
+        # g and h^2 g'' at the ends of each cell, from lam^2 mu'' and lam^2 p''
+        power = lam ** -alpha
+        g, curv_p = np.abs(mu - power), alpha * (alpha + 1.0) * power
+        ha, hb = (np.diff(lam) / lam[:-1]) ** 2, (np.diff(lam) / lam[1:]) ** 2
+        bend = np.maximum(np.abs(hb * curv[1:] - ha * curv_p[:-1]),
+                          np.abs(ha * curv[:-1] - hb * curv_p[1:]))
+        bend += rel_rounding * ha * (curv[:-1] + curv_p[:-1])
+        enclosure = np.maximum(g[:-1], g[1:]) + bend / 8.0
+        split = np.flatnonzero(enclosure > CERT_SHARPNESS * max(g.max(), rounding))
         room = CERT_MAX_CELLS - (len(lam) - 1)
         if split.size > room:  # the worst cells first, in their order along lambda
             split = np.sort(split[np.argsort(-enclosure[split], kind="stable")[:room]])
-        mid = np.sqrt(lam[split] * lam[split + 1])
+        mid = lam[split] * np.sqrt(lam[split + 1] / lam[split])  # a product may overflow
         inside = (lam[split] < mid) & (mid < lam[split + 1])
         split, mid = split[inside], mid[inside]
         if not split.size:
             break
-        mu_mid, slope_mid = _mu_and_slope(p, grid, mid)
-        lam, mu, slope = (np.insert(v, split + 1, w) for v, w in
-                          ((lam, mid), (mu, mu_mid), (slope, slope_mid)))
-    rounding = 64.0 * grid.num_steps * (m + 1) * np.finfo(float).eps * lh ** -alpha
+        mu_mid, curv_mid = _mu_and_curvature(p, grid, mid)
+        lam, mu, curv = (np.insert(v, split + 1, w) for v, w in
+                         ((lam, mid), (mu, mu_mid), (curv, curv_mid)))
     return float(enclosure.max() + rounding)
 
 
-def _mu_and_slope(p: PadeApproximant, grid: TimeGrid, lam: np.ndarray, slope: bool = True):
-    """mu(lam) and, with `slope`, mu'(lam) (else None): the one evaluator of mu.
+def _mu_and_curvature(p: PadeApproximant, grid: TimeGrid, lam: np.ndarray,
+                      curvature: bool = True):
+    """mu(lam) and, with `curvature`, lam^2 mu''(lam) (else None): the one evaluator of mu.
 
     One step at a time, so that no array holds more than lam's size, in lam's
-    floating dtype, with lambda_hat and the nodes cast to it as
-    `TimeGrid.theta` does. mu' = mu * sum_n r'(theta_n) theta_n' / r(theta_n),
-    with r'(theta) = -sum_i beta_i d_i / (1 + d_i theta)^2 and
-    theta_n' = tau_n lh / (lh + t_n (lam - lh))^2.
+    floating dtype, with lambda_hat and the nodes cast to it. Step n feeds
+    theta_n = tau_n x / (lh + t_n x), x = lam - lh, to the rational factor r.
+    With r_n = r(theta_n(lam)), mu''/mu = sum_{i != j} a_i a_j + sum_n b_n for
+    a_n = r_n'/r_n <= 0 and b_n = r_n''/r_n >= 0, a sum of non-negative terms.
+    It is formed times lam^2, which neither overflows nor underflows.
     """
     real = lam.dtype.type
     lh = real(grid.lambda_hat)
     nodes = grid.nodes.astype(lam.dtype)
     x = lam - lh
     mu = np.full_like(lam, lh ** -real(p.alpha))
-    log_slope = np.zeros_like(lam)
+    slope, curv = np.zeros_like(lam), np.zeros_like(lam)  # lam sum_n a_n, lam^2 mu''/mu
     for t_n, tau in zip(nodes[:-1], np.diff(nodes)):
         den = lh + t_n * x
         theta = tau * x / den
         r = rm_partial(p, theta)
         mu *= r
-        if slope:
-            dr = np.zeros_like(lam)
+        if curvature:
+            dr, ddr = np.zeros_like(lam), np.zeros_like(lam)  # r'(theta) <= 0, r''(theta) >= 0
             for beta, d in zip(p.beta[1:], p.den_roots):
-                dr -= beta * d / (1.0 + d * theta) ** 2
-            log_slope += dr * (tau * lh / (den * den)) / r
-    return mu, (mu * log_slope if slope else None)
-
-
-def _cell_enclosure(lam: np.ndarray, mu: np.ndarray, slope: np.ndarray,
-                    alpha: float) -> np.ndarray:
-    """Per cell [a, b], a bound on |mu - p| from mu and mu' at a and b, and p exactly.
-
-    mu is convex, so it lies below its chord and above its tangents at a and
-    b. Hence g = mu - p lies below chord - p, which is concave and peaks
-    where p' equals the chord's slope, and above max(tangents) - p, which is
-    concave on each side of the point c where the tangents cross, so that
-    its least value is at a, c or b.
-    """
-    a, b = lam[:-1], lam[1:]
-    h, rise = b - a, mu[1:] - mu[:-1]
-    ga, gb = mu[:-1] - a ** -alpha, mu[1:] - b ** -alpha
-    chord = np.divide(rise, h, out=np.zeros_like(h), where=h > 0.0)
-    peak = np.clip(np.maximum(-chord / alpha, 1e-300) ** (-1.0 / (alpha + 1.0)), a, b)
-    upper = np.maximum(mu[:-1] + (peak - a) * chord - peak ** -alpha, np.maximum(ga, gb))
-    bend = slope[1:] - slope[:-1]  # >= 0, as mu' increases
-    c = a + np.clip(np.divide(rise - h * slope[1:], -bend, out=np.zeros_like(h),
-                              where=bend > 0.0), 0.0, h)
-    lower = np.minimum(mu[:-1] + (c - a) * slope[:-1] - c ** -alpha, np.minimum(ga, gb))
-    return np.maximum(upper, -lower)
+                w = 1.0 / (1.0 + d * theta)
+                v = beta * d * w * w
+                dr -= v
+                ddr += 2.0 * d * w * v
+            dtheta = tau * (lh / den) * (lam / den)  # lam theta_n'
+            ddtheta = -2.0 * t_n * (lam / den) * dtheta  # lam^2 theta_n'' <= 0
+            a = dr * dtheta / r
+            curv += 2.0 * a * slope + (ddr * dtheta * dtheta + dr * ddtheta) / r
+            slope += a
+    return mu, (mu * curv if curvature else None)

@@ -83,11 +83,11 @@ share. The call promises a total error of (1 + CG_BUDGET_FRACTION) times
 pencil^-alpha f_h. The budget is what the certificate leaves of the total,
 eps = (1 + CG_BUDGET_FRACTION) * a_priori_bound - C, and at least
 CG_BUDGET_FRACTION * a_priori_bound, which it falls back to where C exceeds
-`a_priori_bound` (at m = 4 near alpha = 1 and from m = 5, where the
-certificate stops at its cell cap). `FracSolveResult.certified_error` is
-C + `cg_error_bound`, a bound on the whole M-norm error up to rounding,
-within the promised total whenever C <= `a_priori_bound`. The argument for
-the solves has three parts:
+`a_priori_bound` (on the sphere level 6 range, at m = 7 with alpha >= 0.99
+and from m = 8, where the certificate's rounding term dominates).
+`FracSolveResult.certified_error` is C + `cg_error_bound`, a bound on the
+whole M-norm error up to rounding, within the promised total whenever
+C <= `a_priori_bound`. The argument for the solves has three parts:
 
 - Error propagation. Each step maps U through r(theta_l) of the pencil, with
   0 < r <= 1 for theta >= 0, and the zero-mean deflation is an M-orthogonal

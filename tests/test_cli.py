@@ -433,7 +433,7 @@ class TestCompareOracle:
         assert np.all(data[:, 2] <= 1.5 * data[:, 3])
         # the decay of the scheme's own error: solved tightly, the CG error
         # does not mix in (under the default budget it is up to the whole
-        # budget, which falls back to a hundredth of the bound at alpha 0.99, m 4)
+        # budget, 1.01 times the bound less the certificate)
         out = tmp_path / "tight"
         assert main(["--out", str(out), "compare-oracle", "--builtin", "sphere:2",
                      "--alpha", "0.01,0.5,0.99", "--m", "1,2,3,4", "--cg-tol", "1e-12"]) == 0
@@ -451,8 +451,8 @@ class TestCompareOracle:
 
     @pytest.mark.parametrize("builtin", ["sphere:2", "torus:1,0.3,16,8", "square:4,2"])
     def test_every_row_within_certified(self, tmp_path, builtin):
-        # the default orders and exponents, m up to 6, where the certificate
-        # has reached its cell cap and is looser than the a-priori bound
+        # the default orders and exponents, m up to 6, where the certified
+        # error stays below the a-priori bound
         out = tmp_path / "o"
         assert main(["--out", str(out), "compare-oracle", "--builtin", builtin]) == 0
         _, data = _read_csv(out / "compare_oracle.csv")

@@ -41,6 +41,12 @@ SWEEP_IDS = [None] * len(SWEEP_PAIRS) + list(EDGE_PAIRS)  # None: pytest's own i
 SWEEP_PAIRS += EDGE_PAIRS.values()
 
 
+def _theta(grid, lam):
+    """theta_n(lam) for n = 0..L from the grid's nodes, the test-side reference."""
+    nodes, lh = grid.nodes, grid.lambda_hat
+    return np.diff(nodes) * (lam - lh) / (lh + nodes[:-1] * (lam - lh))
+
+
 def _assert_grid_invariants(grid):
     """The grid's invariants, with the tolerances of the run-time check they replace."""
     nodes = grid.nodes
@@ -49,7 +55,7 @@ def _assert_grid_invariants(grid):
     assert np.all(tau > 0.0)
     if len(tau) > 1:
         assert np.max(tau[1:] / tau[:-1]) <= 2.0 + 1e-12
-    assert np.max(grid.theta(grid.lambda_max_bound)) <= 1.0 + 1e-9
+    assert np.max(_theta(grid, grid.lambda_max_bound)) <= 1.0 + 1e-9
     expected = max(1, math.ceil(math.log2(grid.lambda_max_bound / grid.lambda_hat) - 1e-12))
     assert grid.num_steps in (expected, expected + 1)
 
@@ -82,7 +88,7 @@ class TestTimeGrid:
         grid = build_time_grid(1.0, 16.0)
         assert grid.nodes == pytest.approx([0.0, 1 / 15, 3 / 15, 7 / 15, 1.0], abs=1e-15)
         assert grid.num_steps == 4 == math.ceil(math.log2(16))
-        theta = grid.theta(16.0)
+        theta = _theta(grid, 16.0)
         assert theta[:3] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
         assert theta[3] <= 1.0 + 1e-12
 
@@ -174,22 +180,6 @@ class TestTimeGrid:
     def test_l_plus_one_for_2p50(self):
         assert build_time_grid(1.0, 2.0**50).num_steps == 50
 
-    def test_theta_on_an_array_stacks_scalar_calls(self):
-        grid = build_time_grid(0.37, 1e4)
-        lams = np.array([[0.37, 1.0, 2.5], [123.4, 5e3, 1e4]])
-        theta = grid.theta(lams)
-        assert theta.shape == (grid.num_steps,) + lams.shape
-        expected = np.stack([grid.theta(lam) for lam in lams.ravel()], axis=1)
-        assert np.array_equal(theta.reshape(grid.num_steps, -1), expected)
-
-    def test_theta_keeps_longdouble(self):
-        grid = build_time_grid(1.0, 2.0**50)
-        lam = 1 + np.longdouble(3) / 7
-        theta = grid.theta(lam)
-        assert theta.dtype == np.longdouble
-        # t_0 = 0 and lh = 1, so theta_0 = t_1 * (lam - 1), rounded in longdouble
-        assert theta[0] == np.longdouble(grid.nodes[1]) * (lam - 1)
-
 
 class TestScalarMu:
     def test_exact_at_shift(self):
@@ -215,6 +205,20 @@ class TestScalarMu:
             mu = scalar_mu(build_pade(m, alpha), grid, np.longdouble(lh))
             assert type(mu) is np.longdouble
             assert mu == np.longdouble(lh) ** -np.longdouble(alpha)
+        # the one-step grid on [1, 2] has theta_0 = lam - 1, so mu = r(lam - 1), rounded
+        # in longdouble
+        p = build_pade(3, 0.3)
+        lam = 1 + np.longdouble(3) / 7
+        mu = scalar_mu(p, build_time_grid(1.0, 2.0), lam)
+        assert type(mu) is np.longdouble and mu == rm_partial(p, lam - 1)
+
+    def test_mu_on_an_array_stacks_scalar_calls(self):
+        p = build_pade(3, 0.5)
+        grid = build_time_grid(0.37, 1e4)
+        lams = np.array([[0.37, 1.0, 2.5], [123.4, 5e3, 1e4]])
+        mu = scalar_mu(p, grid, lams)
+        assert mu.shape == lams.shape
+        assert np.array_equal(mu.ravel(), [scalar_mu(p, grid, lam) for lam in lams.ravel()])
 
     def test_rounding_below_the_shift_accepted(self):
         # lambda in [lh(1-1e-12), lh) gives theta of about -1e-12, which the factor takes
@@ -334,8 +338,8 @@ def _sampled_errors(m, alpha, lh, lam_max):
 
 class TestCertificate:
     # (m, alpha, lambda_hat, Lambda) and the least ratio of the a-priori bound
-    # to the certificate: 91896 is the sphere level 6 range, and from m = 4 at
-    # the larger alphas the certificate stops at its cell cap
+    # to the certificate: 91896 is the sphere level 6 range, and up to m = 7
+    # the certificate stays below the a-priori bound on it, alpha near 1 included
     TABLE = [
         (1, 0.5, 1.0, 91896.0, 20.0),
         (2, 0.1, 1.0, 91896.0, 7.0),
@@ -346,6 +350,11 @@ class TestCertificate:
         (3, 0.5, 4.0, 4e11, 35.0),
         (4, 0.1, 1.0, 1e11, 5.0),
         (4, 0.9, 0.5, 5e4, 1.0),
+        (3, 0.999, 1.0, 91896.0, 100.0),
+        (4, 0.99, 1.0, 91896.0, 100.0),
+        (5, 0.5, 1.0, 91896.0, 50.0),
+        (6, 0.5, 1.0, 91896.0, 50.0),
+        (7, 0.1, 1.0, 91896.0, 5.0),
     ]
 
     @pytest.mark.parametrize("m, alpha, lh, lam_max, sharpness", TABLE)
@@ -355,7 +364,7 @@ class TestCertificate:
         assert cert >= max(double, extended)
         assert cert * sharpness <= scheme_error_bound(m, alpha, lh, lam_max)
 
-    @given(st.integers(1, 4), st.floats(0.01, 0.99), st.floats(-3.0, 3.0),
+    @given(st.integers(1, 7), st.floats(0.01, 0.99), st.floats(-3.0, 3.0),
            st.floats(math.log10(2.0), 12.0))
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_bounds_the_sampled_error_everywhere(self, m, alpha, log_lh, log_ratio):
@@ -367,11 +376,26 @@ class TestCertificate:
     def test_cell_cap_gives_a_looser_bound(self, monkeypatch):
         # fewer cells stop the refinement sooner, at a larger enclosure that
         # still bounds the error
-        args = (3, 0.9, 1.0, 91896.0)
+        args = (7, 0.9, 1.0, 91896.0)
         full = certified_scheme_error.__wrapped__(*args)
         monkeypatch.setattr(scheme, "CERT_MAX_CELLS", CERT_MAX_CELLS // 8)
         capped = certified_scheme_error.__wrapped__(*args)
         assert capped > 2.0 * full and full >= _sampled_errors(*args)[0]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_refinement_stops_at_the_rounding_floor(self, monkeypatch, alpha):
+        # at m = 10 the error lies below the rounding term, and a cell whose
+        # enclosure is within CERT_SHARPNESS of that floor is not split, so the
+        # refinement ends before the cap; every lambda evaluated is a cell end
+        evaluated = []
+
+        def counting(p, grid, lam, *args, _evaluate=scheme._mu_and_curvature):
+            evaluated.append(lam.size)
+            return _evaluate(p, grid, lam, *args)
+
+        monkeypatch.setattr(scheme, "_mu_and_curvature", counting)
+        certified_scheme_error.__wrapped__(10, alpha, 1.0, 2.0**50)
+        assert sum(evaluated) - 1 < CERT_MAX_CELLS
 
     def test_cached_and_checked(self):
         assert certified_scheme_error(2, 0.5, 1.0, 100.0) is certified_scheme_error(

@@ -706,8 +706,8 @@ class TestErrorBudget:
     @pytest.mark.parametrize("name", ["sphere2", "torus", "square"])
     def test_certified_error_bounds_the_true_error(self, name, sphere2_op, sphere2_sign_rhs):
         # the distance to the dense spectral result is at most certified_error,
-        # which stays within the promised 1.01 times the a-priori bound
-        # wherever the scheme's certificate is below that bound
+        # which stays within the promised 1.01 times the a-priori bound; on the
+        # sphere also near alpha = 1 and up to m = 6
         if name == "sphere2":
             op, f, lh = sphere2_op, sphere2_sign_rhs, 1.0
         elif name == "torus":
@@ -719,16 +719,16 @@ class TestErrorBudget:
             op = assemble(mesh, coefficient_field(mesh), "dirichlet")
             f, lh = np.sin(np.arange(1.0, op.n + 1)), 4.0
         dec = dense_decompose(op)
-        for alpha in (0.1, 0.5, 0.9):
+        cases = [(alpha, m) for alpha in (0.1, 0.5, 0.9) for m in (1, 2, 3)]
+        if name == "sphere2":
+            cases += [(0.999, 3), (0.99, 4), (0.5, 5), (0.9, 5), (0.5, 6)]
+        for alpha, m in cases:
             exact = dense_fractional(op, alpha, f, dec)
-            for m in (1, 2, 3):
-                res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=m))
-                assert op.m_norm(res.solution - exact) <= res.certified_error
-                assert lh <= res.theta == op.prepared[("theta", lh)]
-                scheme_error = res.certified_error - res.cg_error_bound
-                if scheme_error <= res.a_priori_bound:
-                    assert (res.certified_error
-                            <= (1.0 + CG_BUDGET_FRACTION) * res.a_priori_bound * (1 + 1e-12))
+            res = fractional_apply(op, f, alpha, SolverConfig(lambda_hat=lh, m=m))
+            assert op.m_norm(res.solution - exact) <= res.certified_error
+            assert lh <= res.theta == op.prepared[("theta", lh)]
+            assert (res.certified_error
+                    <= (1.0 + CG_BUDGET_FRACTION) * res.a_priori_bound * (1 + 1e-12))
 
     @pytest.mark.parametrize("name", ["sphere2", "torus", "square16"])
     def test_spectral_shadow_within_certificate(self, name, sphere2_op, sphere2_sign_rhs,
