@@ -180,6 +180,14 @@ class TestTimeGrid:
     def test_l_plus_one_for_2p50(self):
         assert build_time_grid(1.0, 2.0**50).num_steps == 50
 
+    def test_theta_keeps_longdouble(self):
+        # the one-step grid on [1, 2] has theta_0 = lam - 1, so mu = r(lam - 1), with
+        # theta formed and rounded in lam's longdouble
+        p = build_pade(3, 0.3)
+        lam = 1 + np.longdouble(3) / 7
+        mu = scalar_mu(p, build_time_grid(1.0, 2.0), lam)
+        assert type(mu) is np.longdouble and mu == rm_partial(p, lam - 1)
+
 
 class TestScalarMu:
     def test_exact_at_shift(self):
@@ -205,12 +213,6 @@ class TestScalarMu:
             mu = scalar_mu(build_pade(m, alpha), grid, np.longdouble(lh))
             assert type(mu) is np.longdouble
             assert mu == np.longdouble(lh) ** -np.longdouble(alpha)
-        # the one-step grid on [1, 2] has theta_0 = lam - 1, so mu = r(lam - 1), rounded
-        # in longdouble
-        p = build_pade(3, 0.3)
-        lam = 1 + np.longdouble(3) / 7
-        mu = scalar_mu(p, build_time_grid(1.0, 2.0), lam)
-        assert type(mu) is np.longdouble and mu == rm_partial(p, lam - 1)
 
     def test_mu_on_an_array_stacks_scalar_calls(self):
         p = build_pade(3, 0.5)
