@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 import scipy
@@ -35,6 +36,7 @@ from .mesh import (
     write_off,
 )
 from .oracle import (
+    DENSE_LIMIT,
     convergence_rate,
     dense_decompose,
     dense_fractional,
@@ -48,6 +50,8 @@ from .scheme import build_time_grid, certified_scheme_error, scalar_mu, scheme_e
 from .solver import SolverConfig, fractional_apply
 
 log = logging.getLogger(__name__)
+
+MAX_N_LAMBDA = 10**5  # scalar-error's scan points, 500 times the default; checked before the scan
 
 
 def _parse_list(kind, text: str) -> list:
@@ -103,7 +107,11 @@ def _source_field(name: str, mesh: SurfaceMesh, builtin: str | None):
         R, r = (float(v) for v in builtin.partition(":")[2].split(",")[:2])
         return name, lambda x: torus_fields(R, r, x)[1]
     if name.startswith("csv:"):
-        data = np.loadtxt(name[4:], delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file without rows is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(name[4:], delimiter=",", skiprows=1, ndmin=2)
+        if not len(data):
+            raise ValueError(f"{name}: no rows after the header")
         if data.shape[1] != 2:
             raise ValueError(f"{name}: expected rows vertex,value, got {data.shape[1]} column(s)")
         index, values = data.T
@@ -112,8 +120,12 @@ def _source_field(name: str, mesh: SurfaceMesh, builtin: str | None):
             raise ValueError(f"{name}: vertex indices must be integers in [0, {n})")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name}: values must be finite")
+        vertex = index.astype(int)
+        repeated = np.flatnonzero(np.bincount(vertex) > 1)
+        if len(repeated):
+            raise ValueError(f"{name}: vertex {repeated[0]} is listed more than once")
         vals = np.zeros(n)
-        vals[index.astype(int)] = values
+        vals[vertex] = values
         return name, vals
     raise ValueError(f"unknown source field {name!r}")
 
@@ -210,8 +222,9 @@ def run_pade_table(config: dict, out_dir: str) -> tuple[list[str], None]:
 def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
     lh = config["lambda_hat"]
     lam_max = config["lambda_max"]
-    if config["n_lambda"] < 1:
-        raise ValueError(f"n_lambda must be positive, got {config['n_lambda']}")
+    if not 1 <= config["n_lambda"] <= MAX_N_LAMBDA:
+        raise ValueError(f"n_lambda must be positive and at most {MAX_N_LAMBDA}, "
+                         f"got {config['n_lambda']}")
     grid = build_time_grid(lh, lam_max)
     config["L_plus_1"] = grid.num_steps
     # the scan starts at max(2, lambda_hat), or at lambda_hat when Lambda <= 2,
@@ -236,41 +249,31 @@ def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
 
 
 def run_sphere_convergence(config: dict, out_dir: str) -> tuple[list[str], None]:
-    levels = config["levels"]
+    levels, alphas, n_terms = config["levels"], config["alpha_list"], config["n_terms"]
     if max(levels) > 5:
         raise ValueError("rate study limited to refinement level 5 (10242 dofs)")
-    alphas = config["alpha_list"]
-    m = config["m"]
-    lh = config["lambda_hat"]
-    n_terms = config["n_terms"]
-    errors: dict[float, list[float]] = {a: [] for a in alphas}
-    dofs: list[int] = []
+    cfg = SolverConfig(lambda_hat=config["lambda_hat"], m=config["m"], cg_rel_tol=config["cg_tol"])
+
+    def u_ref(x):  # one row per alpha, from one series on the points lifted to the sphere
+        return sphere_series_solution(alphas, x[:, 2] / np.linalg.norm(x, axis=1), n_terms)
+
+    dofs, errors = [], []  # errors[k][j]: level k, alpha j
     for level in levels:
         mesh = gen_sphere(level)
         op = assemble(mesh, coefficient_field(mesh), MODE_ZERO_MEAN)
         f_h = build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project")
-        cfg = SolverConfig(lambda_hat=lh, m=m, cg_rel_tol=config["cg_tol"])
+        solutions = [fractional_apply(op, f_h, alpha, cfg).solution for alpha in alphas]
         dofs.append(op.n)
-        for alpha in alphas:
-            result = fractional_apply(op, f_h, alpha, cfg)
-
-            def u_ref(x, _a=alpha):
-                z = x[:, 2] / np.linalg.norm(x, axis=1)  # lift to the sphere
-                return sphere_series_solution(_a, z, n_terms=n_terms)
-
-            errors[alpha].append(l2_error_on_mesh(mesh, op, result.solution, u_ref))
+        errors.append(l2_error_on_mesh(mesh, op, np.array(solutions), u_ref))
         log.info("level %d done (dof=%d)", level, op.n)
     rows = []
     print(f"{'alpha':>6} {'dof':>8} {'l2_error':>13} {'rate':>6}")
-    for alpha in alphas:
+    for j, alpha in enumerate(alphas):
         for k, level in enumerate(levels):
-            rate = (
-                convergence_rate(errors[alpha][k - 1], dofs[k - 1], errors[alpha][k], dofs[k])
-                if k
-                else float("nan")
-            )
-            rows.append((level, dofs[k], alpha, errors[alpha][k], rate))
-            print(f"{alpha:6g} {dofs[k]:8d} {errors[alpha][k]:13.6e} "
+            rate = (convergence_rate(errors[k - 1][j], dofs[k - 1], errors[k][j], dofs[k])
+                    if k else float("nan"))
+            rows.append((level, dofs[k], alpha, errors[k][j], rate))
+            print(f"{alpha:6g} {dofs[k]:8d} {errors[k][j]:13.6e} "
                   + (f"{rate:6.2f}" if k else "     -"))
     path = os.path.join(out_dir, "sphere_convergence.csv")
     _write_csv(path, ["level", "dof", "alpha", "l2_error", "rate"], np.array(rows))
@@ -346,8 +349,8 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
 def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
     mesh = _load_builtin(config["builtin"])
     op, f_h = _problem(config, mesh, config["builtin"], {})
-    if op.n > 2000:
-        raise ValueError(f"compare-oracle limited to 2000 dofs, mesh has {op.n}")
+    if op.n > DENSE_LIMIT:
+        raise ValueError(f"compare-oracle limited to {DENSE_LIMIT} dofs, mesh has {op.n}")
     fnorm = op.m_norm(f_h)
     decomp = dense_decompose(op)
     rows = []

@@ -113,28 +113,32 @@ def sphere_sign_coefficients(n_max: int) -> np.ndarray:
     return a
 
 
-def sphere_series_solution(alpha: float, x3, n_terms: int = 4000):
+def sphere_series_solution(alpha, x3, n_terms: int = 4000):
     """Series solution u(x3) of the fractional problem on the unit sphere with sign data.
 
     u = sum over odd n of a_n * (n(n+1))^(-alpha) * P_n(x3). A cos^2 spectral
     window suppresses the slow oscillatory tail near the poles and the equator
     jump; self-convergence of the windowed sums is part of the test suite.
+    A sequence of alphas gives one row per alpha from one shared recurrence,
+    each row with the bits of its own call.
     """
     if not 1 <= n_terms <= 10**4:
         raise ValueError("n_terms must be in [1, 10^4]")
-    x3 = np.asarray(x3, dtype=float)
-    scalar = x3.ndim == 0
-    x = np.atleast_1d(x3)
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
+    x = np.asarray(x3, dtype=float)
     a = sphere_sign_coefficients(n_terms)
-    acc = np.zeros_like(x)
+    acc = np.zeros((len(alphas),) + x.shape)
     p_prev = np.ones_like(x)  # P_0
     p_cur = x.copy()  # P_1
     for n in range(1, n_terms + 1):
         if n % 2 == 1:
             w = math.cos(0.5 * math.pi * n / n_terms) ** 2
-            acc += w * a[n] * (n * (n + 1.0)) ** (-alpha) * p_cur
+            for k, al in enumerate(alphas):
+                acc[k] += w * a[n] * (n * (n + 1.0)) ** (-al) * p_cur
         p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-    return float(acc[0]) if scalar else acc
+    if np.ndim(alpha):
+        return acc
+    return float(acc[0]) if x.ndim == 0 else acc[0]
 
 
 def torus_mean_curvature(R: float, r: float, phi1) -> np.ndarray | float:
@@ -169,25 +173,28 @@ def torus_fields(R: float, r: float, points: np.ndarray):
     return H, f
 
 
-def l2_error_on_mesh(mesh: SurfaceMesh, op: AssembledOperator, u_h: np.ndarray,
-                     u_ref) -> float:
+def l2_error_on_mesh(mesh: SurfaceMesh, op: AssembledOperator, u_h: np.ndarray, u_ref):
     """L2(M_h) distance between the P1 field u_h and u_ref, degree-5 rule.
 
     u_h lives on the free dofs (zeros are implied on constrained vertices);
     u_ref is a callable on (k,3) arrays of quadrature points on the flat mesh,
-    composing any lift itself.
+    composing any lift itself. Stacked solutions, one per row, take a u_ref
+    that returns one row per solution and give one distance per row, each
+    with the bits of its own call.
     """
-    full = op.expand(np.asarray(u_h, dtype=float))
+    u_h = np.asarray(u_h, dtype=float)
+    full = np.array([op.expand(u) for u in np.atleast_2d(u_h)])
     tris = mesh.triangles
     p = [mesh.vertices[tris[:, k]] for k in range(3)]
     area = mesh.triangle_areas()
-    acc = 0.0
+    acc = np.zeros(len(full))
     for bc, w in zip(TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS):
         x = bc[0] * p[0] + bc[1] * p[1] + bc[2] * p[2]
-        uh_q = bc[0] * full[tris[:, 0]] + bc[1] * full[tris[:, 1]] + bc[2] * full[tris[:, 2]]
+        uh_q = sum(bc[k] * full[:, tris[:, k]] for k in range(3))
         diff = uh_q - np.asarray(u_ref(x), dtype=float)
-        acc += w * float(area @ (diff * diff))
-    return math.sqrt(acc)
+        for k, d in enumerate(diff):
+            acc[k] += w * float(area @ (d * d))
+    return np.sqrt(acc) if u_h.ndim == 2 else math.sqrt(acc[0])
 
 
 def convergence_rate(err_coarse: float, dof_coarse: int, err_fine: float, dof_fine: int) -> float:

@@ -10,7 +10,7 @@ a value array on the fine pattern, which is the operator's own. Each call
 builds one `ShiftedVCycle` workspace per term, at the term's first shift, and
 shifts it in place for the term's later solves; the workspaces are the call's
 own and are not kept with the operator. Each term also gets, once per call,
-the eight vectors it solves in: `pcg`'s six (its `work`), its right-hand side
+the seven vectors it solves in: `pcg`'s five (its `work`), its right-hand side
 and its correction, and the call one more, a correction kept from the step
 before (below). All are built on the calling thread, so the workers that run
 the terms allocate no vector of length n.
@@ -229,14 +229,17 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     `scipy.sparse._sparsetools.csr_matvec`, the one `A @ p` runs (verified on
     scipy 1.17.1), so the iterates have the bits of `A @ p`.
 
-    `work`, when given, is six vectors of b's length that pcg writes in place
-    of allocating its own: x, r, z, p, the step alpha*p (also the weighted
-    tests' w*r) and A p. The call then allocates no vector of b's length, and
-    returns work[0] as x, which the next call with the same `work`
-    overwrites. The result has the same bits either way. On every return
-    work[1], r, holds the true residual b - A x of the returned x. Of `work`,
-    pcg reads only x0 before writing, which may be work[0] itself, so a
-    caller may form its start there with the other five as scratch.
+    `work`, when given, is five vectors of b's length that pcg writes in
+    place of allocating its own: x, r, z, p and A p; a `work` of another
+    length raises ValueError. z, the preconditioned residual, is free from the
+    start of an iteration until the preconditioner writes it, so it also
+    holds the step alpha*p and the weighted tests' w*r. The call then
+    allocates no vector of b's length, and returns work[0] as x, which the
+    next call with the same `work` overwrites. The result has the same bits
+    either way. On every return work[1], r, holds the true residual b - A x
+    of the returned x. Of `work`, pcg reads only x0 before writing, which may
+    be work[0] itself, so a caller may form its start there with the other
+    four as scratch.
     Returns (x, iterations, final relative residual).
     """
     if ref_norm is not None:
@@ -244,8 +247,10 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
     if work is None:
-        work = [np.empty_like(b) for _ in range(6)]
-    x, r, z, p, step, Ap = work
+        work = [np.empty_like(b) for _ in range(5)]
+    if len(work) != 5:
+        raise ValueError(f"work holds {len(work)} vectors; pcg takes five: x, r, z, p and A p")
+    x, r, z, p, Ap = work
     if x0 is None:
         x.fill(0.0)
         np.copyto(r, b)
@@ -265,8 +270,8 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     if weight is not None:
         target += f" or the weighted residual {weighted_tol:.3e}"
 
-    def weighted_passes(v):  # sum(w * v**2) <= weighted_tol**2, with w*v formed in `step`
-        return dot(np.multiply(weight, v, out=step), v) <= weighted_sq
+    def weighted_passes(v):  # sum(w * v**2) <= weighted_tol**2, with w*v formed in z
+        return dot(np.multiply(weight, v, out=z), v) <= weighted_sq
 
     if rel <= rel_tol or (weight is not None and weighted_passes(r)):
         return x, 0, rel  # r = b - A x
@@ -277,8 +282,7 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     for it in range(1, max_iter + 1):
         csr_matvec_into(A, p, Ap)
         alpha = rz / dot(p, Ap)
-        np.multiply(p, alpha, out=step)
-        x += step
+        x += np.multiply(p, alpha, out=z)
         Ap *= alpha
         r -= Ap
         rel = math.sqrt(dot(r, r)) / ref_norm
@@ -509,7 +513,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     weight = inv_diag if cfg.cg_rel_tol is None else None
     share = lh * budget / (grid.num_steps * float(np.sum(p.beta[1:])))
     # term i's own workspace, built at its step-0 shift so that no shift is
-    # discarded, and its eight vectors: pcg's six, its right-hand side and
+    # discarded, and its seven vectors: pcg's five, its right-hand side and
     # its correction, which trades places with pcg's x after each step; and
     # one vector more, the last term's correction of the step before. Neither
     # is kept in op.prepared. They are built here, on the calling thread, and
@@ -519,7 +523,7 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     # 6 benchmark run by 15%, and pcg's own vectors by 6%
     m = cfg.m
     vcycles = [ShiftedVCycle(hierarchy, (1.0 - s) * lh, s) for s in s_grid[0]]
-    works = [[np.empty(op.n) for _ in range(6)] for _ in range(m)]
+    works = [[np.empty(op.n) for _ in range(5)] for _ in range(m)]
     rhs = [np.empty(op.n) for _ in range(m)]
     basis = [np.empty(op.n) for _ in range(m + 1)]  # the start's: Y, then the kept vector
 

@@ -18,13 +18,10 @@ from fracsurf.assembly import assemble, build_rhs, coefficient_field
 from fracsurf.cli import main as cli_main
 from fracsurf.mesh import gen_sphere, gen_unit_square
 from fracsurf.oracle import (
-    convergence_rate,
     dense_decompose,
     dense_fractional,
-    l2_error_on_mesh,
     pade_extended,
     rm_minus_power_exact,
-    sphere_series_solution,
 )
 from fracsurf.pade import build_pade, pade_error_bound
 from fracsurf.scheme import build_time_grid, scalar_mu, scheme_error_bound
@@ -237,37 +234,22 @@ def test_criterion_06_oracle_equivalence(instances):
                f"[{min(slopes):.2f}, {max(slopes):.2f}] bits/order, {elapsed:.1f}s")
 
 
-def test_criterion_07_sphere_convergence_rates():
-    """Observed L2 rates on nested spheres within 0.2 of min(0.5 + 2a, 2)."""
+def test_criterion_07_sphere_convergence_rates(tmp_path):
+    """Observed L2 rates on nested spheres within 0.2 of min(0.5 + 2a, 2), by the CLI's study."""
     t0 = time.time()
-    alphas = (0.01, 0.3, 0.5, 0.7, 0.99)
-    levels = (2, 3, 4, 5)
-    errors = {a: [] for a in alphas}
-    dofs = []
-    for level in levels:
-        mesh = gen_sphere(level)
-        op = assemble(mesh, coefficient_field(mesh), "zero-mean")
-        f_h = build_rhs(mesh, lambda x: np.sign(x[:, 2]), op, method="l2_project")
-        dofs.append(op.n)
-        cfg = SolverConfig(lambda_hat=1.0, m=3, cg_rel_tol=1e-12)
-        for alpha in alphas:
-            res = fractional_apply(op, f_h, alpha, cfg)
-
-            def u_ref(x, _a=alpha):
-                z = x[:, 2] / np.linalg.norm(x, axis=1)
-                return sphere_series_solution(_a, z, n_terms=4000)
-
-            errors[alpha].append(l2_error_on_mesh(mesh, op, res.solution, u_ref))
-    summary = []
-    for alpha in alphas:
-        theory = min(0.5 + 2.0 * alpha, 2.0)
-        rates = [
-            convergence_rate(errors[alpha][k], dofs[k], errors[alpha][k + 1], dofs[k + 1])
-            for k in range(len(levels) - 1)
-        ]
-        for rate in rates:
-            assert abs(rate - theory) <= 0.2, (alpha, theory, rates)
-        summary.append(f"a={alpha:g}: {rates[-1]:.2f}/{theory:.2f}")
+    assert cli_main(["--out", str(tmp_path), "sphere-convergence", "--levels", "2,3,4,5",
+                     "--alpha", "0.01,0.3,0.5,0.7,0.99", "--m", "3", "--lambda-hat", "1",
+                     "--n-terms", "4000", "--cg-tol", "1e-12"]) == 0
+    level, _, alpha, _, rate = np.loadtxt(tmp_path / "sphere_convergence.csv", delimiter=",",
+                                          skiprows=1, unpack=True)
+    np.testing.assert_array_equal(level, np.tile([2, 3, 4, 5], 5))
+    np.testing.assert_array_equal(alpha, np.repeat([0.01, 0.3, 0.5, 0.7, 0.99], 4))
+    theory = np.minimum(0.5 + 2.0 * alpha, 2.0)
+    later = level > 2  # each later level's rate against the level before
+    assert np.all(np.abs(rate[later] - theory[later]) <= 0.2), rate
+    finest = level == 5
+    summary = [f"a={a:g}: {r:.2f}/{t:.2f}"
+               for a, r, t in zip(alpha[finest], rate[finest], theory[finest])]
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report(7, "rates within 0.2 of theory (" + ", ".join(summary) + f"), {elapsed:.0f}s")

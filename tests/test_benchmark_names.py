@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import scipy.sparse as sp
 
 import fracsurf
@@ -40,12 +41,17 @@ def test_traced_targets_resolve():
         assert callable(getattr(module, attr, None)), f"{name}: fracsurf.{mod_name}.{attr}"
 
 
-def test_names_the_workloads_read(sphere2_op, sphere2_sign_rhs):
+def test_names_the_workloads_read(sphere2, sphere2_op, sphere2_sign_rhs):
     result = fractional_apply(sphere2_op, sphere2_sign_rhs, 0.5, SolverConfig(m=1))
     assert result.total_solves == len(result.solve_log)
     assert result.lambda_max_used == result.time_grid.lambda_max_bound
     for name in ("apriori_bound", "deflate_mean"):
         assert name in fracsurf.__all__ and callable(getattr(fracsurf, name))
+    # the sphere-l6 check: the series at one alpha, on the vertices' heights along a normal
+    normal = np.array([0.48, 0.6, 0.64])
+    u = fracsurf.sphere_series_solution(0.5, sphere2.vertices @ normal, n_terms=4000)
+    assert isinstance(u, np.ndarray) and u.dtype == np.float64
+    assert u.shape == (sphere2.num_vertices,)
 
 
 def test_pcg_receives_a_csr_matrix(sphere2_op, sphere2_sign_rhs, monkeypatch):

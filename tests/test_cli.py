@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fracsurf.cli import main
+from fracsurf.cli import MAX_N_LAMBDA, main
 from util import cg_budget, write_msh22, write_msh41
 
 
@@ -105,10 +105,12 @@ class TestScalarError:
         assert np.all(np.diff(data[:, 0]) > 0.0)
 
     def test_no_lambda_rejected(self, tmp_path, capsys):
+        # above the cap, rejected before the scan is allocated
         out = tmp_path / "o"
-        for n in ("0", "-1"):
+        for n in ("0", "-1", str(MAX_N_LAMBDA + 1)):
             assert main(["--out", str(out), "scalar-error", "--n-lambda", n]) == 2
-            assert "n_lambda must be positive" in capsys.readouterr().err
+            assert f"n_lambda must be positive and at most {MAX_N_LAMBDA}" in (
+                capsys.readouterr().err)
             assert not out.exists()
 
 
@@ -388,7 +390,10 @@ class TestCsvSource:
         ("-1,1.0\n", "vertex indices"),
         ("1.5,1.0\n", "vertex indices"),
         ("0,nan\n", "finite"),
-    ], ids=["out-of-range", "one-column", "negative", "non-integer", "nan"])
+        ("0,1.0\n0,5.0\n", "vertex 0 is listed more than once"),
+        ("", "no rows"),
+    ], ids=["out-of-range", "one-column", "negative", "non-integer", "nan", "repeated",
+            "header-only"])
     def test_malformed_source_exits_2(self, tmp_path, capsys, rows, message):
         path = tmp_path / "source.csv"
         path.write_text("vertex,value\n" + rows)
@@ -449,6 +454,12 @@ class TestCompareOracle:
             for alpha in (0.01, 0.99):
                 assert rows[np.isclose(rows[:, 0], alpha)][0, 2] <= 10.0 * mid
 
+    def test_mesh_above_the_dense_limit_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "compare-oracle", "--builtin", "sphere:4"]) == 2
+        assert "compare-oracle limited to 2000 dofs, mesh has 2562" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("builtin", ["sphere:2", "torus:1,0.3,16,8", "square:4,2"])
     def test_every_row_within_certified(self, tmp_path, builtin):
         # the default orders and exponents, m up to 6, where the certified
@@ -458,6 +469,24 @@ class TestCompareOracle:
         _, data = _read_csv(out / "compare_oracle.csv")
         assert len(data) == 18
         assert np.all(data[:, 2] <= data[:, 4])
+
+
+class TestSphereConvergence:
+    def test_small_study_and_its_replay(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["--out", str(a), "sphere-convergence", "--levels", "1,2,3",
+                     "--alpha", "0.3,0.7", "--n-terms", "200"]) == 0
+        header, data = _read_csv(a / "sphere_convergence.csv")
+        assert header == ["level", "dof", "alpha", "l2_error", "rate"]
+        np.testing.assert_array_equal(data[:, 0], [1, 2, 3, 1, 2, 3])
+        np.testing.assert_array_equal(data[:, 2], [0.3, 0.3, 0.3, 0.7, 0.7, 0.7])
+        first = data[:, 0] == 1
+        assert np.all(np.isnan(data[first, 4])) and np.all(np.isfinite(data[~first, 4]))
+        assert np.all(data[:, 3] > 0.0)
+        manifest = a / "manifest_sphere_convergence.json"
+        assert main(["--from-manifest", str(manifest), "--out", str(b)]) == 0
+        assert (b / "sphere_convergence.csv").read_bytes() == (
+            a / "sphere_convergence.csv").read_bytes()
 
 
 class TestDeterminismAndManifest:

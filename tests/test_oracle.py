@@ -110,6 +110,17 @@ class TestSphereSeries:
         with pytest.raises(ValueError):
             sphere_series_solution(0.5, 0.3, n_terms=10**4 + 1)
 
+    @pytest.mark.parametrize("x3", [np.linspace(-1.0, 1.0, 12).reshape(3, 4), 0.3],
+                             ids=["array", "scalar"])
+    def test_stacked_rows_equal_single_calls(self, x3):
+        # one recurrence for all alphas gives each row the bits of its own call
+        alphas = (0.01, 0.3, 0.5, 0.99)
+        rows = sphere_series_solution(alphas, x3, n_terms=300)
+        assert rows.shape == (len(alphas),) + np.shape(x3)
+        for row, alpha in zip(rows, alphas):
+            single = sphere_series_solution(alpha, x3, n_terms=300)
+            assert row.tobytes() == np.float64(single).tobytes()
+
 
 def _averaged_pole_value(alpha, terms=200000, rounds=12):
     k = np.arange(terms)
@@ -180,6 +191,23 @@ class TestL2Error:
         u_h = u(sphere2.vertices)
         err = l2_error_on_mesh(sphere2, sphere2_op, u_h, u)
         assert 0.0 < err < 0.05
+
+    @pytest.mark.parametrize("mesh_name", ["sphere2", "square16"])
+    def test_stacked_rows_equal_single_calls(self, request, mesh_name):
+        # stacked solutions against a reference of one row per solution give
+        # each distance the bits of its own call, also with constrained vertices
+        mesh, op = request.getfixturevalue(mesh_name), request.getfixturevalue(mesh_name + "_op")
+        scales = (0.5, 1.0, 2.0)
+        u_h = np.array([np.sin(s * np.arange(op.n)) for s in scales])
+
+        def field(x, scale):
+            return scale * x[:, 0] * x[:, 1] + np.sign(x[:, 2] - 0.1)
+
+        errors = l2_error_on_mesh(mesh, op, u_h, lambda x: np.array([field(x, s) for s in scales]))
+        assert errors.shape == (len(scales),)
+        for err, u, s in zip(errors, u_h, scales):
+            single = l2_error_on_mesh(mesh, op, u, lambda x, s=s: field(x, s))
+            assert isinstance(single, float) and err.tobytes() == np.float64(single).tobytes()
 
     def test_rate_formula(self):
         rate = convergence_rate(1.0, 100, 0.25, 400)

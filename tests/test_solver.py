@@ -85,7 +85,7 @@ class TestPcg:
         b = np.array([2.0])
         x0 = np.array([0.5])
         for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
-            work = [np.full(1, np.nan) for _ in range(6)]
+            work = [np.full(1, np.nan) for _ in range(5)]
             x, iters, rel = pcg(A, b, ref_norm=2.0, precond=jacobi(A), x0=x0, work=work,
                                 **kwargs)
             assert iters == 0 and x is work[0] and x[0] == 0.5 and rel == 0.0
@@ -96,7 +96,7 @@ class TestPcg:
         A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         b = np.sin(np.arange(1.0, n + 1))
         x0 = np.linalg.solve(A.toarray(), b)
-        work = [np.empty(n) for _ in range(6)]
+        work = [np.empty(n) for _ in range(5)]
         work[0][:] = x0
         x, iters, rel = pcg(A, b, rel_tol=1e-12, precond=jacobi(A), x0=work[0], work=work)
         residual = work[1]
@@ -115,7 +115,7 @@ class TestPcg:
         if weighted:
             kwargs.update(weight=weight, weighted_tol=tol)
         x0 = np.cos(np.arange(1.0, n + 1))
-        work = [np.full(n, np.nan) for _ in range(6)]
+        work = [np.full(n, np.nan) for _ in range(5)]
         x, iters, rel = pcg(A, b, x0=x0, work=work, **kwargs)
         residual = b - A @ x
         assert iters > 0 and x is work[0] and x0[0] == math.cos(1.0)
@@ -157,7 +157,7 @@ class TestPcg:
         # later iterations divide by ref_norm too: the same iterates as the
         # default reference, ||b||, at the tolerance scaled by ref_norm / ||b||
         ref = 100.0 * norm_b
-        work = [np.empty(n) for _ in range(6)]
+        work = [np.empty(n) for _ in range(5)]
         x, iters, rel = pcg(A, b, rel_tol=1e-10, ref_norm=ref, precond=jacobi(A), x0=x0,
                             work=work)
         residual = work[1]
@@ -222,7 +222,7 @@ def _vcycle_system(level):
 class TestPcgWork:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_same_bits_in_the_given_vectors(self, weighted):
-        # pcg writes the six vectors it is given, whatever they held, returns
+        # pcg writes the five vectors it is given, whatever they held, returns
         # the first as x, and gives the bits of a call that allocates; the
         # true residual it leaves in work[1] is that of the allocating call's x
         vcycle, b, weight, tol = _vcycle_system(3)
@@ -234,7 +234,7 @@ class TestPcgWork:
         ref_residual = b - A @ ref[0]
         if weighted:  # the weighted test stops it
             assert ref[1] < pcg(A, b, rel_tol=1e-14, precond=vcycle)[1]
-        work = [np.full(n, np.nan) for _ in range(6)]
+        work = [np.full(n, np.nan) for _ in range(5)]
         for _ in range(2):  # the second call finds the first one's vectors
             x, iters, rel = pcg(A, b, work=work, **kwargs)
             assert x is work[0] and iters == ref[1] and rel == ref[2]
@@ -253,20 +253,26 @@ class TestPcgWork:
                   "weighted": dict(rel_tol=1e-14, weight=weight, weighted_tol=tol)}[exit_]
         if exit_ == "zero_b":
             b = np.zeros(n)
-        work = [np.full(n, np.nan) for _ in range(6)]
+        work = [np.full(n, np.nan) for _ in range(5)]
         x, iters, rel = pcg(A, b, precond=vcycle, work=work, **kwargs)
         assert (iters == 0) == (exit_ in ("zero_b", "start_passes"))
         if exit_ == "weighted":  # the weighted test, not the relative one, stopped it
             assert rel > 1e-14
         assert work[1].tobytes() == (b - A @ x).tobytes()
 
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_work_of_another_length_rejected(self, count):
+        A = sp.csr_matrix([[4.0]])
+        with pytest.raises(ValueError, match="five"):
+            pcg(A, np.ones(1), precond=jacobi(A), work=[np.empty(1) for _ in range(count)])
+
     def test_allocates_less_than_one_vector(self):
         # a budgeted V-cycle solve at sphere level 4 given its vectors: the
-        # traced peak stays below one vector of length n (6.2 vectors when
-        # pcg allocated its own)
+        # traced peak stays below one vector of length n (5.2 vectors when
+        # pcg allocates its own)
         vcycle, b, weight, tol = _vcycle_system(4)
         n = len(b)
-        work = [np.empty(n) for _ in range(6)]
+        work = [np.empty(n) for _ in range(5)]
         kwargs = dict(rel_tol=1e-14, precond=vcycle, weight=weight, weighted_tol=tol, work=work)
         pcg(vcycle.matrix, b, **kwargs)
         tracemalloc.start()
@@ -1036,17 +1042,18 @@ class TestStartIterations:
 class TestApplyMemory:
     @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
     def test_later_call_peak_below_75_vectors(self, monkeypatch, threaded):
-        # each term keeps pcg's six vectors, its right-hand side and its
-        # correction (8 vectors), the call one correction kept from the step
+        # each term keeps pcg's five vectors, its right-hand side and its
+        # correction (7 vectors), the call one correction kept from the step
         # before, and each workspace combines a shift through at most 8192
         # scratch values; each start is formed in pcg's x, which then trades
         # places with the correction, and the step update is formed in the
         # call's own buffers. A later call at sphere level 4 with m = 3,
-        # workspaces included, traced a peak of 70.4 vectors of length n
-        # inline and 71.4 to 71.5 on 3 threads (69.4 and 70.3 to 70.5
-        # without the kept correction, 71.9 and 72.6 with a step update that
-        # allocated, 83.3 and 83.9 with a shift scratch the size of the fine
-        # matrix)
+        # workspaces included, traced a peak of 67.4 vectors of length n
+        # inline and 68.4 on 3 threads (70.4 and 71.4 to 71.6 with a sixth
+        # pcg vector for the step alpha*p; 69.4 and 70.3 to 70.5 with six
+        # and without the kept correction, 71.9 and 72.6 with a step update
+        # that allocated, 83.3 and 83.9 with a shift scratch the size of the
+        # fine matrix)
         mesh = gen_sphere(4)
         op = assemble(mesh, coefficient_field(mesh), "zero-mean")
         f = deflate_mean(np.sin(np.arange(1.0, op.n + 1)), op)
