@@ -403,7 +403,7 @@ def _moment_vector(mesh, f) -> np.ndarray:
     if global_range > 0:
         rough = int(np.sum(local_range > 0.5 * global_range))
         if rough:
-            log.warning(
+            log.info(
                 "quadrature note: %d triangles see jump-scale variation of f; "
                 "the degree-5 rule is applied there unchanged", rough,
             )

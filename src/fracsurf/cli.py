@@ -37,6 +37,7 @@ from .mesh import (
 )
 from .oracle import (
     DENSE_LIMIT,
+    MAX_SERIES_TERMS,
     convergence_rate,
     dense_decompose,
     dense_fractional,
@@ -248,11 +249,19 @@ def run_scalar_error(config: dict, out_dir: str) -> tuple[list[str], None]:
     return paths, None
 
 
+def _solver_config(config: dict, m: int) -> SolverConfig:
+    """The solver settings that a run's config names, at order m."""
+    return SolverConfig(lambda_hat=config["lambda_hat"], m=m, cg_rel_tol=config["cg_tol"],
+                        cg_max_iter=config.get("cg_max_iter"))
+
+
 def run_sphere_convergence(config: dict, out_dir: str) -> tuple[list[str], None]:
     levels, alphas, n_terms = config["levels"], config["alpha_list"], config["n_terms"]
     if max(levels) > 5:
         raise ValueError("rate study limited to refinement level 5 (10242 dofs)")
-    cfg = SolverConfig(lambda_hat=config["lambda_hat"], m=config["m"], cg_rel_tol=config["cg_tol"])
+    if not 1 <= n_terms <= MAX_SERIES_TERMS:
+        raise ValueError(f"n_terms must be in [1, {MAX_SERIES_TERMS}], got {n_terms}")
+    cfg = _solver_config(config, config["m"])
 
     def u_ref(x):  # one row per alpha, from one series on the points lifted to the sphere
         return sphere_series_solution(alphas, x[:, 2] / np.linalg.norm(x, axis=1), n_terms)
@@ -294,12 +303,7 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
     setup = {"mesh_s": time.perf_counter() - t0}
     op, f_h = _problem(config, mesh, config["builtin"], setup)
     config["setup_seconds"] = setup
-    cfg = SolverConfig(
-        lambda_hat=config["lambda_hat"],
-        m=config["m"],
-        cg_rel_tol=config["cg_tol"],
-        cg_max_iter=config.get("cg_max_iter"),
-    )
+    cfg = _solver_config(config, config["m"])
     off_path = os.path.join(out_dir, "mesh.off")
     write_off(mesh, off_path)  # geometry once; solution CSVs key vertices by index
     paths = [off_path]
@@ -357,10 +361,7 @@ def run_compare_oracle(config: dict, out_dir: str) -> tuple[list[str], dict]:
     for alpha in config["alpha_list"]:
         exact = dense_fractional(op, alpha, f_h, decomp)
         for m in config["m_list"]:
-            cfg = SolverConfig(
-                lambda_hat=config["lambda_hat"], m=m, cg_rel_tol=config["cg_tol"]
-            )
-            result = fractional_apply(op, f_h, alpha, cfg)
+            result = fractional_apply(op, f_h, alpha, _solver_config(config, m))
             diff = result.solution - exact
             rel = op.m_norm(diff) / fnorm
             bound = scheme_error_bound(m, alpha, config["lambda_hat"], result.lambda_max_used)
@@ -379,16 +380,20 @@ _RUNNERS = {
 }
 
 
-_CG_TOL_HELP = ("relative CG residual at which every solve stops "
-                "(default: each solve stops at its share of an error budget)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a top-level --out from being clobbered by the subparser default
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory (default: out)")
     common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS)
+    # every solver default is SolverConfig's, read from the class, not restated
+    shift = argparse.ArgumentParser(add_help=False)
+    shift.add_argument("--lambda-hat", type=float, default=SolverConfig.lambda_hat,
+                       help="lower bound on the least eigenvalue (default %(default)g)")
+    cg_tol = argparse.ArgumentParser(add_help=False)
+    cg_tol.add_argument("--cg-tol", type=float, default=SolverConfig.cg_rel_tol,
+                        help="relative CG residual at which every solve stops "
+                        "(default: each solve stops at its share of an error budget)")
 
     top = argparse.ArgumentParser(
         prog="fracsurf",
@@ -406,43 +411,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", dest="alpha_list", default="0.1,0.5,0.9",
                    help="comma list of exponents")
 
-    p = sub.add_parser("scalar-error", parents=[common],
+    p = sub.add_parser("scalar-error", parents=[common, shift],
                        help="scalar transfer-function error scan")
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--alpha", dest="alpha_list", default="0.1,0.5,0.9")
-    p.add_argument("--lambda-hat", type=float, default=1.0)
     p.add_argument("--lambda-max", type=float, default=2.0**50)
     p.add_argument("--n-lambda", type=int, default=200)
 
-    p = sub.add_parser("sphere-convergence", parents=[common],
+    p = sub.add_parser("sphere-convergence", parents=[common, shift, cg_tol],
                        help="rate study on nested sphere meshes")
     p.add_argument("--levels", default="2,3,4,5")
     p.add_argument("--alpha", dest="alpha_list", default="0.01,0.3,0.5,0.7,0.99")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--lambda-hat", type=float, default=1.0)
+    p.add_argument("--m", type=int, default=SolverConfig.m)
     p.add_argument("--n-terms", type=int, default=4000)
-    p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
 
-    p = sub.add_parser("solve", parents=[common], help="solve on a builtin or Gmsh mesh")
+    p = sub.add_parser("solve", parents=[common, shift, cg_tol],
+                       help="solve on a builtin or Gmsh mesh")
     p.add_argument("--mesh", dest="mesh_path", help="path to an ASCII .msh file")
     p.add_argument("--builtin", help="sphere:L | torus:R,r,n1,n2 | square:N0,p")
     p.add_argument("--alpha", dest="alpha_list", default="0.5")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--lambda-hat", type=float, default=1.0)
-    p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
-    p.add_argument("--cg-max-iter", type=int, default=None,
+    p.add_argument("--m", type=int, default=SolverConfig.m)
+    p.add_argument("--cg-max-iter", type=int, default=SolverConfig.cg_max_iter,
                    help="solver iteration budget (default max(200, 10*sqrt(n)))")
     p.add_argument("--rhs", choices=["interpolate", "l2_project"], default="interpolate")
     p.add_argument("--f", default="auto",
                    help="auto|ones|sign-x3|checkerboard|torus-source|csv:PATH")
 
-    p = sub.add_parser("compare-oracle", parents=[common],
+    p = sub.add_parser("compare-oracle", parents=[common, shift, cg_tol],
                        help="solver vs dense spectral reference")
     p.add_argument("--builtin", default="sphere:2")
     p.add_argument("--alpha", dest="alpha_list", default="0.01,0.5,0.99")
     p.add_argument("--m", dest="m_list", default="1,2,3,4,5,6")
-    p.add_argument("--lambda-hat", type=float, default=1.0)
-    p.add_argument("--cg-tol", type=float, default=None, help=_CG_TOL_HELP)
     p.add_argument("--rhs", choices=["interpolate", "l2_project"], default="l2_project")
     p.add_argument("--f", default="auto")
     return top

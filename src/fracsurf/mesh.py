@@ -32,6 +32,8 @@ MODE_ZERO_MEAN = "zero-mean"
 MODES = (MODE_DIRICHLET, MODE_REACTION, MODE_ZERO_MEAN)
 # the most vertices a generated torus or square may have: the sphere's at its top level, 7
 MAX_GENERATED_VERTICES = 10 * 4**7 + 2
+# a triangle is degenerate when its area is at most this fraction of the squared diameter
+DEGENERATE_AREA = 1e-14
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def _checked_boundary(vertices, triangles, mode_hint) -> tuple[np.ndarray, np.nd
     diam = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
     double_areas = _double_areas(*_triangle_sides(vertices, triangles))
     areas = 0.5 * double_areas
-    bad = np.nonzero(areas <= 1e-14 * diam * diam)[0]
+    bad = np.nonzero(areas <= DEGENERATE_AREA * diam * diam)[0]
     if bad.size:
         raise ValueError(f"degenerate triangle at index {bad[0]} (area {areas[bad[0]]:.3e})")
 
@@ -293,7 +295,7 @@ def gen_graded_square(N0: int, p: int) -> SurfaceMesh:
     axis = _graded_axis(N0, p)
     d_min = float(np.diff(axis).min())
     diam = float(np.linalg.norm((axis[-1] - axis[0], axis[-1] - axis[0], 0.0)))
-    if 0.5 * d_min * d_min <= 1e-14 * diam * diam:
+    if 0.5 * d_min * d_min <= DEGENERATE_AREA * diam * diam:
         raise ValueError(f"degenerate triangle for p={p}: the thinnest cell is {d_min:.3e} wide")
     return _tensor_square(axis)
 

@@ -3,10 +3,12 @@
 One hierarchy is built from the stiffness matrix by the method of Vanek,
 Mandel and Brezina (1996). The constant vector is the near-nullspace. A greedy
 aggregation of the strength-of-connection graph visits nodes in index order,
-so the hierarchy, and every result computed with it, is deterministic. The
-piecewise-constant tentative prolongator is smoothed by one damped-Jacobi step
-of the filtered stiffness (weak connections lumped into the diagonal), which
-keeps the coarse stencils narrow on anisotropic meshes.
+so the hierarchy, and every result computed with it, is deterministic. It
+takes two passes: every node that the first passes over has a neighbour in a
+first-pass aggregate, which the second joins. The piecewise-constant
+tentative prolongator is smoothed by one damped-Jacobi step of the filtered
+stiffness (weak connections lumped into the diagonal), which keeps the coarse
+stencils narrow on anisotropic meshes.
 
 The Galerkin coarse mass and stiffness are kept apart on every level, as two
 value arrays on one CSR pattern (the union of theirs, with the diagonal), so
@@ -37,9 +39,9 @@ from .assembly import csr_matvec_into, dot
 
 __all__ = ["Hierarchy", "PencilLevel", "ShiftedVCycle", "build_hierarchy"]
 
-# Coarsening stops at this many unknowns. OpenBLAS runs the coarse
-# eigendecomposition on one thread below about 32 unknowns; above that it wakes
-# its thread pool, which on a loaded host can stall the call for 0.1 to 0.6 s.
+# Coarsening stops at this many unknowns, so that OpenBLAS runs the coarse
+# eigendecomposition on one thread: a larger one wakes its thread pool, which
+# can stall the call (measured in the CHANGES.md entry that added this module).
 MAX_COARSE = 24
 STRENGTH_THETA = 0.08  # j is a strong neighbour of i if |s_ij| > theta * sqrt(s_ii s_jj)
 POWER_ITERS = 15  # power iterations for the spectral radius of diag(A)^-1 A
@@ -251,9 +253,11 @@ def _aggregate(G: sp.csr_matrix) -> tuple[np.ndarray, int]:
 
     Pass 1 makes an aggregate of every node whose strong neighbourhood is still
     free; pass 2 attaches each remaining node to the pass-1 aggregate of its
-    first strong neighbour that has one; pass 3 groups what is left with its
-    free neighbours. Nodes without strong neighbours are left out (-1): damped
-    Jacobi alone reduces their error, and the coarse level does not see them.
+    first strong neighbour that has one. That leaves no node with strong
+    neighbours unassigned: pass 1 passes over such a node only for a neighbour
+    that already holds a pass-1 aggregate. Nodes without strong neighbours are
+    left out (-1): damped Jacobi alone reduces their error, and the coarse
+    level does not see them.
     """
     indptr, indices = G.indptr.tolist(), G.indices.tolist()
     agg = [-1] * (len(indptr) - 1)
@@ -278,13 +282,6 @@ def _aggregate(G: sp.csr_matrix) -> tuple[np.ndarray, int]:
                 if first[j] >= 0:
                     agg[i] = first[j]
                     break
-    for i in linked:
-        if agg[i] < 0:
-            agg[i] = count
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if agg[j] < 0:
-                    agg[j] = count
-            count += 1
     return np.array(agg, dtype=np.int64), count
 
 

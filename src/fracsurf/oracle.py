@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2000
+MAX_SERIES_TERMS = 10**4  # the most terms sphere_series_solution sums
 EXACT_DIGITS = 120  # decimal digits of the power in rm_minus_power_exact
 
 
@@ -122,8 +123,8 @@ def sphere_series_solution(alpha, x3, n_terms: int = 4000):
     A sequence of alphas gives one row per alpha from one shared recurrence,
     each row with the bits of its own call.
     """
-    if not 1 <= n_terms <= 10**4:
-        raise ValueError("n_terms must be in [1, 10^4]")
+    if not 1 <= n_terms <= MAX_SERIES_TERMS:
+        raise ValueError(f"n_terms must be in [1, {MAX_SERIES_TERMS}]")
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
     x = np.asarray(x3, dtype=float)
     a = sphere_sign_coefficients(n_terms)
@@ -150,9 +151,13 @@ def torus_mean_curvature(R: float, r: float, phi1) -> np.ndarray | float:
     """
     if not 0.0 < r < R:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
-    phi1 = np.asarray(phi1, dtype=float)
-    out = (R + 2.0 * r * np.cos(phi1)) / (2.0 * r * (R + r * np.cos(phi1)))
+    out = _torus_h(R, r, np.cos(np.asarray(phi1, dtype=float)))
     return out if out.ndim else float(out)
+
+
+def _torus_h(R: float, r: float, cos_phi1):
+    """The mean curvature H as a function of cos(phi1)."""
+    return (R + 2.0 * r * cos_phi1) / (2.0 * r * (R + r * cos_phi1))
 
 
 def torus_fields(R: float, r: float, points: np.ndarray):
@@ -163,9 +168,7 @@ def torus_fields(R: float, r: float, points: np.ndarray):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(pts[:, 0], pts[:, 1])
-    cos_phi1 = (rho - R) / r
-    cos_phi1 = np.clip(cos_phi1, -1.0, 1.0)
-    H = (R + 2.0 * r * cos_phi1) / (2.0 * r * (R + r * cos_phi1))
+    H = _torus_h(R, r, np.clip((rho - R) / r, -1.0, 1.0))
     phi2 = np.arctan2(pts[:, 1], pts[:, 0])
     f = H * np.cos(phi2)
     if np.asarray(points).ndim == 1:

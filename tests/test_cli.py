@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fracsurf import cli
 from fracsurf.cli import MAX_N_LAMBDA, main
+from fracsurf.solver import SolverConfig
 from util import cg_budget, write_msh22, write_msh41
 
 
@@ -487,6 +490,52 @@ class TestSphereConvergence:
         assert main(["--from-manifest", str(manifest), "--out", str(b)]) == 0
         assert (b / "sphere_convergence.csv").read_bytes() == (
             a / "sphere_convergence.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n-terms", "0"], "n_terms must be in [1, 10000], got 0"),
+        (["--levels", "2,6"], "limited to refinement level 5"),
+    ], ids=["n_terms", "level"])
+    def test_inputs_checked_before_any_mesh(self, tmp_path, capsys, monkeypatch, args, message):
+        def no_mesh(level):
+            raise AssertionError(f"gen_sphere({level}) called before the inputs were checked")
+
+        monkeypatch.setattr(cli, "gen_sphere", no_mesh)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "sphere-convergence", *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@dataclasses.dataclass
+class _OtherDefaults(SolverConfig):
+    lambda_hat: float = 2.5
+    m: int = 5
+    cg_rel_tol: float | None = 1e-9
+    cg_max_iter: int | None = 77
+
+
+class TestSolverDefaults:
+    # which SolverConfig field each subcommand's parsed setting defaults to
+    TAKEN = {
+        "scalar-error": {"lambda_hat": "lambda_hat"},
+        "sphere-convergence": {"lambda_hat": "lambda_hat", "cg_tol": "cg_rel_tol", "m": "m"},
+        "solve": {"lambda_hat": "lambda_hat", "cg_tol": "cg_rel_tol",
+                  "cg_max_iter": "cg_max_iter", "m": "m"},
+        "compare-oracle": {"lambda_hat": "lambda_hat", "cg_tol": "cg_rel_tol"},
+    }
+
+    @pytest.mark.parametrize("altered", [False, True], ids=["stock", "altered"])
+    def test_parser_defaults_are_the_solver_configs(self, monkeypatch, altered):
+        # the parser reads every solver default from SolverConfig: with other
+        # defaults there, it parses those
+        if altered:
+            monkeypatch.setattr(cli, "SolverConfig", _OtherDefaults)
+        defaults = cli.SolverConfig()
+        parser = cli._build_parser()
+        for subcommand, fields in self.TAKEN.items():
+            parsed = vars(parser.parse_args([subcommand]))
+            for key, field in fields.items():
+                assert parsed[key] == getattr(defaults, field), (subcommand, key)
 
 
 class TestDeterminismAndManifest:

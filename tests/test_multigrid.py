@@ -160,7 +160,10 @@ class TestVCycle:
 
 
 def _reference_aggregate(G):
-    """The three greedy passes of `multigrid._aggregate`, as one plain loop each."""
+    """Three greedy passes, one plain loop each; `multigrid._aggregate` runs the first two.
+
+    Returns the aggregates, their count and the nodes that pass 3 assigned.
+    """
     indptr, indices = G.indptr.tolist(), G.indices.tolist()
     n = len(indptr) - 1
     agg = [-1] * n
@@ -179,6 +182,7 @@ def _reference_aggregate(G):
                 if first[j] >= 0:
                     agg[i] = first[j]
                     break
+    second = agg[:]
     for i in range(n):
         nbrs = indices[indptr[i]:indptr[i + 1]]
         if nbrs and agg[i] < 0:
@@ -187,7 +191,8 @@ def _reference_aggregate(G):
                 if agg[j] < 0:
                     agg[j] = count
             count += 1
-    return np.array(agg, dtype=np.int64), count
+    third = sum(a != b for a, b in zip(agg, second))
+    return np.array(agg, dtype=np.int64), count, third
 
 
 class TestAggregation:
@@ -213,7 +218,8 @@ class TestAggregation:
         isolated = 0
         for G in graphs:
             agg, count = real(G)
-            ref_agg, ref_count = _reference_aggregate(G)
+            ref_agg, ref_count, third = _reference_aggregate(G)
+            assert third == 0  # pass 3, which _aggregate lacks, assigns no node
             assert count == ref_count and agg.dtype == ref_agg.dtype
             np.testing.assert_array_equal(agg, ref_agg)
             isolated += int(np.sum(np.diff(G.indptr) == 0))

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from fracsurf import assembly, solver
@@ -260,6 +261,35 @@ class TestPcgWork:
             assert rel > 1e-14
         assert work[1].tobytes() == (b - A @ x).tobytes()
 
+    def test_failed_true_residual_check_leaves_the_relative_test(self, monkeypatch):
+        # the weighted test passes on the recurrence's residual, but the true
+        # residual, perturbed here by -b in the confirming product A x, fails
+        # it: the weighted test is then dropped, and the solve runs on to the
+        # relative test with the iterates of an unweighted call
+        vcycle, b, weight, tol = _vcycle_system(3)
+        A, rel_tol = vcycle.matrix, 1e-12
+        unweighted = pcg(A, b, rel_tol=rel_tol, precond=vcycle)
+        assert pcg(A, b, rel_tol=rel_tol, precond=vcycle, weight=weight,
+                   weighted_tol=tol)[1] < unweighted[1]  # unperturbed, the weighted test stops it
+        work = [np.full(len(b), np.nan) for _ in range(5)]
+        real, x_products = solver.csr_matvec_into, []
+
+        def perturbed(A_, v, out):
+            real(A_, v, out)
+            if v is work[0]:  # a product with x: the check, then the relative exit's
+                x_products.append(v)
+                if len(x_products) == 1:
+                    out -= b
+            return out
+
+        monkeypatch.setattr(solver, "csr_matvec_into", perturbed)
+        x, iters, rel = pcg(A, b, rel_tol=rel_tol, precond=vcycle, weight=weight,
+                            weighted_tol=tol, work=work)
+        assert len(x_products) == 2 and rel <= rel_tol
+        assert iters == unweighted[1] and rel == unweighted[2]
+        assert x.tobytes() == unweighted[0].tobytes()
+        assert work[1].tobytes() == (b - A @ x).tobytes()
+
     @pytest.mark.parametrize("count", [4, 6])
     def test_work_of_another_length_rejected(self, count):
         A = sp.csr_matrix([[4.0]])
@@ -321,7 +351,8 @@ def _probe_case(name):
     else:
         mesh, mode, b = gen_graded_square(12, 4), "dirichlet", 0.0
     op = assemble(mesh, coefficient_field(mesh, a=1.0, b=b), mode)
-    eigenvalues = dense_decompose(op).eigenvalues
+    eigenvalues = scipy.linalg.eigh(op.stiffness.toarray(), op.mass.toarray(),
+                                    eigvals_only=True, subset_by_index=[0, 1])
     return op, eigenvalues[1] if mode == "zero-mean" else eigenvalues[0]
 
 
@@ -330,6 +361,24 @@ class TestLambdaHatProbe:
     def test_ritz_value_brackets_minimum(self, name):
         op, lam1 = _probe_case(name)
         theta = suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)
+        assert lam1 <= theta <= lam1 * (1.0 + 1e-4)
+
+    def test_restart_on_two_vectors_keeps_the_bracket(self, monkeypatch):
+        # a 3x3 Gram matrix of M that is not positive definite restarts the
+        # step on span{x, w}; here the first Rayleigh-Ritz step on three
+        # vectors raises as eigh does then
+        op, lam1 = _probe_case("sphere2")
+        real, raised = solver._ritz_pair, []
+
+        def failing_once(basis):
+            if len(basis) == 3 and not raised:
+                raised.append(len(basis))
+                raise np.linalg.LinAlgError("the Gram matrix of M is not positive definite")
+            return real(basis)
+
+        monkeypatch.setattr(solver, "_ritz_pair", failing_once)
+        theta = suggest_lambda_hat(op, build_hierarchy(op.mass, op.stiffness), 1.0)
+        assert raised == [3]
         assert lam1 <= theta <= lam1 * (1.0 + 1e-4)
 
     def test_bad_shift_rejected(self, sphere2_op, sphere2_sign_rhs):
