@@ -20,8 +20,8 @@ transient memory of a call is about 4.7 times what it returns. Each edge
 value is written to its upper and its lower slot from one array, so both
 matrices are symmetric, in pattern and values, by construction; every row
 holds its diagonal, since a vertex in no triangle is rejected. The triangle
-areas are those the mesh's validation computed (`SurfaceMesh.double_areas`),
-not computed again.
+areas are the mesh's `SurfaceMesh.double_areas`, computed once per mesh (by
+its validation, or on first use for a sphere), not computed again.
 """
 
 from __future__ import annotations

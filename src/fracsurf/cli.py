@@ -28,6 +28,7 @@ from .mesh import (
     MODE_REACTION,
     MODE_ZERO_MEAN,
     SurfaceMesh,
+    _format_floats,
     _write_rows,
     gen_graded_square,
     gen_sphere,
@@ -67,6 +68,17 @@ def _write_csv(path: str, header: list[str], table) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, ",".join(["%.17g"] * len(header)) + "\n", table)
+
+
+def _write_solution(path: str, vertices: np.ndarray, u: np.ndarray) -> None:
+    """Write each vertex's index, coordinates and value, the numbers to 17 significant digits.
+
+    The coordinates take their strings from `_format_floats`, which formats
+    each distinct value once; the bytes are those of `_write_csv`.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write("vertex,x,y,z,u\n")
+        _write_rows(fh, "%d,%s,%s,%s,%.17g\n", np.arange(len(u)), _format_floats(vertices), u)
 
 
 def _load_builtin(spec: str) -> SurfaceMesh:
@@ -304,8 +316,11 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
     op, f_h = _problem(config, mesh, config["builtin"], setup)
     config["setup_seconds"] = setup
     cfg = _solver_config(config, config["m"])
+    output = config["output_seconds"] = {}  # the seconds spent writing each file
     off_path = os.path.join(out_dir, "mesh.off")
+    t0 = time.perf_counter()
     write_off(mesh, off_path)  # geometry once; solution CSVs key vertices by index
+    output["mesh.off"] = time.perf_counter() - t0
     paths = [off_path]
     run_stats = []
     for alpha in config["alpha_list"]:
@@ -315,8 +330,9 @@ def run_solve(config: dict, out_dir: str) -> tuple[list[str], dict]:
         full = op.expand(result.solution)
         steps = [result.solve_log[k:k + cfg.m] for k in range(0, result.total_solves, cfg.m)]
         path = os.path.join(out_dir, f"solution_a{alpha:g}.csv")
-        table = np.column_stack([np.arange(mesh.num_vertices), mesh.vertices, full])
-        _write_csv(path, ["vertex", "x", "y", "z", "u"], table)
+        t0 = time.perf_counter()
+        _write_solution(path, mesh.vertices, full)
+        output[os.path.basename(path)] = time.perf_counter() - t0
         paths.append(path)
         run_stats.append(
             {
@@ -449,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _LIST_KINDS = {"alpha_list": float, "m_list": int, "levels": int}
 _NOT_CONFIG = ("subcommand", "from_manifest", "out", "verbose")
-_WRITTEN_KEYS = {"runs", "L_plus_1", "f_resolved", "setup_seconds"}  # keys a runner adds
+_REGENERATED = ("runs", "L_plus_1", "setup_seconds", "output_seconds")  # dropped on replay
+_WRITTEN_KEYS = {*_REGENERATED, "f_resolved"}  # keys a runner adds
 
 
 def _config_from_args(args) -> dict:
@@ -533,7 +550,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown subcommand {subcommand!r}")
             config = manifest["config"]
             _check_replayed(subcommand, config)
-            for key in ("runs", "L_plus_1", "setup_seconds"):  # regenerated on replay
+            for key in _REGENERATED:
                 config.pop(key, None)
         else:
             subcommand = args.subcommand

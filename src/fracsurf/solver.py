@@ -465,11 +465,12 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     if not np.all(np.isfinite(f_h)):
         raise ValueError("f_h has non-finite entries")
     lh = cfg.lambda_hat
+    f_norm = op.m_norm(f_h)
 
     if op.mode == MODE_ZERO_MEAN:
         m_ones, total = constant_mode(op)
         drift = abs(dot(m_ones, f_h))
-        scale = op.m_norm(f_h) * math.sqrt(total)
+        scale = f_norm * math.sqrt(total)
         if scale > 0 and drift > 1e-10 * scale:
             raise ValueError(
                 "zero-mean mode requires a deflated right-hand side "
@@ -503,7 +504,6 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     if lh > theta * (1.0 + PROBE_ROUNDING):
         raise ValueError(f"lambda_hat={lh} exceeds the Ritz estimate {theta:.6g} of the "
                          "smallest eigenvalue; choose lambda_hat <= lambda_min")
-    f_norm = op.m_norm(f_h)
     bound = apriori_bound(cfg.m, alpha, lh, lam_max, f_norm)
     scheme_error = certified_scheme_error(cfg.m, alpha, lh, lam_max) * f_norm
     budget = max(CG_BUDGET_FRACTION * bound, (1.0 + CG_BUDGET_FRACTION) * bound - scheme_error)
