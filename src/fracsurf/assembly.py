@@ -20,8 +20,9 @@ transient memory of a call is about 4.7 times what it returns. Each edge
 value is written to its upper and its lower slot from one array, so both
 matrices are symmetric, in pattern and values, by construction; every row
 holds its diagonal, since a vertex in no triangle is rejected. The triangle
-areas are the mesh's `SurfaceMesh.double_areas`, computed once per mesh (by
-its validation, or on first use for a sphere), not computed again.
+areas are the mesh's `SurfaceMesh.double_areas`, computed once per mesh: by
+its validation, or, for a sphere or a mesh built directly, from the triangle
+sides that `assemble` forms anyway, so the sides too are formed once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .mesh import (
     MODE_REACTION,
     MODE_ZERO_MEAN,
     SurfaceMesh,
+    _double_areas_from_sides,
     _triangle_sides,
 )
 
@@ -186,7 +188,7 @@ def assemble(mesh: SurfaceMesh, coeffs: CoefficientField, mode: str) -> Assemble
     tris = mesh.triangles
     n = mesh.num_vertices
     u, v = _triangle_sides(mesh.vertices, tris)
-    double_area = mesh.double_areas
+    double_area = _double_areas_from_sides(mesh, u, v)
     edges = (v - u, -v, u)  # edges[k] lies opposite vertex k
     area = 0.5 * double_area
     a = coeffs.a
@@ -368,8 +370,9 @@ def build_rhs(mesh: SurfaceMesh, f, op: AssembledOperator, method: str = "l2_pro
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"row {k} has mass diagonal {diag[k]:.6g}; it must be positive")
+        work = [np.zeros_like(b)] + [np.empty_like(b) for _ in range(4)]  # from zero
         fh, _, _ = pcg(op.mass, b, rel_tol=1e-14,
-                       precond=lambda r, out: np.divide(r, diag, out=out))
+                       precond=lambda r, out: np.divide(r, diag, out=out), work=work)
     else:
         raise ValueError(f"unknown rhs method {method!r}")
     if op.mode == MODE_ZERO_MEAN:

@@ -59,12 +59,11 @@ class SurfaceMesh:
 
         A validated mesh (read, or generated other than a sphere) holds the
         values its validation computed; a sphere, and a mesh built directly,
-        compute them on first use. They are not fields,
-        so `dataclasses.replace` does not carry them over.
+        compute them on first use, or from the sides that `assemble` forms
+        (`_double_areas_from_sides`). They are not fields, so
+        `dataclasses.replace` does not carry them over.
         """
-        double_areas = _double_areas(*_triangle_sides(self.vertices, self.triangles))
-        double_areas.setflags(write=False)
-        return double_areas
+        return _double_areas_from_sides(self, *_triangle_sides(self.vertices, self.triangles))
 
     def triangle_areas(self) -> np.ndarray:
         return 0.5 * self.double_areas
@@ -83,6 +82,19 @@ def _double_areas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     c1 = u[2] * v[0] - u[0] * v[2]
     c2 = u[0] * v[1] - u[1] * v[0]
     return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+
+
+def _double_areas_from_sides(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`mesh.double_areas`, formed from the sides (u, v) of its triangles if none are cached.
+
+    (u, v) are `_triangle_sides` of the mesh; the values formed are cached
+    read-only, so the sides of a mesh are formed once when its caller holds them.
+    """
+    if "double_areas" not in mesh.__dict__:
+        double_areas = _double_areas(u, v)
+        double_areas.setflags(write=False)
+        mesh.__dict__["double_areas"] = double_areas
+    return mesh.__dict__["double_areas"]
 
 
 def _edge_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:

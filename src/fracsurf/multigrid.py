@@ -20,8 +20,9 @@ factorises anything.
 
 The hierarchy is read-only. A `ShiftedVCycle` is the mutable part: a
 workspace that holds every level's matrix, smoother and vectors, shifted in
-place, and that each solving call builds once and owns. Its products write
-into its own vectors through `assembly.csr_matvec_into`, which calls scipy's
+place, and that each solving call builds once and owns. A cycle writes its
+result into a vector the caller passes, and its products write into the
+workspace's own vectors through `assembly.csr_matvec_into`, which calls scipy's
 internal compiled kernel `scipy.sparse._sparsetools.csr_matvec` (verified on
 scipy 1.17.1), the kernel and summation order of `A @ x`.
 """
@@ -91,7 +92,9 @@ class ShiftedVCycle:
 
     The workspace holds, per level, one CSR matrix on the level's pattern,
     the Jacobi smoother and the cycle's vectors, all allocated here once;
-    only `shift` writes them, in place, and `matrix` is the fine A. Each call
+    only `shift` writes them, in place, and `matrix` is the fine A. A cycle
+    allocates nothing: it writes its result into the caller's `out`, never
+    into a workspace vector, so a result stays the caller's. Each call
     that solves owns its workspace (`fractional_apply` and
     `suggest_lambda_hat` build one per call), so the hierarchy stays
     read-only and may be shared between threads, but one workspace may not.
@@ -130,9 +133,9 @@ class ShiftedVCycle:
             np.divide(w, smoother, out=smoother)
         self._coarse_scale = 1.0 / (c1 + c2 * h.coarse_values)
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The cycle applied to r, written into `out` (not r itself) or a fresh array."""
-        return self._cycle(0, r, np.empty_like(r) if out is None else out)
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The cycle applied to r, written into the caller's `out` (not r itself)."""
+        return self._cycle(0, r, out)
 
     def _cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
         h = self._h

@@ -260,35 +260,39 @@ def pade_extended(m: int, alpha: float) -> PadeApproximant:
 def rm_minus_power_exact(m: int, alpha, t) -> Decimal:
     """r_m(t) - (1+t)^(-alpha) in high-precision arithmetic.
 
-    The rational value is exact (closed-form coefficients over the rationals);
-    the power is evaluated with EXACT_DIGITS decimal digits. Resolves gaps far
-    below double precision, which the double path cannot distinguish from
-    rounding noise.
+    The rational value is exact: the closed-form coefficients, brought to one
+    denominator once per (m, alpha), are evaluated by Horner's rule in
+    integers, and their quotient is rounded once to EXACT_DIGITS decimal
+    digits, as is the power. Resolves gaps far below double precision, which
+    the double path cannot distinguish from rounding noise.
     """
     al = alpha if isinstance(alpha, Fraction) else Fraction(float(alpha))
     tf = t if isinstance(t, Fraction) else Fraction(float(t))
     if tf < 0 or tf > 1:
         raise ValueError("exact gap evaluation restricted to t in [0, 1]")
-    P, Q = _cached_pq(m, al)
-    tp = Fraction(1)
-    pv = Fraction(0)
-    qv = Fraction(0)
-    for j in range(m + 1):
-        pv += P[j] * tp
-        qv += Q[j] * tp
-        tp *= tf
-    rm = Fraction(pv, qv)
+    P, Q = _integer_pq(m, al)
+    # P(t)/Q(t) at t = a/b is sum_j P_j a^j b^(m-j) over the same sum of Q_j,
+    # by Horner's rule in integers
+    a, b = tf.numerator, tf.denominator
+    pv, qv, bp = P[m], Q[m], 1
+    for j in range(m - 1, -1, -1):
+        bp *= b
+        pv = pv * a + P[j] * bp
+        qv = qv * a + Q[j] * bp
     ctx = getcontext().copy()
     ctx.prec = EXACT_DIGITS
-    rm_dec = ctx.divide(Decimal(rm.numerator), Decimal(rm.denominator))
+    # correctly rounded, so the unreduced pv/qv give the Decimal of the reduced quotient
+    rm_dec = ctx.divide(Decimal(pv), Decimal(qv))
     power = _decimal_power(al, tf)
     return ctx.subtract(rm_dec, power)
 
 
 @lru_cache(maxsize=512)
-def _cached_pq(m: int, al: Fraction):
+def _integer_pq(m: int, al: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coefficients of P and Q brought to one denominator, as integers."""
     P, Q = explicit_pq_coefficients(m, al)
-    return tuple(P), tuple(Q)
+    den = math.lcm(*(c.denominator for c in P + Q))
+    return tuple(int(c * den) for c in P), tuple(int(c * den) for c in Q)
 
 
 @lru_cache(maxsize=4096)

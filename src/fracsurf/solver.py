@@ -24,7 +24,8 @@ since B_l = lh*M + t_l*(S - lh*M). It forms the sum over the terms and
 subtracts it from U in place, in buffers of the call, so a step allocates no
 vector of length n.
 
-Every term of the first step is solved from zero. At every later step, term
+Every term of the first step is solved from zero, which the call writes in
+pcg's x, as pcg starts from whatever its x holds. At every later step, term
 i starts from the A-Galerkin projection of its correction onto the span Y of
 all m corrections of the previous step, not only its own (after Fischer's
 projection for successive right-hand sides, Comput. Methods Appl. Mech.
@@ -200,8 +201,8 @@ def _check_positive_real(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_tol=0.0,
-        ref_norm=None, x0=None, work=None):
+def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, work, weight=None, weighted_tol=0.0,
+        ref_norm=None):
     """Preconditioned conjugate gradients for a CSR matrix A, SPD.
 
     `precond(r, out)`, which every caller passes, writes the preconditioned
@@ -209,12 +210,14 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     definite: the scheme's solves pass a V-cycle, a workspace that the
     calling `fractional_apply` owns, and `build_rhs`'s mass solve a Jacobi
     step.
-    The iteration starts from `x0`, zero by default, with r = b - A x0 (one
-    matvec; an x0 of another shape than b's raises ValueError), returns x0
-    after 0 iterations if that r is zero, and stops once
-    ||r|| / ref_norm <= rel_tol for the residual r (not the preconditioned
-    one), where `ref_norm` defaults to ||b||, or to the start's ||r|| when
-    b = 0; a `ref_norm` that is not positive and finite raises ValueError.
+    `work` is five vectors of b's length that pcg writes in place: x, r, z, p
+    and A p; a `work` of another length raises ValueError. The iteration
+    starts from whatever x, work[0], holds, with r = b - A x (one matvec; a
+    zero x gives r = b bit for bit, as A 0 is +0), returns x after 0
+    iterations if that r is zero, and stops once ||r|| / ref_norm <= rel_tol
+    for the residual r (not the preconditioned one), where `ref_norm`
+    defaults to ||b||, or to the start's ||r|| when b = 0; a `ref_norm` that
+    is not positive and finite raises ValueError.
     It raises RuntimeError with its targets (`weighted_tol` too when
     `weight` is given) and the last five residuals after `max_iter`
     iterations (default: `SolverConfig.max_iter`). With `weight`, a positive
@@ -229,36 +232,24 @@ def pcg(A, b, rel_tol=1e-12, max_iter=None, *, precond, weight=None, weighted_to
     `scipy.sparse._sparsetools.csr_matvec`, the one `A @ p` runs (verified on
     scipy 1.17.1), so the iterates have the bits of `A @ p`.
 
-    `work`, when given, is five vectors of b's length that pcg writes in
-    place of allocating its own: x, r, z, p and A p; a `work` of another
-    length raises ValueError. z, the preconditioned residual, is free from the
-    start of an iteration until the preconditioner writes it, so it also
-    holds the step alpha*p and the weighted tests' w*r. The call then
-    allocates no vector of b's length, and returns work[0] as x, which the
-    next call with the same `work` overwrites. The result has the same bits
-    either way. On every return work[1], r, holds the true residual b - A x
-    of the returned x. Of `work`, pcg reads only x0 before writing, which may
-    be work[0] itself, so a caller may form its start there with the other
-    four as scratch.
+    z, the preconditioned residual, is free from the start of an iteration
+    until the preconditioner writes it, so it also holds the step alpha*p and
+    the weighted tests' w*r. The call allocates no vector of b's length and
+    returns work[0] as x, so a later call with the same `work` starts from
+    this call's x unless the caller writes another start there. On every
+    return work[1], r, holds the true residual b - A x of the returned x. Of
+    `work`, pcg reads only x before writing, so a caller may form its start
+    there with the other four as scratch.
     Returns (x, iterations, final relative residual).
     """
     if ref_norm is not None:
         _check_positive_real("ref_norm", ref_norm)
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
-    if work is None:
-        work = [np.empty_like(b) for _ in range(5)]
     if len(work) != 5:
         raise ValueError(f"work holds {len(work)} vectors; pcg takes five: x, r, z, p and A p")
     x, r, z, p, Ap = work
-    if x0 is None:
-        x.fill(0.0)
-        np.copyto(r, b)
-    else:
-        if np.shape(x0) != np.shape(b):
-            raise ValueError(f"x0 has shape {np.shape(x0)}, expected b's {np.shape(b)}")
-        np.copyto(x, x0)
-        np.subtract(b, csr_matvec_into(A, x, Ap), out=r)
+    np.subtract(b, csr_matvec_into(A, x, Ap), out=r)
     norm_r = math.sqrt(dot(r, r))
     if norm_r == 0.0:
         return x, 0, 0.0
@@ -359,12 +350,12 @@ def suggest_lambda_hat(op: AssembledOperator, hierarchy: Hierarchy, lambda_hat: 
     x = unit((x, S @ x, M @ x))
     theta = dot(x[0], x[1])
     tol = PROBE_TOL * lambda_hat * math.sqrt(float(np.mean(M.diagonal())))
-    p = None
+    p, cycled = None, np.empty(op.n)  # the cycle's output, read before the next one
     for _ in range(PROBE_MAX_ITER):
         r = residual(x[1] - theta * x[2])
         if math.sqrt(dot(r, r)) <= tol:
             break
-        w = constrained(vcycle(r))
+        w = constrained(vcycle(r, cycled))
         w -= dot(x[2], w) * x[0]
         basis = [x, unit((w, S @ w, M @ w))]
         if p is not None and dot(p[0], p[2]) > 0.0:
@@ -449,8 +440,9 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
     steps l >= 1, term i forms its own start, the A_li-Galerkin projection
     onto the span of all m corrections of step l-1 and, from step 2 on, the
     last term's correction of step l-2, kept by rotating that term's
-    vectors; it passes the start to `pcg` as x0, and the terms of a step run
-    concurrently from TERM_THREADS_MIN_N unknowns on (module docstring).
+    vectors; it forms the start in pcg's x, where pcg starts from it (a zero
+    x at step 0), and the terms of a step run concurrently from
+    TERM_THREADS_MIN_N unknowns on (module docstring).
     Zero-mean runs re-deflate after every step to stop constant-mode drift
     from being amplified by lh^(-alpha).
     The solves stop at `cfg.cg_rel_tol` when it is set, and by the error
@@ -534,18 +526,18 @@ def fractional_apply(op: AssembledOperator, f_h: np.ndarray, alpha: float,
             vcycles[i].shift((1.0 - s) * lh, s)
         A, work = vcycles[i].matrix, works[i]
         b = np.multiply(g, s - t_l, out=rhs[i])
-        x0 = None
         if l:  # the start sum_j c_j y_j on the first k of basis, in pcg's x with its r as scratch
             k = len(y_g)
             gram = (1.0 - s) * lh * gram_m[:k, :k] + s * gram_s[:k, :k]
             c = _galerkin_coefficients(gram, (s - t_l) * y_g)
-            x0 = np.multiply(basis[0], c[0], out=work[0])
+            start = np.multiply(basis[0], c[0], out=work[0])
             for c_j, y in zip(c[1:], basis[1:k]):
-                x0 += np.multiply(y, c_j, out=work[1])
+                start += np.multiply(y, c_j, out=work[1])
+        else:
+            work[0].fill(0.0)
         try:
             x, iters, rel = pcg(A, b, rel_tol=rel_tol, max_iter=n_iter_cap, precond=vcycles[i],
-                                weight=weight, weighted_tol=share, ref_norm=ref_norm, x0=x0,
-                                work=work)
+                                work=work, weight=weight, weighted_tol=share, ref_norm=ref_norm)
         except RuntimeError as exc:
             budget = "" if weight is None else ("; the weighted target is this solve's "
                                                 "share of the error budget")

@@ -57,7 +57,7 @@ def test_criterion_01_pade_bound_sharpness():
     The double-precision values in the sub-noise region are additionally
     checked to sit within measurement noise of the bound.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     ts = np.linspace(0.0, 1.0, 1001)
     alphas = [round(0.1 * k, 1) for k in range(1, 10)]
     floor = 1e-12
@@ -93,7 +93,7 @@ def test_criterion_01_pade_bound_sharpness():
             ratio = pade_error_bound(m, alpha, 1.0) / gap
             assert 0.0 < ratio <= 50.0, (m, alpha, ratio)
             worst_ratio = max(worst_ratio, ratio)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
     _report(1, f"gap in (0, 1.5*bound], t=1 ratio <= {worst_ratio:.1f} (<= 50), "
                f"{exact_checked} sub-noise points exactly verified, {elapsed:.2f}s")
@@ -101,7 +101,7 @@ def test_criterion_01_pade_bound_sharpness():
 
 def test_criterion_02_taylor_matching():
     """Series of r_m matches the binomial series through order 2m (m <= 8)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for m in range(1, 9):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             p = build_pade(m, alpha)
@@ -113,7 +113,7 @@ def test_criterion_02_taylor_matching():
             c = _binomial(alpha, 2 * m + 1)
             rel = np.abs(series - c) / np.abs(c)
             assert rel.max() <= 1e-9, (m, alpha, rel.max())
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(2, f"coefficients match through 2m at 1e-9 relative, {elapsed:.2f}s")
 
@@ -138,7 +138,7 @@ def _series_divide(num, den, count):
 
 def test_criterion_03_interlacing_and_positivity():
     """Exact root interlacing and weight positivity for m <= 32."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for m in range(1, 33):
         for alpha in np.arange(0.05, 0.951, 0.05):
             p = build_pade(m, float(alpha))  # build_pade validates both
@@ -148,14 +148,14 @@ def test_criterion_03_interlacing_and_positivity():
             assert merged[0] > 0.0 and merged[-1] < 1.0
             assert np.all(np.diff(merged) > 0.0)
             assert np.all(p.beta > 0.0)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(3, f"interlacing and beta > 0 hold for m <= 32, {elapsed:.2f}s")
 
 
 def test_criterion_04_scalar_accuracy():
     """Relative transfer-function error <= 1e-12 at m = 10 over 50 octaves."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = build_time_grid(1.0, 2.0**50)
     lams = np.logspace(np.log10(2.0), 50.0 * np.log10(2.0), 200)
     worst = 0.0
@@ -164,7 +164,7 @@ def test_criterion_04_scalar_accuracy():
         rel = np.abs(scalar_mu(p, grid, lams) - lams ** (-alpha)) * lams**alpha
         assert rel.max() <= 1e-12, (alpha, rel.max())
         worst = max(worst, rel.max())
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(4, f"max relative error {worst:.2e} <= 1e-12, {elapsed:.2f}s")
 
@@ -177,7 +177,7 @@ def test_criterion_05_solve_count_bound():
     is amplified by the 50 product steps to ~1e-13), so those are measured
     with the refined extended-precision evaluation from the oracle module.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = build_time_grid(1.0, 2.0**50)
     lams = np.logspace(0.0, 50.0 * np.log10(2.0), 200)
     lams_ext = lams.astype(np.longdouble)
@@ -193,7 +193,7 @@ def test_criterion_05_solve_count_bound():
                 err = float(np.abs(mu - lams_ext ** np.longdouble(-alpha)).max())
             assert err <= limit, (m, alpha, err, limit)
             worst = max(worst, err / limit)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(5, f"worst error/bound fraction {worst:.3f} (<= 1), {elapsed:.2f}s")
 
@@ -226,9 +226,9 @@ def _criterion6_body(instances, alphas, label):
 
 def test_criterion_06_oracle_equivalence(instances):
     """Solver vs dense spectral oracle: bound with 1.5 safety, 4-6 bits per order."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst, slopes = _criterion6_body(instances, ALPHAS_6, "criterion 6")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report(6, f"worst error/bound fraction {worst:.3f}, slopes "
                f"[{min(slopes):.2f}, {max(slopes):.2f}] bits/order, {elapsed:.1f}s")
@@ -236,7 +236,7 @@ def test_criterion_06_oracle_equivalence(instances):
 
 def test_criterion_07_sphere_convergence_rates(tmp_path):
     """Observed L2 rates on nested spheres within 0.2 of min(0.5 + 2a, 2), by the CLI's study."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     assert cli_main(["--out", str(tmp_path), "sphere-convergence", "--levels", "2,3,4,5",
                      "--alpha", "0.01,0.3,0.5,0.7,0.99", "--m", "3", "--lambda-hat", "1",
                      "--n-terms", "4000", "--cg-tol", "1e-12"]) == 0
@@ -250,14 +250,14 @@ def test_criterion_07_sphere_convergence_rates(tmp_path):
     finest = level == 5
     summary = [f"a={a:g}: {r:.2f}/{t:.2f}"
                for a, r, t in zip(alpha[finest], rate[finest], theory[finest])]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     _report(7, "rates within 0.2 of theory (" + ", ".join(summary) + f"), {elapsed:.0f}s")
 
 
 def test_criterion_08_sphere_spectrum():
     """Smallest nonzero pencil eigenvalue on the level-3 sphere within 3% of 2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     mesh = gen_sphere(3)
     op = assemble(mesh, coefficient_field(mesh), "zero-mean")
     lam = scipy.linalg.eigh(
@@ -265,7 +265,7 @@ def test_criterion_08_sphere_spectrum():
     )
     assert abs(lam[0]) <= 1e-8
     assert abs(lam[1] - 2.0) / 2.0 <= 0.03, lam[1]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 20.0
     _report(8, f"lambda_1 = {lam[1]:.4f}, off by {abs(lam[1] - 2) / 2:.2%} (<= 3%), "
                f"{elapsed:.1f}s")
@@ -273,7 +273,7 @@ def test_criterion_08_sphere_spectrum():
 
 def test_criterion_09_step_stability(instances):
     """Every per-step dense iteration matrix has spectrum inside (0, 1)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     op, _, dec = instances["square"]
     lam_hat = 0.95 * dec.eigenvalues[0]
     lam_max = 1.1 * dec.eigenvalues[-1]
@@ -300,16 +300,16 @@ def test_criterion_09_step_stability(instances):
             assert eigs.real.max() <= 1.0 - margin, (alpha, m, l, eigs.real.max())
             lo = min(lo, eigs.real.min())
             hi = max(hi, eigs.real.max())
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report(9, f"step spectra within [{lo:.3f}, {1 - hi:.2e} below 1], {elapsed:.1f}s")
 
 
 def test_criterion_10_alpha_robustness(instances):
     """Criterion 6 unchanged at alpha = 0.001 and 0.999."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst, slopes = _criterion6_body(instances, (0.001, 0.999), "criterion 10")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(10, f"endpoint alphas: worst error/bound fraction {worst:.3f}, slopes "
                 f"[{min(slopes):.2f}, {max(slopes):.2f}], {elapsed:.1f}s")
@@ -317,7 +317,7 @@ def test_criterion_10_alpha_robustness(instances):
 
 def test_extra_graded_square_end_to_end(tmp_path):
     """Desk-scale checkerboard run completes; L+1 matches the step-count formula."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = tmp_path / "o"
     code = cli_main(
         ["--out", str(out), "solve", "--builtin", "square:25,12", "--alpha", "0.5",
@@ -332,7 +332,7 @@ def test_extra_graded_square_end_to_end(tmp_path):
     expected = math.ceil(math.log2(run["lambda_max_used"] / 4.0))
     assert run["L_plus_1"] == expected
     assert run["total_solves"] == 3 * expected
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report("2d-Rec", f"N0=25, p=12 end-to-end, L+1 = {run['L_plus_1']} matches "
                       f"ceil(log2(Lambda/4)) for measured Lambda = "
                       f"{run['lambda_max_used']:.3e}, {elapsed:.0f}s")

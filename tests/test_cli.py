@@ -760,6 +760,23 @@ class TestDeterminismAndManifest:
         for name in output:
             assert (replay / name).read_bytes() == (out / name).read_bytes()
 
+    # the most of timing_seconds that no recorded part may leave uncovered:
+    # the solver settings, the run records and the mesh statistics (README);
+    # measured at 0.1 to 0.4 ms on sphere:2, sphere:3 and square:4,2 on a
+    # 2-core host, also with three busy processes running
+    UNACCOUNTED_SLACK = 0.05
+
+    def test_manifest_parts_account_for_its_wall_time(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "solve", "--builtin", "sphere:2",
+                     "--alpha", "0.3,0.7"]) == 0
+        manifest = json.loads((out / "manifest_solve.json").read_text())
+        config = manifest["config"]
+        parts = (sum(config["setup_seconds"].values()) + sum(config["output_seconds"].values())
+                 + sum(run["seconds"] for run in config["runs"]))
+        rest = manifest["timing_seconds"] - parts
+        assert 0.0 <= rest <= self.UNACCOUNTED_SLACK, (manifest["timing_seconds"], parts)
+
     def test_manifest_without_mesh_exits_2(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["--out", str(a), "solve", "--builtin", "sphere:1", "--m", "1"]) == 0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracsurf import assembly
 from fracsurf import mesh as mesh_module
 from fracsurf.assembly import assemble, build_rhs, coefficient_field
 from fracsurf.mesh import (
@@ -439,6 +440,31 @@ class TestDoubleAreas:
         direct = double_areas(*mesh_module._triangle_sides(mesh.vertices, mesh.triangles))
         assert mesh.double_areas.tobytes() == direct.tobytes()
         assert not mesh.double_areas.flags.writeable
+
+    def test_sphere_forms_its_triangle_sides_once(self, monkeypatch):
+        # gen_sphere, assemble and build_rhs form the sides once, in assemble,
+        # which forms the areas from them; M, S and the areas have the bits
+        # of a sphere whose areas were read before it was assembled
+        reference = gen_sphere(3)
+        areas = reference.double_areas
+        ref_op = assemble(reference, coefficient_field(reference), "zero-mean")
+        calls, triangle_sides = [], mesh_module._triangle_sides
+
+        def counting(vertices, triangles):
+            calls.append(len(triangles))
+            return triangle_sides(vertices, triangles)
+
+        monkeypatch.setattr(mesh_module, "_triangle_sides", counting)
+        monkeypatch.setattr(assembly, "_triangle_sides", counting)
+        mesh = gen_sphere(3)
+        op = assemble(mesh, coefficient_field(mesh), "zero-mean")
+        build_rhs(mesh, lambda x: x[:, 2], op, method="l2_project")
+        assert calls == [mesh.num_triangles]
+        assert mesh.double_areas.tobytes() == areas.tobytes()
+        assert not mesh.double_areas.flags.writeable
+        for A, B in ((op.mass, ref_op.mass), (op.stiffness, ref_op.stiffness)):
+            assert A.data.tobytes() == B.data.tobytes()
+            assert np.array_equal(A.indices, B.indices) and np.array_equal(A.indptr, B.indptr)
 
     def test_direct_mesh_computes_once_and_replace_recomputes(self):
         v, t = two_triangle_patch()

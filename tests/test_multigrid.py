@@ -88,6 +88,11 @@ class ReferenceVCycle:
         return x
 
 
+def _cycled(vcycle, r):
+    """The cycle applied to r, written into a fresh array."""
+    return vcycle(r, np.empty_like(r))
+
+
 def _reference_matvec_into(A, x, out):
     out[:] = A @ x
     return out
@@ -107,11 +112,12 @@ class TestVCycle:
             vcycle = ShiftedVCycle(h, c1, c2)
             for _ in range(3):
                 u, v = rng.standard_normal(op.n), rng.standard_normal(op.n)
-                uu, vv = u @ vcycle(u), v @ vcycle(v)
+                uu, vv = u @ _cycled(vcycle, u), v @ _cycled(vcycle, v)
                 assert uu > 0.0 and vv > 0.0
                 # relative to sqrt(uu * vv), which bounds |u.Vv| for SPD V;
                 # u.Vv itself can cancel to a small fraction of that
-                assert abs(u @ vcycle(v) - v @ vcycle(u)) <= 1e-12 * np.sqrt(uu * vv)
+                uv, vu = u @ _cycled(vcycle, v), v @ _cycled(vcycle, u)
+                assert abs(uv - vu) <= 1e-12 * np.sqrt(uu * vv)
 
     # shifts outside the contract c1 > 0, c2 >= 0
     REJECTED = [(-1.0, 0.0), (0.0, 1.0), (1.0, -1e-3), (float("nan"), 1.0)]
@@ -145,7 +151,7 @@ class TestVCycle:
         assert len(h1.sizes) == 1
         coarse = ShiftedVCycle(h1, 0.3, 0.7)
         b = np.sin(np.arange(h1.sizes[0]) + 1.0)
-        x = coarse(b)
+        x = _cycled(coarse, b)
         np.testing.assert_allclose(coarse.matrix @ x, b, rtol=0, atol=1e-12 * np.abs(b).max())
 
 
@@ -267,20 +273,19 @@ class TestWorkspace:
         r = np.sin(np.arange(1.0, op.n + 1))
         for c1, c2 in TestVCycle.SHIFTS:
             workspace.shift(c1, c2)
-            before = workspace(r)
+            before = _cycled(workspace, r)
             for bad in TestVCycle.REJECTED:
                 with pytest.raises(ValueError, match="non-positive diagonal"):
                     workspace.shift(*bad)
                 # a rejected shift changes nothing
-                np.testing.assert_array_equal(workspace(r), before)
+                np.testing.assert_array_equal(_cycled(workspace, r), before)
             fresh, reference = ShiftedVCycle(h, c1, c2), ReferenceVCycle(h, c1, c2)
             for level, A in zip(h.levels, workspace._ops):
                 np.testing.assert_array_equal(A.data, _shifted(level, c1, c2).data)
-            for out in (None, np.full(op.n, np.nan)):
-                result = workspace(r, out)
-                assert out is None or result is out
-                np.testing.assert_array_equal(result, fresh(r))
-                np.testing.assert_array_equal(result, reference(r))
+            out = np.full(op.n, np.nan)
+            assert workspace(r, out) is out
+            np.testing.assert_array_equal(out, _cycled(fresh, r))
+            np.testing.assert_array_equal(out, reference(r))
 
     @pytest.mark.parametrize("chunk", [COMBINE_CHUNK, 1000, 7])
     def test_shift_in_chunks_has_the_bits_of_one_pass(self, graded_op, monkeypatch, chunk):
@@ -296,7 +301,7 @@ class TestWorkspace:
             workspace.shift(c1, c2)
             for level, A in zip(h.levels, workspace._ops):
                 np.testing.assert_array_equal(A.data, _shifted(level, c1, c2).data)
-            np.testing.assert_array_equal(workspace(r), ReferenceVCycle(h, c1, c2)(r))
+            np.testing.assert_array_equal(_cycled(workspace, r), ReferenceVCycle(h, c1, c2)(r))
 
     def test_results_stay_independent(self, sphere3_op):
         # a result is the caller's array, never a workspace buffer: two held
@@ -305,9 +310,9 @@ class TestWorkspace:
         h = build_hierarchy(sphere3_op.mass, sphere3_op.stiffness)
         workspace, reference = ShiftedVCycle(h, 0.5, 0.5), ReferenceVCycle(h, 0.5, 0.5)
         r1, r2 = (np.sin(k * np.arange(1.0, sphere3_op.n + 1)) for k in (1.0, 2.0))
-        first = workspace(r1)
+        first = _cycled(workspace, r1)
         first *= 0.5
-        second = workspace(r2)
+        second = _cycled(workspace, r2)
         np.testing.assert_array_equal(first, 0.5 * reference(r1))
         np.testing.assert_array_equal(second, reference(r2))
         assert not np.shares_memory(first, second)

@@ -1,9 +1,12 @@
 import math
+from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fracsurf.oracle import (
+    EXACT_DIGITS,
     convergence_rate,
     dense_decompose,
     dense_fractional,
@@ -16,9 +19,9 @@ from fracsurf.oracle import (
     torus_fields,
     torus_mean_curvature,
 )
-from fracsurf.pade import build_pade, pade_error_bound
+from fracsurf.pade import build_pade, explicit_pq_coefficients, pade_error_bound
 from fracsurf.solver import pcg
-from util import diagonal_op, eval_rm, jacobi
+from util import diagonal_op, eval_rm, jacobi, pcg_work
 
 
 class TestDenseFractional:
@@ -31,7 +34,7 @@ class TestDenseFractional:
         out = dense_fractional(sphere2_op, 1.0 - 1e-15, sphere2_sign_rhs)
         rhs = sphere2_op.mass @ sphere2_sign_rhs
         A = sphere2_op.stiffness + 1e-14 * sphere2_op.mass
-        direct, _, _ = pcg(A, rhs, rel_tol=1e-13, precond=jacobi(A))
+        direct, _, _ = pcg(A, rhs, rel_tol=1e-13, precond=jacobi(A), work=pcg_work(len(rhs)))
         from fracsurf.assembly import deflate_mean
 
         direct = deflate_mean(direct, sphere2_op)
@@ -259,3 +262,23 @@ class TestExactGap:
     def test_domain(self):
         with pytest.raises(ValueError):
             rm_minus_power_exact(2, 0.5, 1.5)
+
+    @pytest.mark.parametrize("m", [1, 5, 12])
+    def test_equals_the_fraction_loop(self, m):
+        # the integer Horner evaluation gives the Decimal of the reference
+        # loop, which sums P(t) and Q(t) term by term in Fractions
+        for alpha in (Fraction(0.1), Fraction(0.5), Fraction(0.9)):
+            P, Q = explicit_pq_coefficients(m, alpha)
+            for t in (Fraction(0), Fraction(1, 32), Fraction(17, 32), Fraction(1), Fraction(0.3)):
+                pv = sum(c * t**j for j, c in enumerate(P))
+                qv = sum(c * t**j for j, c in enumerate(Q))
+                rm = Fraction(pv, qv)
+                ctx = getcontext().copy()
+                ctx.prec = EXACT_DIGITS
+                power = ctx.exp(ctx.minus(ctx.multiply(
+                    ctx.divide(Decimal(alpha.numerator), Decimal(alpha.denominator)),
+                    ctx.ln(ctx.add(Decimal(1), ctx.divide(Decimal(t.numerator),
+                                                          Decimal(t.denominator)))))))
+                ref = ctx.subtract(ctx.divide(Decimal(rm.numerator), Decimal(rm.denominator)),
+                                   power)
+                assert rm_minus_power_exact(m, alpha, t) == ref, (alpha, t)

@@ -30,7 +30,7 @@ from fracsurf.solver import (
     pcg,
     suggest_lambda_hat,
 )
-from util import cg_budget, diagonal_op, jacobi
+from util import cg_budget, diagonal_op, jacobi, pcg_work
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -40,13 +40,13 @@ class TestPcg:
         rng = np.arange(1, 26, dtype=float)
         A = sp.diags(rng) + sp.eye(25) * 0.5
         b = np.sin(rng)
-        x, iters, rel = pcg(A.tocsr(), b, rel_tol=1e-13, precond=jacobi(A))
+        x, iters, rel = pcg(A.tocsr(), b, rel_tol=1e-13, precond=jacobi(A), work=pcg_work(25))
         assert rel <= 1e-13
         assert x == pytest.approx(b / (rng + 0.5), rel=1e-11)
 
     def test_zero_rhs(self):
         A = sp.eye(4, format="csr")
-        x, iters, rel = pcg(A, np.zeros(4), precond=jacobi(A))
+        x, iters, rel = pcg(A, np.zeros(4), precond=jacobi(A), work=pcg_work(4))
         assert iters == 0 and np.all(x == 0)
 
     def test_budget_exhaustion_reports(self):
@@ -55,7 +55,7 @@ class TestPcg:
         off = -1.0 * np.ones(n - 1)
         A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
         with pytest.raises(RuntimeError, match="residuals"):
-            pcg(A, np.ones(n), rel_tol=1e-14, max_iter=3, precond=jacobi(A))
+            pcg(A, np.ones(n), rel_tol=1e-14, max_iter=3, precond=jacobi(A), work=pcg_work(n))
 
     def test_default_cap_and_residual_tail(self):
         # the default cap is SolverConfig.max_iter(n); the message keeps the last five residuals
@@ -65,7 +65,7 @@ class TestPcg:
         A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
         cap = SolverConfig().max_iter(n)
         with pytest.raises(RuntimeError, match=f"in {cap} iterations") as info:
-            pcg(A, np.ones(n), rel_tol=1e-14, precond=jacobi(A))
+            pcg(A, np.ones(n), rel_tol=1e-14, precond=jacobi(A), work=pcg_work(n))
         assert len(str(info.value).split("last residuals")[1].split(",")) == 5
 
     def test_preconditioner_argument(self):
@@ -75,31 +75,28 @@ class TestPcg:
         inverse = np.linalg.inv(A.toarray())
         b = np.sin(np.arange(1.0, n + 1))
         x, iters, rel = pcg(A, b, rel_tol=1e-13,
-                            precond=lambda r, out: np.matmul(inverse, r, out=out))
+                            precond=lambda r, out: np.matmul(inverse, r, out=out),
+                            work=pcg_work(n))
         assert iters == 1 and x == pytest.approx(inverse @ b, rel=1e-12)
-        assert pcg(A, b, rel_tol=1e-13, precond=jacobi(A))[1] > 1
+        assert pcg(A, b, rel_tol=1e-13, precond=jacobi(A), work=pcg_work(n))[1] > 1
 
     def test_exact_start_takes_no_iteration(self):
-        # a 1x1 system solved by its start x0: the first step would divide by
-        # p.Ap = 0; pcg returns x0's values in its own x, after 0 iterations
+        # a 1x1 system solved by its start in work[0]: the first step would
+        # divide by p.Ap = 0; pcg returns the start as x, after 0 iterations
         A = sp.csr_matrix([[4.0]])
         b = np.array([2.0])
-        x0 = np.array([0.5])
         for kwargs in ({"rel_tol": 1e-12}, {"rel_tol": 0.0, "weight": np.ones(1)}):
-            work = [np.full(1, np.nan) for _ in range(5)]
-            x, iters, rel = pcg(A, b, ref_norm=2.0, precond=jacobi(A), x0=x0, work=work,
-                                **kwargs)
+            work = pcg_work(1, 0.5)
+            x, iters, rel = pcg(A, b, ref_norm=2.0, precond=jacobi(A), work=work, **kwargs)
             assert iters == 0 and x is work[0] and x[0] == 0.5 and rel == 0.0
-            assert work[1][0] == 0.0 and x0[0] == 0.5
-        # on a larger system the start's true residual is returned as is, also
-        # when the start is given in pcg's own x
+            assert work[1][0] == 0.0
+        # on a larger system the start's true residual is returned as is
         n = 25
         A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         b = np.sin(np.arange(1.0, n + 1))
         x0 = np.linalg.solve(A.toarray(), b)
-        work = [np.empty(n) for _ in range(5)]
-        work[0][:] = x0
-        x, iters, rel = pcg(A, b, rel_tol=1e-12, precond=jacobi(A), x0=work[0], work=work)
+        work = pcg_work(n, x0)
+        x, iters, rel = pcg(A, b, rel_tol=1e-12, precond=jacobi(A), work=work)
         residual = work[1]
         assert iters == 0 and x is work[0] and np.array_equal(x, x0)
         np.testing.assert_array_equal(residual, b - A @ x0)
@@ -107,40 +104,34 @@ class TestPcg:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_arbitrary_start_meets_the_same_tests(self, weighted):
-        # from a start x0 the relative test still divides by ||b|| (or
-        # ref_norm), the weighted test reads the same residual, and work[1]
-        # holds the bytes of b - A x of the returned x
+        # from a start x0 in work[0] the relative test still divides by ||b||
+        # (or ref_norm), the weighted test reads the same residual, and
+        # work[1] holds the bytes of b - A x of the returned x
         vcycle, b, weight, tol = _vcycle_system(3)
         A, n = vcycle.matrix, len(b)
         kwargs = dict(rel_tol=1e-14 if weighted else 1e-10, precond=vcycle)
         if weighted:
             kwargs.update(weight=weight, weighted_tol=tol)
         x0 = np.cos(np.arange(1.0, n + 1))
-        work = [np.full(n, np.nan) for _ in range(5)]
-        x, iters, rel = pcg(A, b, x0=x0, work=work, **kwargs)
+        work = pcg_work(n, x0)
+        x, iters, rel = pcg(A, b, work=work, **kwargs)
         residual = b - A @ x
-        assert iters > 0 and x is work[0] and x0[0] == math.cos(1.0)
+        assert iters > 0 and x is work[0]
         assert work[1].tobytes() == residual.tobytes()
         if weighted:  # the weighted test, not the relative one, stopped it
             assert rel > 1e-14 and math.sqrt(dot(weight * residual, residual)) <= tol
         else:
             assert rel <= 1e-10 and np.linalg.norm(residual) <= 2e-10 * np.linalg.norm(b)
         # a zero b with a start: relative to the start's residual, towards x = 0
-        x, iters, rel = pcg(A, np.zeros(n), rel_tol=1e-10, precond=vcycle, x0=x0)
+        x, iters, rel = pcg(A, np.zeros(n), rel_tol=1e-10, precond=vcycle, work=pcg_work(n, x0))
         assert iters > 0 and np.linalg.norm(A @ x) <= 2e-10 * np.linalg.norm(A @ x0)
-
-    def test_start_of_another_shape_rejected(self):
-        A = sp.eye(4, format="csr")
-        for x0 in (0.0, np.zeros(3), np.zeros((4, 1))):
-            with pytest.raises(ValueError, match=r"x0 has shape .*expected b's \(4,\)"):
-                pcg(A, np.ones(4), precond=jacobi(A), x0=x0)
 
     @pytest.mark.parametrize("ref_norm", [0.0, -1.0, math.nan, math.inf])
     def test_reference_norm_not_positive_and_finite_rejected(self, ref_norm):
         # 0.0 would divide by zero, and -1.0 would pass the relative test at once
         A = sp.eye(3, format="csr")
         with pytest.raises(ValueError, match=r"^ref_norm must be positive and finite, got "):
-            pcg(A, np.ones(3), ref_norm=ref_norm, precond=jacobi(A))
+            pcg(A, np.ones(3), ref_norm=ref_norm, precond=jacobi(A), work=pcg_work(3))
 
     def test_reference_norm_sets_the_relative_test(self):
         n = 400
@@ -152,18 +143,20 @@ class TestPcg:
         norm_b = np.linalg.norm(b)
         # a start within rel_tol * ref_norm passes before the first iteration
         ref = 2.0 * start / 1e-6
-        x, iters, rel = pcg(A, b, rel_tol=1e-6, ref_norm=ref, precond=jacobi(A), x0=x0)
+        x, iters, rel = pcg(A, b, rel_tol=1e-6, ref_norm=ref, precond=jacobi(A),
+                            work=pcg_work(n, x0))
         assert iters == 0 and rel == pytest.approx(start / ref, rel=1e-14)
         assert start / norm_b > 1e-6
         # later iterations divide by ref_norm too: the same iterates as the
         # default reference, ||b||, at the tolerance scaled by ref_norm / ||b||
         ref = 100.0 * norm_b
-        work = [np.empty(n) for _ in range(5)]
-        x, iters, rel = pcg(A, b, rel_tol=1e-10, ref_norm=ref, precond=jacobi(A), x0=x0,
-                            work=work)
+        work = pcg_work(n, x0)
+        x, iters, rel = pcg(A, b, rel_tol=1e-10, ref_norm=ref, precond=jacobi(A), work=work)
         residual = work[1]
-        x_b, iters_b, rel_b = pcg(A, b, rel_tol=1e-10 * ref / norm_b, precond=jacobi(A), x0=x0)
-        assert 0 < iters == iters_b < pcg(A, b, rel_tol=1e-10, precond=jacobi(A), x0=x0)[1]
+        x_b, iters_b, rel_b = pcg(A, b, rel_tol=1e-10 * ref / norm_b, precond=jacobi(A),
+                                  work=pcg_work(n, x0))
+        assert 0 < iters == iters_b < pcg(A, b, rel_tol=1e-10, precond=jacobi(A),
+                                          work=pcg_work(n, x0))[1]
         np.testing.assert_array_equal(x, x_b)
         assert rel <= 1e-10 and rel == pytest.approx(rel_b * norm_b / ref, rel=1e-14)
         assert np.linalg.norm(residual) / ref <= 2e-10
@@ -223,24 +216,26 @@ def _vcycle_system(level):
 class TestPcgWork:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_same_bits_in_the_given_vectors(self, weighted):
-        # pcg writes the five vectors it is given, whatever they held, returns
-        # the first as x, and gives the bits of a call that allocates; the
-        # true residual it leaves in work[1] is that of the allocating call's x
+        # from a zero start pcg writes the other four vectors it is given,
+        # whatever they held, returns the first as x, and gives the bits of
+        # the reference loop; the true residual it leaves in work[1] is that
+        # of the reference loop's x
         vcycle, b, weight, tol = _vcycle_system(3)
         A, n = vcycle.matrix, len(b)
         kwargs = dict(rel_tol=1e-14 if weighted else 1e-10, precond=vcycle)
         if weighted:
             kwargs.update(weight=weight, weighted_tol=tol)
-        ref = pcg(A, b, **kwargs)
-        ref_residual = b - A @ ref[0]
+        ref_residual = np.empty(n)
+        ref = ungated_pcg(A, b, residual=ref_residual, **kwargs)
         if weighted:  # the weighted test stops it
-            assert ref[1] < pcg(A, b, rel_tol=1e-14, precond=vcycle)[1]
-        work = [np.full(n, np.nan) for _ in range(5)]
-        for _ in range(2):  # the second call finds the first one's vectors
+            assert ref[1] < ungated_pcg(A, b, rel_tol=1e-14, precond=vcycle)[1]
+        work = pcg_work(n)
+        for _ in range(2):  # the second call finds the first one's vectors, x zeroed
             x, iters, rel = pcg(A, b, work=work, **kwargs)
             assert x is work[0] and iters == ref[1] and rel == ref[2]
             assert x.tobytes() == ref[0].tobytes()
             assert work[1].tobytes() == ref_residual.tobytes()
+            work[0].fill(0.0)
         x, iters, rel = pcg(A, np.zeros(n), precond=vcycle, work=work)
         assert x is work[0] and iters == 0 and not x.any()
 
@@ -254,7 +249,7 @@ class TestPcgWork:
                   "weighted": dict(rel_tol=1e-14, weight=weight, weighted_tol=tol)}[exit_]
         if exit_ == "zero_b":
             b = np.zeros(n)
-        work = [np.full(n, np.nan) for _ in range(5)]
+        work = pcg_work(n)
         x, iters, rel = pcg(A, b, precond=vcycle, work=work, **kwargs)
         assert (iters == 0) == (exit_ in ("zero_b", "start_passes"))
         if exit_ == "weighted":  # the weighted test, not the relative one, stopped it
@@ -267,25 +262,25 @@ class TestPcgWork:
         # it: the weighted test is then dropped, and the solve runs on to the
         # relative test with the iterates of an unweighted call
         vcycle, b, weight, tol = _vcycle_system(3)
-        A, rel_tol = vcycle.matrix, 1e-12
-        unweighted = pcg(A, b, rel_tol=rel_tol, precond=vcycle)
-        assert pcg(A, b, rel_tol=rel_tol, precond=vcycle, weight=weight,
-                   weighted_tol=tol)[1] < unweighted[1]  # unperturbed, the weighted test stops it
-        work = [np.full(len(b), np.nan) for _ in range(5)]
+        A, rel_tol, n = vcycle.matrix, 1e-12, len(b)
+        unweighted = pcg(A, b, rel_tol=rel_tol, precond=vcycle, work=pcg_work(n))
+        assert pcg(A, b, rel_tol=rel_tol, precond=vcycle, weight=weight, weighted_tol=tol,
+                   work=pcg_work(n))[1] < unweighted[1]  # unperturbed, the weighted test stops it
+        work = pcg_work(n)
         real, x_products = solver.csr_matvec_into, []
 
         def perturbed(A_, v, out):
             real(A_, v, out)
-            if v is work[0]:  # a product with x: the check, then the relative exit's
+            if v is work[0]:  # a product with x: the start's, the check, the relative exit's
                 x_products.append(v)
-                if len(x_products) == 1:
+                if len(x_products) == 2:
                     out -= b
             return out
 
         monkeypatch.setattr(solver, "csr_matvec_into", perturbed)
         x, iters, rel = pcg(A, b, rel_tol=rel_tol, precond=vcycle, weight=weight,
                             weighted_tol=tol, work=work)
-        assert len(x_products) == 2 and rel <= rel_tol
+        assert len(x_products) == 3 and rel <= rel_tol
         assert iters == unweighted[1] and rel == unweighted[2]
         assert x.tobytes() == unweighted[0].tobytes()
         assert work[1].tobytes() == (b - A @ x).tobytes()
@@ -297,14 +292,13 @@ class TestPcgWork:
             pcg(A, np.ones(1), precond=jacobi(A), work=[np.empty(1) for _ in range(count)])
 
     def test_allocates_less_than_one_vector(self):
-        # a budgeted V-cycle solve at sphere level 4 given its vectors: the
-        # traced peak stays below one vector of length n (5.2 vectors when
-        # pcg allocates its own)
+        # a budgeted V-cycle solve at sphere level 4 in its given vectors,
+        # from zero: the traced peak stays below one vector of length n
         vcycle, b, weight, tol = _vcycle_system(4)
-        n = len(b)
-        work = [np.empty(n) for _ in range(5)]
+        work = pcg_work(len(b))
         kwargs = dict(rel_tol=1e-14, precond=vcycle, weight=weight, weighted_tol=tol, work=work)
         pcg(vcycle.matrix, b, **kwargs)
+        work[0].fill(0.0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -614,7 +608,8 @@ class TestFractionalApply:
         # forms M x of pcg's x, its new correction, for the next step's Gram
         # matrices; checked against B_l, S - lh*M and A = (1-s)*lh*M + s*S formed
         # as matrices: the reference norm ||B_l U||, the right-hand side
-        # b = (s - t_l) g at every step and no start at step 0. At step 1 the
+        # b = (s - t_l) g at every step and a zero start at step 0, each start
+        # read from pcg's x before the call. At step 1 the
         # basis Y is the m corrections of step 0; from step 2 on it also holds
         # the last term's correction of step l - 2. The start x0 lies in span Y
         # and meets the Galerkin condition there, Y^T (b - A x0) = 0, and the
@@ -631,8 +626,7 @@ class TestFractionalApply:
             return matvec(A, x, out)
 
         def recording_pcg(A, b, **kwargs):
-            x0 = kwargs["x0"]
-            x0 = None if x0 is None else x0.copy()  # pcg iterates in place of it
+            x0 = kwargs["work"][0].copy()  # the start; pcg iterates in place of it
             result = real_pcg(A, b, **kwargs)
             calls.append((A.copy(), b.copy(), kwargs["ref_norm"], x0, result[0].copy()))
             return result
@@ -669,7 +663,7 @@ class TestFractionalApply:
                 if products:
                     np.testing.assert_array_equal(products[i], x)
                 if basis is None:
-                    assert x0 is None
+                    assert not x0.any()
                     continue
                 assert basis.shape[1] == (m if l == 1 else m + 1)
                 gram, rhs = systems[m * (l - 1) + i]
@@ -1135,19 +1129,19 @@ class TestAprioriBound:
 
 
 def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, weighted_tol=0.0,
-                residual=None, ref_norm=None, x0=None, work=None):
+                residual=None, ref_norm=None, work=None):
     """The reference loop for `pcg`, allocating, with a Jacobi default preconditioner.
 
     It forms the weighted sum on every iteration. `residual`, when given,
-    receives the true residual of the returned x. It iterates on a copy of
-    `x0`, which may be a vector of the `work` that a `pcg` call compared with
-    it is given. `work` is accepted and ignored: this loop allocates its own
-    vectors, so it cannot overwrite those of that call.
+    receives the true residual of the returned x. It starts from a copy of
+    work[0], the start of the `pcg` call compared with it, or from zero
+    without `work`, and writes no vector of `work`, so it cannot overwrite
+    those of that call.
     """
     if max_iter is None:
         max_iter = SolverConfig().max_iter(len(b))
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b.copy() if x0 is None else b - A @ x
+    x = np.zeros_like(b) if work is None else work[0].copy()
+    r = b - A @ x
     norm_r = math.sqrt(dot(r, r))
     if norm_r == 0.0:
         if residual is not None:
@@ -1158,15 +1152,15 @@ def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, w
     if precond is None:
         diag = A.diagonal()
 
-        def precond(r):
-            return r / diag
+        def precond(r, out):
+            return np.divide(r, diag, out=out)
     rel = norm_r / ref_norm
     weighted_sq = weighted_tol * weighted_tol
     if rel <= rel_tol or (weight is not None and dot(weight * r, r) <= weighted_sq):
         if residual is not None:
             residual[:] = r
         return x, 0, rel
-    z = precond(r)
+    z = precond(r, np.empty_like(r))
     p = z.copy()
     rz = dot(r, z)
     step = np.empty_like(b)
@@ -1189,7 +1183,7 @@ def ungated_pcg(A, b, rel_tol=1e-12, max_iter=None, precond=None, weight=None, w
                     residual[:] = true_r
                 return x, it, rel
             weight = None
-        z = precond(r)
+        z = precond(r, np.empty_like(r))
         rz_new = dot(r, z)
         p *= rz_new / rz
         p += z

@@ -1,6 +1,7 @@
 """Shared test helpers: fixture writers for Gmsh files, small meshes and pencils,
-a Jacobi preconditioner, and the product form of the rational factor, the independent check of the
-partial-fraction form that the library evaluates."""
+a Jacobi preconditioner, pcg's five vectors, and the product form of the
+rational factor, the independent check of the partial-fraction form that the
+library evaluates."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,3 +111,11 @@ def cg_budget(bound, scheme_error):
     times the a-priori bound, less the certified scheme error, and at least
     CG_BUDGET_FRACTION times the bound."""
     return max(CG_BUDGET_FRACTION * bound, (1.0 + CG_BUDGET_FRACTION) * bound - scheme_error)
+
+
+def pcg_work(n, start=None):
+    """pcg's five vectors: x, holding the start (zero by default), then r, z, p and A p
+    filled with NaN, which pcg must write before it reads them."""
+    work = [np.full(n, np.nan) for _ in range(5)]
+    work[0][:] = 0.0 if start is None else start
+    return work
